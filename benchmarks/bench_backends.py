@@ -1,7 +1,7 @@
 """E-BACK — per-backend wall clock on a fixed Fig. 4 yield sweep.
 
 Runs the same seeded Monte-Carlo sweep on every executable backend
-(``sequential``, ``threads``, ``processes``, ``shared-memory``), each
+(``sequential``, ``threads``, ``processes``), each
 with task fusion on and off, plus the ``auto`` selection mode, and
 writes the wall-clock table to ``benchmarks/BENCH_backends.json``.
 
@@ -37,7 +37,7 @@ from repro.engine import ExecutionEngine
 RESULT_PATH = Path(__file__).parent / "BENCH_backends.json"
 
 #: A reduced Fig. 4 grid: 24 engine tasks, enough to exercise fusion
-#: (multiple waves per worker) while keeping 9 timed runs affordable.
+#: (multiple waves per worker) while keeping 7 timed runs affordable.
 SWEEP_KWARGS = dict(
     steps_ghz=(0.05, 0.06, 0.07),
     sigmas_ghz=(0.014, 0.1323),
@@ -53,8 +53,6 @@ TABLE_ROWS = [
     ("threads", False),
     ("processes", True),
     ("processes", False),
-    ("shared-memory", True),
-    ("shared-memory", False),
     ("auto", True),
 ]
 

@@ -5,11 +5,12 @@ Two measurements back the tuning subsystem:
 1. **Greedy-repair throughput** — devices repaired per second on a
    collided heavy-hex batch (the regime the ``tunedyield`` experiment
    runs in), plus the recovered-yield gain, for both shipped strategies.
-2. **Parallel == sequential bit-identity** — the chunk-fanned tuned
-   estimate (``simulate_yield_chunks`` through a 4-worker engine) must
-   reproduce the sequential in-process run *exactly*: same collision-free
-   count, same repaired count, same accepted-shift totals.  This is the
-   engine's spawn-seed contract extended through the repair stage.
+2. **Parallel == sequential bit-identity** — a tuned, chunk-streamed
+   yield curve (``yield_vs_qubits`` through a 4-worker engine) must
+   reproduce the same curve on a 1-worker engine *exactly*: same
+   collision-free counts, same repaired counts, same accepted-shift
+   totals at every size.  This is the engine's spawn-seed contract
+   extended through the repair stage.
 
 Results are written to ``benchmarks/BENCH_tuning.json``.
 """
@@ -24,8 +25,9 @@ import numpy as np
 
 from repro.core.architecture import get_architecture
 from repro.core.fabrication import FabricationModel
-from repro.core.yield_model import simulate_yield_chunks
-from repro.engine import ExecutionEngine, ResultCache
+from repro.core.yield_model import yield_vs_qubits
+from repro.engine import ExecutionEngine
+from repro.stats import StatsOptions
 from repro.tuning import (
     AnnealingRepair,
     GreedyLocalRepair,
@@ -42,6 +44,11 @@ NUM_QUBITS = 65
 SIGMA = 0.014
 BATCH_SIZE = 600
 SEED = 2022
+
+#: Device sizes of the parallel bit-identity curve (one engine task each).
+PARITY_SIZES = (20, 40, 65, 80)
+PARITY_CHUNK_SIZE = 150
+PARITY_JOBS = 4
 
 
 def _bench_strategy(allocation, frequencies, strategy):
@@ -63,7 +70,7 @@ def _bench_strategy(allocation, frequencies, strategy):
     }
 
 
-def test_repair_throughput_and_parallel_bit_identity(tmp_path):
+def test_repair_throughput_and_parallel_bit_identity():
     """Measure repair throughput and pin the parallel determinism contract."""
     arch = get_architecture(None)
     allocation = arch.allocate(arch.lattice(NUM_QUBITS))
@@ -77,33 +84,31 @@ def test_repair_throughput_and_parallel_bit_identity(tmp_path):
     assert greedy["repaired_devices"] > 0, "benchmark batch produced no repairs"
     assert greedy["repaired_yield"] > greedy["as_fab_yield"]
 
-    # Parallel == sequential bit-identity through the chunked pipeline.
-    opts = TuningOptions()
+    # Parallel == sequential bit-identity through the tuned, chunked sweep.
     kwargs = dict(
         sigma_ghz=SIGMA,
         step_ghz=allocation.spec.step_ghz,
-        num_qubits=NUM_QUBITS,
+        sizes=PARITY_SIZES,
         batch_size=BATCH_SIZE,
-        chunk_size=150,
         seed=SEED,
-        tuning=opts,
+        stats=StatsOptions(chunk_size=PARITY_CHUNK_SIZE),
+        tuning=TuningOptions(),
     )
-    sequential = simulate_yield_chunks(**kwargs)
-    engine = ExecutionEngine(jobs=4, cache=ResultCache(tmp_path / "cache"))
-    parallel = simulate_yield_chunks(executor=engine, **kwargs)
-    identical = (
-        sequential.num_collision_free,
-        sequential.num_repaired,
-        sequential.tuned_qubits,
-        sequential.total_tunes,
-    ) == (
-        parallel.num_collision_free,
-        parallel.num_repaired,
-        parallel.tuned_qubits,
-        parallel.total_tunes,
+    sequential = yield_vs_qubits(
+        executor=ExecutionEngine(jobs=1, use_cache=False), **kwargs
     )
+    engine = ExecutionEngine(jobs=PARITY_JOBS, use_cache=False)
+    parallel = yield_vs_qubits(executor=engine, **kwargs)
+
+    def counts(curve):
+        return [
+            (p.num_collision_free, p.num_repaired, p.tuned_qubits, p.total_tunes)
+            for p in curve.points
+        ]
+
+    identical = counts(sequential) == counts(parallel)
     assert identical, "parallel tuned run diverged from the sequential one"
-    assert sequential == parallel
+    assert sequential.points == parallel.points
 
     record = {
         "benchmark": "post_fabrication_repair",
@@ -113,11 +118,12 @@ def test_repair_throughput_and_parallel_bit_identity(tmp_path):
         "seed": SEED,
         "strategies": [greedy, anneal],
         "parallel_bit_identity": {
-            "jobs": 4,
-            "chunk_size": 150,
-            "num_collision_free": sequential.num_collision_free,
-            "num_repaired": sequential.num_repaired,
-            "total_tunes": sequential.total_tunes,
+            "jobs": PARITY_JOBS,
+            "chunk_size": PARITY_CHUNK_SIZE,
+            "sizes": list(PARITY_SIZES),
+            "num_collision_free": [p.num_collision_free for p in sequential.points],
+            "num_repaired": [p.num_repaired for p in sequential.points],
+            "total_tunes": [p.total_tunes for p in sequential.points],
             "workers_used": engine.stats.workers_used,
             "identical": identical,
         },
@@ -134,7 +140,7 @@ def test_repair_throughput_and_parallel_bit_identity(tmp_path):
         f"repaired in {anneal['seconds']}s ({anneal['devices_per_second']} dev/s)"
     )
     print(
-        f"[tuning] parallel(jobs=4) == sequential: {identical} "
+        f"[tuning] parallel(jobs={PARITY_JOBS}) == sequential: {identical} "
         f"({engine.stats.workers_used} workers used)"
     )
     print(f"[tuning] wrote {RESULT_PATH}")

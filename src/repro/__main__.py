@@ -21,8 +21,8 @@ Subcommands
     (``greedy`` or ``anneal``), ``--max-shift-mhz`` bounds the tuner's
     reach and ``--repair-budget`` caps the accepted shifts per qubit
     (``0`` is a strict no-op baseline).  ``--backend NAME`` selects the
-    execution backend (``sequential``, ``threads``, ``processes``,
-    ``shared-memory`` or the cost-based ``auto`` default; the
+    execution backend (``sequential``, ``threads``, ``processes`` or
+    the cost-based ``auto`` default; the
     ``REPRO_BACKEND`` environment variable changes the default) —
     results are bit-identical across backends.  The compiler flags steer the
     application experiments (``fig10``, ``appsweep``):
@@ -137,8 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         metavar="NAME",
-        help="execution backend (sequential, threads, processes, "
-        "shared-memory, or auto; default: $REPRO_BACKEND or auto; "
+        help="execution backend (sequential, threads, processes or "
+        "auto; default: $REPRO_BACKEND or auto; "
         "results are bit-identical across backends)",
     )
     run.add_argument(

@@ -1,9 +1,8 @@
 """Per-experiment modules regenerating every figure/table of the paper.
 
-The former ``analysis/experiments.py`` monolith is decomposed here, one
-module per figure or table.  Every driver keeps its historical name and
-signature (``analysis.experiments`` re-exports them as a compatibility
-shim) and gains engine awareness where it sweeps Monte-Carlo points:
+One module per figure or table; this package re-exports every driver
+and result type.  Drivers that sweep Monte-Carlo points take an engine
+(:mod:`repro.engine`):
 
 ==========================  =============================================
 Module                      Experiment

@@ -43,9 +43,6 @@ from repro.core.fidelity import default_link_scenarios
 from repro.core.mcm import MCMDesign
 from repro.core.yield_model import (
     YieldResult,
-    _stats_point_kwargs,
-    _topology_kwargs,
-    _tuning_kwargs,
     simulate_yield_point,
 )
 from repro.device.calibration import washington_cx_model
@@ -154,8 +151,7 @@ def run_topology_yield_comparison(
         for topology in (topologies if topologies else ARCHITECTURES.names())
     )
     result = TopologyYieldResult(sizes=sizes, sigma_ghz=sigma_ghz, step_ghz=step_ghz)
-    stats_kwargs = _stats_point_kwargs(stats)
-    tuning_kwargs = _tuning_kwargs(tuning)
+    stats = stats or StatsOptions()
 
     kwargs_list = []
     for topology in names:
@@ -172,9 +168,13 @@ def run_topology_yield_comparison(
                     seed=child_seed,
                     thresholds=None,
                     lattice=lattices[size],
-                    **stats_kwargs,
-                    **_topology_kwargs(topology),
-                    **tuning_kwargs,
+                    chunk_size=stats.chunk_size,
+                    ci_target=stats.ci_target,
+                    max_samples=stats.max_samples,
+                    confidence=stats.confidence,
+                    ci_method=stats.method,
+                    topology=topology,
+                    tuning=tuning,
                 )
             )
     points = run_calls(simulate_yield_point, kwargs_list, engine, "yield.point")

@@ -36,8 +36,6 @@ from repro.core.architecture import ARCHITECTURES, get_architecture
 from repro.core.fabrication import SIGMA_LASER_TUNED_GHZ
 from repro.core.yield_model import (
     RepairedYieldResult,
-    _stats_point_kwargs,
-    _topology_kwargs,
     simulate_yield_point,
 )
 from repro.engine.dispatch import run_calls
@@ -148,7 +146,7 @@ def run_tuned_yield_comparison(
     result = TunedYieldResult(
         sizes=sizes, sigma_ghz=sigma_ghz, step_ghz=step_ghz, tuning=tuning
     )
-    stats_kwargs = _stats_point_kwargs(stats)
+    stats = stats or StatsOptions()
 
     kwargs_list = []
     for topology in names:
@@ -165,9 +163,13 @@ def run_tuned_yield_comparison(
                     seed=child_seed,
                     thresholds=None,
                     lattice=lattices[size],
+                    chunk_size=stats.chunk_size,
+                    ci_target=stats.ci_target,
+                    max_samples=stats.max_samples,
+                    confidence=stats.confidence,
+                    ci_method=stats.method,
+                    topology=topology,
                     tuning=tuning,
-                    **stats_kwargs,
-                    **_topology_kwargs(topology),
                 )
             )
     points = run_calls(simulate_yield_point, kwargs_list, engine, "yield.tuned")
@@ -272,7 +274,7 @@ def run_repair_budget_sweep(
                 ),
                 strategy=base.strategy,
             ),
-            **_topology_kwargs(arch.name),
+            topology=arch.name,
         )
         for shift, budget in cells
     ]

@@ -60,16 +60,16 @@ DEFAULT_TOPOLOGY = "heavy-hex"
 
 #: Distinct memoised lattices / allocations kept alive at once.  Sweeps
 #: revisit a handful of (topology, qubit-count) points thousands of
-#: times across chunk tasks; 32 of each bounds memory while covering
+#: times across sweep points; 32 of each bounds memory while covering
 #: every sweep in the repo with room to spare.
 ARCHITECTURE_CACHE_MAXSIZE = 32
 
 # Module-level memo for lattice builds and frequency allocations.  Both
 # are deterministic pure functions — a lattice of (factory, qubit count,
 # name) and an allocation of (plan, spec, lattice content) — and both
-# results are treated as immutable by every consumer, so chunk tasks
-# that used to rebuild identical ideal-frequency allocations per task
-# now share one instance.  Lattice keys hold the factory *object* and
+# results are treated as immutable by every consumer, so sweep points
+# that would rebuild identical ideal-frequency allocations per task
+# share one instance.  Lattice keys hold the factory *object* and
 # allocation keys the frozen plan dataclass, so the keys themselves pin
 # the referenced callables alive (no id-reuse hazard), and allocation
 # keys fingerprint the lattice by content (sites + edges tuples), so
@@ -153,8 +153,8 @@ class Architecture:
         Allocations are memoised on (plan, spec, lattice content) —
         plans are pure functions of the lattice's sites/edges, and
         every consumer treats :class:`FrequencyAllocation` arrays as
-        read-only — so yield chunk tasks that previously re-allocated
-        an identical lattice per chunk now share one instance.  Keying
+        read-only — so yield points that would re-allocate an
+        identical lattice per task share one instance.  Keying
         by content (not lattice identity) lets pickled lattice copies
         in engine workers hit too.
         """

@@ -302,7 +302,6 @@ def count_collision_free(
 
     A module-level reduction over :func:`collision_free_mask`, suitable
     as an engine task: it pickles by reference, caches safely, and its
-    only large parameter is the frequency array — which the
-    ``shared-memory`` backend ships to workers zero-copy.
+    only large parameter is the frequency array.
     """
     return int(collision_free_mask(allocation, frequencies, thresholds).sum())

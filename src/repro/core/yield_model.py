@@ -25,6 +25,12 @@ Key entry points
     The full Fig. 4 grid: yield vs. qubits for several detuning steps and
     fabrication precisions.
 
+Every estimator reduces one kernel, :func:`_sample_screen_count`:
+fabricate a batch, screen it against the Table I windows (repairing
+collided devices when asked) and count the survivors.  The monolithic
+estimators run it once; the streaming and adaptive estimators run it per
+chunk in one shared loop.
+
 The sweep entry points accept an ``executor`` hook — any object with a
 ``map_calls(fn, kwargs_list, name=...)`` method, in practice a
 :class:`repro.engine.ExecutionEngine` — and submit one task per
@@ -32,29 +38,29 @@ The sweep entry points accept an ``executor`` hook — any object with a
 master seed by position (``np.random.SeedSequence.spawn``), so parallel
 and sequential runs are bit-identical at the same seed.  Within one
 point, the chunked estimators derive per-chunk seeds the same way (see
-:mod:`repro.stats.streaming`), so a streamed, adaptive, or
-chunk-parallel run observes literally the same samples as materialising
-the whole batch at once.
+:mod:`repro.stats.streaming`), so a streamed or adaptive run observes
+literally the same samples as materialising the whole batch at once.
 
 Every entry point also accepts a :class:`repro.tuning.TuningOptions`:
 when set, collided devices are handed to the post-fabrication repair
 subsystem (:mod:`repro.tuning`) before yield is counted, and the result
 is a :class:`RepairedYieldResult` that reports the as-fabricated and
 repaired populations separately.  Repair randomness continues each
-chunk's own generator after fabrication sampling, so the tuned pipeline
-inherits the full parallel==sequential determinism contract; when the
-option is unset the kwargs of every submitted point are byte-identical
-to the untuned pipeline (see :func:`_tuning_kwargs`), keeping historical
-engine cache keys and goldens untouched.
+batch's or chunk's own generator after fabrication sampling, so the
+tuned pipeline inherits the full parallel==sequential determinism
+contract.  Every statistics, topology and tuning option is passed to
+each submitted point explicitly and so takes part in its engine cache
+key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.architecture import DEFAULT_TOPOLOGY, get_architecture
+from repro.core.architecture import get_architecture
 from repro.core.collisions import CollisionThresholds, collision_free_mask
 from repro.core.fabrication import FabricationModel
 from repro.core.frequencies import FrequencyAllocation
@@ -69,7 +75,6 @@ from repro.stats import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_CONFIDENCE,
     StatsOptions,
-    StreamingEstimator,
     adaptive_estimate,
     binomial_ci,
     chunk_layout,
@@ -87,8 +92,6 @@ __all__ = [
     "simulate_yield_with_devices",
     "simulate_yield_streaming",
     "simulate_yield_adaptive",
-    "simulate_yield_chunk",
-    "simulate_yield_chunks",
     "materialize_seeded_batch",
     "yield_vs_qubits",
     "detuning_sweep",
@@ -272,6 +275,83 @@ class YieldCurve:
         return self.at_size(num_qubits).collision_free_yield
 
 
+class _Counts(NamedTuple):
+    """What one screened batch (or a sum of chunks) contributes to yield."""
+
+    free: int
+    trials: int
+    repaired: int = 0
+    tuned_qubits: int = 0
+    total_tunes: int = 0
+
+
+def _sample_screen_count(
+    allocation: FrequencyAllocation,
+    fabrication: FabricationModel,
+    length: int,
+    rng: np.random.Generator,
+    draw_seed,
+    thresholds: CollisionThresholds | None,
+    tuning: TuningOptions | None,
+) -> tuple[_Counts, np.ndarray, np.ndarray]:
+    """Fabricate ``length`` devices, screen them and count the survivors.
+
+    The one place the yield model samples, screens and repairs: every
+    estimator reduces the counts of this kernel, whether over one
+    monolithic batch or over spawn-seeded chunks.  With ``tuning`` set,
+    collided devices are repaired continuing ``rng`` after fabrication
+    sampling, so the fabricated frequencies are bit-identical to the
+    untuned batch and the repair shots are a pure function of the
+    generator's seed.  ``draw_seed`` is the sample-bank key of ``rng``
+    (see :mod:`repro.core.sample_bank`).
+
+    Returns ``(counts, frequencies, survivors)``: the counts record, the
+    batch (repaired rows substituted when tuned) and its boolean
+    collision-free mask.
+    """
+    frequencies = fabrication.sample_batch(allocation, length, rng, draw_seed=draw_seed)
+    if tuning is None:
+        survivors = collision_free_mask(allocation, frequencies, thresholds)
+        return _Counts(int(survivors.sum()), length), frequencies, survivors
+    outcome = repair_batch(allocation, frequencies, tuning, rng, thresholds)
+    counts = _Counts(
+        outcome.num_free,
+        length,
+        outcome.num_repaired,
+        outcome.tuned_qubits,
+        outcome.total_tunes,
+    )
+    return counts, outcome.frequencies, outcome.final_mask
+
+
+def _yield_result(
+    counts: _Counts,
+    allocation: FrequencyAllocation,
+    fabrication: FabricationModel,
+    confidence: float,
+    ci_method: str,
+    tuning: TuningOptions | None,
+) -> YieldResult:
+    """The result of ``counts``, in repaired form for tuned runs."""
+    result = dict(
+        num_qubits=allocation.num_qubits,
+        sigma_ghz=fabrication.sigma_ghz,
+        step_ghz=allocation.spec.step_ghz,
+        batch_size=counts.trials,
+        num_collision_free=counts.free,
+        confidence=confidence,
+        ci_method=ci_method,
+    )
+    if tuning is None:
+        return YieldResult(**result)
+    return RepairedYieldResult(
+        **result,
+        num_repaired=counts.repaired,
+        tuned_qubits=counts.tuned_qubits,
+        total_tunes=counts.total_tunes,
+    )
+
+
 def simulate_yield(
     allocation: FrequencyAllocation,
     fabrication: FabricationModel,
@@ -309,33 +389,17 @@ def simulate_yield(
         hits restore the post-sampling generator state, so the repair
         stream continuing ``rng`` stays bit-identical.
     """
-    rng = rng or np.random.default_rng()
-    frequencies = fabrication.sample_batch(
-        allocation, batch_size, rng, draw_seed=draw_seed
+    counts, _, _ = _sample_screen_count(
+        allocation,
+        fabrication,
+        batch_size,
+        rng or np.random.default_rng(),
+        draw_seed,
+        thresholds,
+        tuning,
     )
-    if tuning is not None:
-        outcome = repair_batch(allocation, frequencies, tuning, rng, thresholds)
-        return RepairedYieldResult(
-            num_qubits=allocation.num_qubits,
-            sigma_ghz=fabrication.sigma_ghz,
-            step_ghz=allocation.spec.step_ghz,
-            batch_size=batch_size,
-            num_collision_free=outcome.num_free,
-            confidence=confidence,
-            ci_method=ci_method,
-            num_repaired=outcome.num_repaired,
-            tuned_qubits=outcome.tuned_qubits,
-            total_tunes=outcome.total_tunes,
-        )
-    mask = collision_free_mask(allocation, frequencies, thresholds)
-    return YieldResult(
-        num_qubits=allocation.num_qubits,
-        sigma_ghz=fabrication.sigma_ghz,
-        step_ghz=allocation.spec.step_ghz,
-        batch_size=batch_size,
-        num_collision_free=int(mask.sum()),
-        confidence=confidence,
-        ci_method=ci_method,
+    return _yield_result(
+        counts, allocation, fabrication, confidence, ci_method, tuning
     )
 
 
@@ -357,111 +421,77 @@ def simulate_yield_with_devices(
         profile of every collision-free device — the raw material for
         known-good-die binning and MCM assembly.
     """
-    rng = rng or np.random.default_rng()
-    frequencies = fabrication.sample_batch(
-        allocation, batch_size, rng, draw_seed=draw_seed
+    counts, frequencies, survivors = _sample_screen_count(
+        allocation,
+        fabrication,
+        batch_size,
+        rng or np.random.default_rng(),
+        draw_seed,
+        thresholds,
+        None,
     )
-    mask = collision_free_mask(allocation, frequencies, thresholds)
-    result = YieldResult(
-        num_qubits=allocation.num_qubits,
-        sigma_ghz=fabrication.sigma_ghz,
-        step_ghz=allocation.spec.step_ghz,
-        batch_size=batch_size,
-        num_collision_free=int(mask.sum()),
+    result = _yield_result(
+        counts, allocation, fabrication, DEFAULT_CONFIDENCE, "wilson", None
     )
-    return result, frequencies[mask]
+    return result, frequencies[survivors]
 
 
 # ---------------------------------------------------------------------- #
 # Chunked sampling: the spawn-seeded scheme shared by every estimator
 # ---------------------------------------------------------------------- #
-def _chunk_frequencies(
-    allocation: FrequencyAllocation,
-    fabrication: FabricationModel,
-    length: int,
-    seed: int | None,
-    chunk_index: int,
-) -> np.ndarray:
-    """Fabricate one spawn-seeded chunk of ``length`` devices.
+def _chunk_rng(
+    seed: int | None, chunk_index: int
+) -> tuple[np.random.Generator, int | None]:
+    """Chunk ``chunk_index``'s generator and its sample-bank draw key.
 
-    The chunk's derived seed doubles as the sample-bank draw key, so the
-    in-process streaming path and the engine chunk tasks share banked
-    base draws with every other sigma/step revisiting the same
-    ``(seed, chunk_index, num_qubits, length)`` identity.
+    The chunk's derived seed doubles as the draw key, so every sigma/step
+    revisiting the same ``(seed, chunk_index, num_qubits, length)``
+    identity shares banked base draws.
     """
     derived = chunk_seed(seed, chunk_index)
-    rng = np.random.default_rng(derived)
-    return fabrication.sample_batch(allocation, length, rng, draw_seed=derived)
+    return np.random.default_rng(derived), derived
 
 
-def _chunk_counts(
+def _chunked_yield(
     allocation: FrequencyAllocation,
     fabrication: FabricationModel,
-    length: int,
+    ci_target: float | None,
+    max_samples: int,
+    chunk_size: int,
     seed: int | None,
-    chunk_index: int,
     thresholds: CollisionThresholds | None,
-    tuning: TuningOptions | None,
-) -> tuple[int, int, int, int, int]:
-    """Fabricate, (optionally) repair and reduce one spawn-seeded chunk.
-
-    Returns ``(num_free, length, num_repaired, tuned_qubits,
-    total_tunes)``.  The repair stage continues the chunk's own
-    generator after fabrication sampling, so the fabricated frequencies
-    are bit-identical to the untuned chunk and the repair shots are a
-    pure function of the chunk seed — whichever process runs the chunk.
-    """
-    derived = chunk_seed(seed, chunk_index)
-    rng = np.random.default_rng(derived)
-    frequencies = fabrication.sample_batch(allocation, length, rng, draw_seed=derived)
-    if tuning is None:
-        mask = collision_free_mask(allocation, frequencies, thresholds)
-        return int(mask.sum()), length, 0, 0, 0
-    outcome = repair_batch(allocation, frequencies, tuning, rng, thresholds)
-    return (
-        outcome.num_free,
-        length,
-        outcome.num_repaired,
-        outcome.tuned_qubits,
-        outcome.total_tunes,
-    )
-
-
-def _build_result(
-    num_qubits: int,
-    sigma_ghz: float,
-    step_ghz: float,
-    batch_size: int,
-    num_collision_free: int,
     confidence: float,
     ci_method: str,
     tuning: TuningOptions | None,
-    num_repaired: int,
-    tuned_qubits: int,
-    total_tunes: int,
 ) -> YieldResult:
-    """A :class:`YieldResult`, upgraded to repaired form for tuned runs."""
-    if tuning is None:
-        return YieldResult(
-            num_qubits=num_qubits,
-            sigma_ghz=sigma_ghz,
-            step_ghz=step_ghz,
-            batch_size=batch_size,
-            num_collision_free=num_collision_free,
-            confidence=confidence,
-            ci_method=ci_method,
+    """Run the kernel over spawn-seeded chunks and reduce their counts.
+
+    Chunks are drawn in order until ``max_samples`` devices were
+    fabricated or, when ``ci_target`` is set, the running CI half-width
+    reaches it (:func:`repro.stats.adaptive_estimate`).  Only one chunk's
+    devices are alive at a time.
+    """
+    chunks: list[_Counts] = []
+
+    def draw_chunk(chunk_index: int, length: int) -> tuple[int, int]:
+        rng, derived = _chunk_rng(seed, chunk_index)
+        counts, _, _ = _sample_screen_count(
+            allocation, fabrication, length, rng, derived, thresholds, tuning
         )
-    return RepairedYieldResult(
-        num_qubits=num_qubits,
-        sigma_ghz=sigma_ghz,
-        step_ghz=step_ghz,
-        batch_size=batch_size,
-        num_collision_free=num_collision_free,
+        chunks.append(counts)
+        return counts.free, counts.trials
+
+    adaptive_estimate(
+        draw_chunk,
+        ci_target=ci_target,
+        max_samples=max_samples,
+        chunk_size=chunk_size,
         confidence=confidence,
-        ci_method=ci_method,
-        num_repaired=num_repaired,
-        tuned_qubits=tuned_qubits,
-        total_tunes=total_tunes,
+        method=ci_method,
+    )
+    totals = _Counts(*(sum(column) for column in zip(*chunks)))
+    return _yield_result(
+        totals, allocation, fabrication, confidence, ci_method, tuning
     )
 
 
@@ -478,15 +508,18 @@ def materialize_seeded_batch(
     ``(batch_size, num_qubits)`` array — O(batch) memory (a chunk list +
     ``np.concatenate`` would briefly hold 2x that), exactly what
     :func:`simulate_yield_streaming` reduces chunk by chunk.  The parity
-    tests pin the streamed, adaptive and chunk-parallel estimators to
-    this array bit for bit.
+    tests pin the streamed and adaptive estimators to this array bit for
+    bit.  Each chunk goes through the untuned kernel, whose batch is the
+    fabricated one; its counts are discarded.
     """
     out = np.empty((batch_size, allocation.num_qubits), dtype=np.float64)
     start = 0
     for index, length in enumerate(chunk_layout(batch_size, chunk_size)):
-        out[start : start + length] = _chunk_frequencies(
-            allocation, fabrication, length, seed, index
+        rng, derived = _chunk_rng(seed, index)
+        _, frequencies, _ = _sample_screen_count(
+            allocation, fabrication, length, rng, derived, None, None
         )
+        out[start : start + length] = frequencies
         start += length
     return out
 
@@ -509,30 +542,19 @@ def simulate_yield_streaming(
     ``(batch_size, num_qubits)`` batch, and the result is bit-identical
     to reducing :func:`materialize_seeded_batch` at the same
     ``(seed, chunk_size)``.  With ``tuning`` set, each chunk is repaired
-    before reduction (same chunk-seed contract, see :func:`_chunk_counts`).
+    before reduction, continuing the chunk's own generator.
     """
-    estimator = StreamingEstimator(confidence=confidence, method=ci_method)
-    repaired = tuned_qubits = total_tunes = 0
-    for index, length in enumerate(chunk_layout(batch_size, chunk_size)):
-        free, trials, chunk_repaired, chunk_tuned, chunk_tunes = _chunk_counts(
-            allocation, fabrication, length, seed, index, thresholds, tuning
-        )
-        estimator.update(free, trials)
-        repaired += chunk_repaired
-        tuned_qubits += chunk_tuned
-        total_tunes += chunk_tunes
-    return _build_result(
-        num_qubits=allocation.num_qubits,
-        sigma_ghz=fabrication.sigma_ghz,
-        step_ghz=allocation.spec.step_ghz,
-        batch_size=estimator.trials,
-        num_collision_free=estimator.successes,
+    return _chunked_yield(
+        allocation,
+        fabrication,
+        ci_target=None,
+        max_samples=batch_size,
+        chunk_size=chunk_size,
+        seed=seed,
+        thresholds=thresholds,
         confidence=confidence,
         ci_method=ci_method,
         tuning=tuning,
-        num_repaired=repaired,
-        tuned_qubits=tuned_qubits,
-        total_tunes=total_tunes,
     )
 
 
@@ -559,143 +581,17 @@ def simulate_yield_adaptive(
     ``(seed, chunk_size)``.  With ``tuning`` set, each drawn chunk is
     repaired before it reaches the stopping rule.
     """
-    repair_totals = [0, 0, 0]
-
-    def draw_chunk(chunk_index: int, length: int) -> tuple[int, int]:
-        free, trials, chunk_repaired, chunk_tuned, chunk_tunes = _chunk_counts(
-            allocation, fabrication, length, seed, chunk_index, thresholds, tuning
-        )
-        repair_totals[0] += chunk_repaired
-        repair_totals[1] += chunk_tuned
-        repair_totals[2] += chunk_tunes
-        return free, trials
-
-    outcome = adaptive_estimate(
-        draw_chunk,
+    return _chunked_yield(
+        allocation,
+        fabrication,
         ci_target=ci_target,
         max_samples=max_samples,
         chunk_size=chunk_size,
-        confidence=confidence,
-        method=ci_method,
-    )
-    return _build_result(
-        num_qubits=allocation.num_qubits,
-        sigma_ghz=fabrication.sigma_ghz,
-        step_ghz=allocation.spec.step_ghz,
-        batch_size=outcome.trials,
-        num_collision_free=outcome.successes,
+        seed=seed,
+        thresholds=thresholds,
         confidence=confidence,
         ci_method=ci_method,
         tuning=tuning,
-        num_repaired=repair_totals[0],
-        tuned_qubits=repair_totals[1],
-        total_tunes=repair_totals[2],
-    )
-
-
-def simulate_yield_chunk(
-    sigma_ghz: float,
-    step_ghz: float,
-    num_qubits: int,
-    chunk_length: int,
-    seed: int | None,
-    thresholds: CollisionThresholds | None = None,
-    lattice: Lattice | None = None,
-    topology: str | None = None,
-    tuning: TuningOptions | None = None,
-) -> tuple[int, ...]:
-    """One spawn-seeded chunk as a self-contained engine task.
-
-    ``seed`` here is the *chunk's own* derived seed (see
-    :func:`repro.stats.streaming.chunk_seed`), so the task is a pure,
-    picklable function of its arguments and can run in any worker
-    process.  Returns ``(num_collision_free, chunk_length)``; with
-    ``tuning`` set the tuple extends to ``(num_collision_free,
-    chunk_length, num_repaired, tuned_qubits, total_tunes)``.
-    """
-    arch = get_architecture(topology)
-    if lattice is None:
-        lattice = arch.lattice(num_qubits)
-    allocation = arch.allocate(lattice, spec=arch.spec(step_ghz=step_ghz))
-    fabrication = FabricationModel(sigma_ghz=sigma_ghz)
-    rng = np.random.default_rng(seed)
-    frequencies = fabrication.sample_batch(allocation, chunk_length, rng, draw_seed=seed)
-    if tuning is None:
-        mask = collision_free_mask(allocation, frequencies, thresholds)
-        return int(mask.sum()), chunk_length
-    outcome = repair_batch(allocation, frequencies, tuning, rng, thresholds)
-    return (
-        outcome.num_free,
-        chunk_length,
-        outcome.num_repaired,
-        outcome.tuned_qubits,
-        outcome.total_tunes,
-    )
-
-
-def simulate_yield_chunks(
-    sigma_ghz: float,
-    step_ghz: float,
-    num_qubits: int,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    seed: int | None = None,
-    thresholds: CollisionThresholds | None = None,
-    lattice: Lattice | None = None,
-    executor=None,
-    confidence: float = DEFAULT_CONFIDENCE,
-    ci_method: str = "wilson",
-    topology: str | None = None,
-    tuning: TuningOptions | None = None,
-) -> YieldResult:
-    """The chunked estimate with chunks fanned out as engine tasks.
-
-    Each chunk becomes one :func:`simulate_yield_chunk` task carrying its
-    pre-derived spawn seed; results are reduced in submission order, so
-    the estimate is bit-identical to :func:`simulate_yield_streaming`
-    (and to the materialised monolithic batch) no matter how many worker
-    processes execute the chunks.  With ``tuning`` set each chunk task
-    repairs its own devices (the option joins the task kwargs, and
-    therefore the cache key, only when enabled).
-    """
-    if lattice is None:
-        lattice = get_architecture(topology).lattice(num_qubits)
-    kwargs_list = [
-        dict(
-            sigma_ghz=sigma_ghz,
-            step_ghz=step_ghz,
-            num_qubits=num_qubits,
-            chunk_length=length,
-            seed=chunk_seed(seed, index),
-            thresholds=thresholds,
-            lattice=lattice,
-            **_topology_kwargs(topology),
-            **_tuning_kwargs(tuning),
-        )
-        for index, length in enumerate(chunk_layout(batch_size, chunk_size))
-    ]
-    estimator = StreamingEstimator(confidence=confidence, method=ci_method)
-    repaired = tuned_qubits = total_tunes = 0
-    for counts in _run_points(
-        simulate_yield_chunk, kwargs_list, executor, "yield.chunk"
-    ):
-        estimator.update(counts[0], counts[1])
-        if len(counts) > 2:
-            repaired += counts[2]
-            tuned_qubits += counts[3]
-            total_tunes += counts[4]
-    return _build_result(
-        num_qubits=lattice.num_qubits,
-        sigma_ghz=sigma_ghz,
-        step_ghz=step_ghz,
-        batch_size=estimator.trials,
-        num_collision_free=estimator.successes,
-        confidence=confidence,
-        ci_method=ci_method,
-        tuning=tuning,
-        num_repaired=repaired,
-        tuned_qubits=tuned_qubits,
-        total_tunes=total_tunes,
     )
 
 
@@ -778,50 +674,6 @@ def simulate_yield_point(
     )
 
 
-
-
-def _stats_point_kwargs(stats: StatsOptions | None) -> dict:
-    """Per-point kwargs encoding the statistics options.
-
-    Returned empty when no option was set, so legacy sweeps keep their
-    exact parameter sets (and therefore their engine cache keys).
-    """
-    if stats is None or stats.is_default:
-        return {}
-    return dict(
-        chunk_size=stats.chunk_size,
-        ci_target=stats.ci_target,
-        max_samples=stats.max_samples,
-        confidence=stats.confidence,
-        ci_method=stats.method,
-    )
-
-
-def _topology_kwargs(topology: str | None) -> dict:
-    """Per-point kwargs encoding the topology selection.
-
-    Like :func:`_stats_point_kwargs`, returned empty for the default so
-    heavy-hex sweeps keep their exact parameter sets and cache keys;
-    any other topology becomes part of every point's cache identity.
-    """
-    if topology is None or topology == DEFAULT_TOPOLOGY:
-        return {}
-    return dict(topology=topology)
-
-
-def _tuning_kwargs(tuning: TuningOptions | None) -> dict:
-    """Per-point kwargs encoding the post-fabrication repair options.
-
-    Returned empty when tuning is disabled, so untuned sweeps keep their
-    exact parameter sets and engine cache keys; an enabled
-    :class:`TuningOptions` (a frozen dataclass tree) becomes part of
-    every point's cache identity.
-    """
-    if tuning is None:
-        return {}
-    return dict(tuning=tuning)
-
-
 def yield_vs_qubits(
     sigma_ghz: float,
     step_ghz: float,
@@ -869,9 +721,7 @@ def yield_vs_qubits(
     """
     arch = get_architecture(topology)
     curve = YieldCurve(sigma_ghz=sigma_ghz, step_ghz=step_ghz)
-    stats_kwargs = _stats_point_kwargs(stats)
-    topo_kwargs = _topology_kwargs(topology)
-    tuning_kwargs = _tuning_kwargs(tuning)
+    stats = stats or StatsOptions()
     kwargs_list = []
     for size, child_seed in zip(sizes, _point_seeds(seed, len(sizes))):
         if lattices is not None and size in lattices:
@@ -889,9 +739,13 @@ def yield_vs_qubits(
                 seed=child_seed,
                 thresholds=thresholds,
                 lattice=lattice,
-                **stats_kwargs,
-                **topo_kwargs,
-                **tuning_kwargs,
+                chunk_size=stats.chunk_size,
+                ci_target=stats.ci_target,
+                max_samples=stats.max_samples,
+                confidence=stats.confidence,
+                ci_method=stats.method,
+                topology=topology,
+                tuning=tuning,
             )
         )
     curve.points.extend(
@@ -945,9 +799,7 @@ def detuning_sweep(
         curve_seeds = [_point_seeds(seed, 1)[0]] * len(combos)
     else:
         curve_seeds = _point_seeds(seed, len(combos))
-    stats_kwargs = _stats_point_kwargs(stats)
-    topo_kwargs = _topology_kwargs(topology)
-    tuning_kwargs = _tuning_kwargs(tuning)
+    stats = stats or StatsOptions()
 
     lattices: dict[int, Lattice] = {}
     for size in sizes:
@@ -965,9 +817,13 @@ def detuning_sweep(
                     seed=child_seed,
                     thresholds=thresholds,
                     lattice=lattices[size],
-                    **stats_kwargs,
-                    **topo_kwargs,
-                    **tuning_kwargs,
+                    chunk_size=stats.chunk_size,
+                    ci_target=stats.ci_target,
+                    max_samples=stats.max_samples,
+                    confidence=stats.confidence,
+                    ci_method=stats.method,
+                    topology=topology,
+                    tuning=tuning,
                 )
             )
 

@@ -3,8 +3,8 @@
 The analysis layer regenerates every figure and table of the paper from
 thousands of independent Monte-Carlo points.  This package turns those
 points into :class:`Task` objects and executes them on a pluggable
-backend (:data:`BACKENDS`: ``sequential | threads | processes |
-shared-memory``, default ``auto`` picks per batch by estimated cost) with
+backend (:data:`BACKENDS`: ``sequential | threads | processes``,
+default ``auto`` picks per batch by estimated cost) with
 
 * deterministic per-task seed derivation (``np.random.SeedSequence.spawn``),
   so every backend is bit-identical to a sequential run at the same seed;
@@ -31,7 +31,6 @@ from repro.engine.backends import (
     ExecutionCancelled,
     ProcessBackend,
     SequentialBackend,
-    SharedMemoryBackend,
     ThreadBackend,
     get_backend,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "SequentialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "SharedMemoryBackend",
     "ResultCache",
     "stable_token",
     "ExperimentRegistry",

@@ -2,8 +2,7 @@
 
 The :class:`~repro.engine.runner.ExecutionEngine` decides *what* to run
 (cache misses, fused super-tasks) and the backend decides *how*: in the
-calling process, on a thread pool, on a process pool, or on a process
-pool fed through ``multiprocessing.shared_memory``.  Every backend
+calling process, on a thread pool or on a process pool.  Every backend
 executes the same ordered list of :class:`Call` objects and returns an
 :class:`ExecutionReport` aligned with it, so the engine's results are
 bit-identical across backends — each task already carries its own
@@ -41,10 +40,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
-import numpy as np
 
 from repro.engine.phases import collecting
 from repro.engine.registry import did_you_mean
@@ -66,7 +63,6 @@ __all__ = [
     "SequentialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "SharedMemoryBackend",
     "BackendSpec",
     "BackendRegistry",
     "BACKENDS",
@@ -76,10 +72,6 @@ __all__ = [
 
 #: Name of the cost-based per-batch selection mode (not a Backend class).
 AUTO_BACKEND = "auto"
-
-#: Arrays smaller than this are cheaper to pickle than to export.
-_SHARED_MIN_BYTES = 16 * 1024
-
 
 class ExecutionCancelled(RuntimeError):
     """A batch stopped because its :class:`CancelToken` was set.
@@ -535,175 +527,6 @@ class ProcessBackend:
 
 
 @dataclass(frozen=True)
-class _SharedArrayRef:
-    """Picklable descriptor of an exported array: a few bytes crossing
-    the process boundary instead of the array itself."""
-
-    block: str
-    shape: tuple[int, ...]
-    dtype: str
-
-
-def _export_value(value: Any, path: tuple, refs: dict, blocks: list) -> Any:
-    """Replace large numeric arrays in ``value`` with ``None`` placeholders,
-    recording a :class:`_SharedArrayRef` per exported array under its
-    structural path (descends into dicts/lists/tuples, so fused
-    ``kwargs_list`` payloads export too)."""
-    if (
-        isinstance(value, np.ndarray)
-        and value.dtype.kind in "fiub"
-        and value.nbytes >= _SHARED_MIN_BYTES
-    ):
-        data = np.ascontiguousarray(value)
-        block = shared_memory.SharedMemory(create=True, size=data.nbytes)
-        np.ndarray(data.shape, data.dtype, buffer=block.buf)[...] = data
-        blocks.append(block)
-        refs[path] = _SharedArrayRef(block.name, data.shape, data.dtype.str)
-        return None
-    if isinstance(value, dict):
-        return {
-            key: _export_value(item, path + (key,), refs, blocks)
-            for key, item in value.items()
-        }
-    if isinstance(value, (list, tuple)):
-        rebuilt = [
-            _export_value(item, path + (index,), refs, blocks)
-            for index, item in enumerate(value)
-        ]
-        return rebuilt if isinstance(value, list) else tuple(rebuilt)
-    return value
-
-
-def _set_at_path(root: Any, path: tuple, value: Any) -> None:
-    node = root
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-
-
-#: Blocks this process has attached to (worker side); kept open so task
-#: results that reference the buffers survive until the result is
-#: pickled back.  Worker processes die with their pool, bounding the map.
-_ATTACHED: dict[str, shared_memory.SharedMemory] = {}
-
-
-def _attach(ref: _SharedArrayRef) -> np.ndarray:
-    block = _ATTACHED.get(ref.block)
-    if block is None:
-        block = shared_memory.SharedMemory(name=ref.block)
-        try:
-            # Attaching registers the block with the resource tracker as
-            # if this process owned it; the parent is the owner and
-            # unlinks it, so unregister to avoid a double-unlink warning.
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(block._name, "shared_memory")  # noqa: SLF001
-        except Exception:
-            pass
-        _ATTACHED[ref.block] = block
-    array = np.ndarray(ref.shape, np.dtype(ref.dtype), buffer=block.buf)
-    array.flags.writeable = False  # inputs are shared: tasks must copy to write
-    return array
-
-
-def _detach_all() -> None:
-    for block in _ATTACHED.values():
-        try:
-            block.close()
-        except Exception:
-            pass
-    _ATTACHED.clear()
-
-
-def _invoke_shared(fn: Callable[..., Any], kwargs: dict[str, Any], refs: dict) -> Any:
-    """Worker-side trampoline: re-attach exported arrays, then run."""
-    for path, ref in refs.items():
-        _set_at_path(kwargs, path, _attach(ref))
-    return fn(**kwargs)
-
-
-def _materialise_shared(value: Any, views: list[np.ndarray]) -> Any:
-    """Copy any array in ``value`` whose memory aliases a shared block.
-
-    On the sequential-fallback path a task runs in the parent process and
-    may return a numpy view into an attached shared-memory block (e.g. a
-    task that returns its own input array); once the block is detached
-    and unlinked that view reads freed memory.  ``views`` are byte views
-    over every block about to be released — aliasing arrays are copied
-    into process-owned memory first.  Descends into dicts/lists/tuples,
-    mirroring :func:`_export_value`'s structural reach.
-    """
-    if isinstance(value, np.ndarray):
-        if any(np.may_share_memory(value, view) for view in views):
-            return value.copy()
-        return value
-    if isinstance(value, dict):
-        return {key: _materialise_shared(item, views) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        rebuilt = [_materialise_shared(item, views) for item in value]
-        return rebuilt if isinstance(value, list) else tuple(rebuilt)
-    return value
-
-
-class SharedMemoryBackend(ProcessBackend):
-    """Process pool fed through ``multiprocessing.shared_memory``.
-
-    Large numeric arrays in task kwargs — e.g. a ``(batch, num_qubits)``
-    frequency array — are copied once into a named shared block and
-    cross the process boundary as a tiny descriptor instead of being
-    pickled per task; workers map the block and hand the task a
-    read-only zero-copy view.  Everything else (failure semantics,
-    ordering, trampolines) is inherited from :class:`ProcessBackend`.
-    """
-
-    name = "shared-memory"
-
-    def execute(
-        self, calls: Sequence[Call], cancel: CancelToken | None = None
-    ) -> ExecutionReport:
-        blocks: list[shared_memory.SharedMemory] = []
-        wrapped: list[Call] = []
-        for call in calls:
-            refs: dict = {}
-            kwargs = _export_value(dict(call.kwargs), (), refs, blocks)
-            if refs:
-                wrapped.append(
-                    Call(
-                        fn=_invoke_shared,
-                        kwargs={"fn": call.fn, "kwargs": kwargs, "refs": refs},
-                        family=call.family,
-                        trace=getattr(call, "trace", False),
-                    )
-                )
-            else:
-                wrapped.append(call)
-        try:
-            report = super().execute(wrapped, cancel)
-            if _ATTACHED:
-                # Sequential fallback: tasks ran in THIS process against
-                # attached views, so a result may alias a block the
-                # ``finally`` below is about to free — copy before detach.
-                # (Pool results arrive pickled and never alias.)
-                local_views = [
-                    np.ndarray((block.size,), np.uint8, buffer=block.buf)
-                    for block in (*_ATTACHED.values(), *blocks)
-                ]
-                report.results = [
-                    _materialise_shared(result, local_views)
-                    for result in report.results
-                ]
-            return report
-        finally:
-            _detach_all()  # only populated here on the sequential fallback
-            for block in blocks:
-                try:
-                    block.close()
-                    block.unlink()
-                except Exception:
-                    pass
-
-
-@dataclass(frozen=True)
 class BackendSpec:
     """A named, registered execution backend.
 
@@ -785,14 +608,6 @@ BACKENDS.register(
         description="process pool: true parallelism, pays pool startup and "
         "pickling",
         factory=ProcessBackend,
-    )
-)
-BACKENDS.register(
-    BackendSpec(
-        name=SharedMemoryBackend.name,
-        description="process pool passing large arrays zero-copy via "
-        "multiprocessing.shared_memory",
-        factory=SharedMemoryBackend,
     )
 )
 

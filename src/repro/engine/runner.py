@@ -2,9 +2,9 @@
 
 :class:`ExecutionEngine` executes :class:`~repro.engine.task.Task` batches
 on one of the registered execution backends
-(:mod:`repro.engine.backends`): ``sequential`` in-process, ``threads``,
-``processes`` or ``shared-memory``, selected by name or — the default —
-per batch by the ``auto`` mode from the estimated task cost.  Because
+(:mod:`repro.engine.backends`): ``sequential`` in-process, ``threads``
+or ``processes``, selected by name or — the default — per batch by the
+``auto`` mode from the estimated task cost.  Because
 every task carries its own pre-derived seed, all backends produce
 bit-identical results.
 
@@ -426,7 +426,7 @@ class ExecutionEngine:
                 return durations
         if self.jobs <= 1 or len(pending) <= 1:
             name = "sequential"
-        if name in ("processes", "shared-memory") and not all(
+        if name == "processes" and not all(
             fn_picklable(fn) for fn in {tasks[index].fn for index in pending}
         ):
             # Unpicklable task *functions* (lambdas, closures) cannot reach a

@@ -7,7 +7,7 @@ This package is the operational substrate the service-oriented layers
     Span-based tracing with explicit span contexts (trace id, span id,
     parent id).  Spans ride through every execution-backend trampoline
     the same way the per-phase wall-clock collectors do, so spans
-    emitted inside ``threads``/``processes``/``shared-memory`` workers
+    emitted inside ``threads``/``processes`` workers
     are shipped home with their task result and re-parented under the
     submitting task's span.
 ``repro.obs.metrics``

@@ -54,7 +54,7 @@ class AdaptiveOutcome:
 
 def adaptive_estimate(
     draw_chunk: Callable[[int, int], tuple[int, int]],
-    ci_target: float,
+    ci_target: float | None,
     max_samples: int = DEFAULT_MAX_SAMPLES,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     confidence: float = DEFAULT_CONFIDENCE,
@@ -70,7 +70,9 @@ def adaptive_estimate(
         (see :func:`repro.stats.streaming.chunk_seed`) so the samples an
         adaptive run observes are a prefix of the fixed-batch run's.
     ci_target:
-        Stop once the running CI half-width is at or below this value.
+        Stop once the running CI half-width is at or below this value;
+        ``None`` never stops early, so every chunk up to ``max_samples``
+        is drawn (the fixed-batch streaming run).
     max_samples:
         Hard cap on the total trials; the run stops there even if the
         target was never reached.
@@ -81,7 +83,7 @@ def adaptive_estimate(
     confidence, method:
         Interval parameters of the stopping criterion.
     """
-    if ci_target < 0.0:
+    if ci_target is not None and ci_target < 0.0:
         raise ValueError("ci_target must be non-negative")
     if max_samples <= 0:
         raise ValueError("max_samples must be positive")
@@ -92,7 +94,7 @@ def adaptive_estimate(
     for index, length in enumerate(layout):
         successes, trials = draw_chunk(index, length)
         estimator.update(successes, trials)
-        if estimator.half_width() <= ci_target:
+        if ci_target is not None and estimator.half_width() <= ci_target:
             reached = True
             break
     return AdaptiveOutcome(

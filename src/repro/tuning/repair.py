@@ -43,8 +43,7 @@ class TuningOptions:
     A frozen dataclass of frozen dataclasses, so it pickles to engine
     workers and renders stably under the engine's content-addressed
     cache keys — a tuned sweep point and its untuned twin can never
-    share a cache entry, while sweeps that pass no options keep their
-    historical parameter sets (and cache identities) untouched.
+    share a cache entry.
 
     Attributes
     ----------

@@ -2,16 +2,14 @@
 
 Covers the backend PR's contract: the registry (names, did-you-mean
 diagnostics, the ``auto`` selection mode), bit-identical results across
-all four executable backends — at the ``map_calls`` level, at the
+all three executable backends — at the ``map_calls`` level, at the
 experiment level (``fig4`` / ``tunedyield`` / ``appsweep``), and against
 the committed fig4 golden — task fusion bookkeeping (per-subtask cache
-entries and stats), the shared-memory export/attach round-trip, and the
-``REPRO_BACKEND`` environment default.
+entries and stats) and the ``REPRO_BACKEND`` environment default.
 
-Regression suites added with the service PR: the shared-memory
-fallback's use-after-free on aliasing results, the broken-pool resume
-(no re-execution of completed calls), and cooperative cancellation
-through every backend.
+Regression suites added with the service PR: the broken-pool resume (no
+re-execution of completed calls) and cooperative cancellation through
+every backend.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.registry import EXPERIMENTS
-from repro.core.collisions import collision_free_mask, count_collision_free
 from repro.engine import (
     BACKENDS,
     Backend,
@@ -40,7 +37,7 @@ from repro.engine import backends as backends_module
 from repro.engine.runner import BACKEND_ENV_VAR
 
 #: Every instantiable backend (``auto`` is a selection mode, not a class).
-EXECUTABLE_BACKENDS = ("sequential", "threads", "processes", "shared-memory")
+EXECUTABLE_BACKENDS = ("sequential", "threads", "processes")
 
 
 # Module-level task functions: picklable for the process-pool backends.
@@ -54,14 +51,6 @@ def _square(x: int) -> int:
 
 def _boom(x):
     raise RuntimeError(f"task failed on {x}")
-
-
-def _identity(arr):
-    return arr
-
-
-def _nested_identity(arr):
-    return {"arr": arr, "tag": "x", "pair": [arr, 1]}
 
 
 def _record_marker(marker_dir: str, index: int) -> int:
@@ -141,7 +130,7 @@ class TestBackendParity:
         assert fused.stats.tasks_fused == 9
         assert plain.stats.tasks_fused == 0
 
-    @pytest.mark.parametrize("name", ("threads", "processes", "shared-memory"))
+    @pytest.mark.parametrize("name", ("threads", "processes"))
     def test_task_exceptions_propagate_from_pools(self, name):
         engine = ExecutionEngine(jobs=2, use_cache=False, backend=name, fuse=False)
         with pytest.raises(RuntimeError, match="task failed on"):
@@ -194,53 +183,6 @@ class TestTaskFusion:
         engine.map_calls(_square, [{"x": v} for v in range(8)], name="sq")
         assert engine.stats.tasks_fused == 0
         assert engine.stats.fusion_batches == 0
-
-
-class TestSharedMemoryBackend:
-    def test_export_attach_roundtrip(self):
-        big = np.arange(4096, dtype=float)  # 32 KiB: exported
-        small = np.arange(4, dtype=float)  # pickled as-is
-        refs: dict = {}
-        blocks: list = []
-        payload = {"x": big, "y": small, "nest": [big * 2.0, "tag"]}
-        kwargs = backends_module._export_value(payload, (), refs, blocks)
-        try:
-            assert set(refs) == {("x",), ("nest", 0)}
-            assert kwargs["x"] is None and kwargs["nest"][0] is None
-            np.testing.assert_array_equal(kwargs["y"], small)
-            attached = backends_module._attach(refs[("x",)])
-            np.testing.assert_array_equal(attached, big)
-            assert not attached.flags.writeable  # inputs are shared views
-            nested = backends_module._attach(refs[("nest", 0)])
-            np.testing.assert_array_equal(nested, big * 2.0)
-        finally:
-            backends_module._detach_all()
-            for block in blocks:
-                block.close()
-                block.unlink()
-
-    def test_small_arrays_are_not_exported(self):
-        refs: dict = {}
-        blocks: list = []
-        kwargs = backends_module._export_value(
-            {"a": np.arange(8, dtype=float)}, (), refs, blocks
-        )
-        assert refs == {} and blocks == []
-        np.testing.assert_array_equal(kwargs["a"], np.arange(8, dtype=float))
-
-    def test_large_array_kwargs_parity(self, allocation_27):
-        rng = np.random.default_rng(42)
-        batches = [
-            rng.normal(0.0, 0.05, size=(400, 27)) + allocation_27.ideal_frequencies
-            for _ in range(2)
-        ]
-        kwargs = [{"allocation": allocation_27, "frequencies": f} for f in batches]
-        shm = ExecutionEngine(jobs=2, use_cache=False, backend="shared-memory")
-        counts = shm.map_calls(count_collision_free, kwargs, name="cf")
-        expected = [
-            int(collision_free_mask(allocation_27, f).sum()) for f in batches
-        ]
-        assert counts == expected
 
 
 class TestAutoModeAndEnvironment:
@@ -309,7 +251,7 @@ def sequential_experiment_texts():
 
 
 class TestExperimentBackendParity:
-    @pytest.mark.parametrize("backend", ("threads", "processes", "shared-memory"))
+    @pytest.mark.parametrize("backend", ("threads", "processes"))
     @pytest.mark.parametrize("experiment", sorted(_EXPERIMENT_CASES))
     def test_experiment_output_identical(
         self, backend, experiment, sequential_experiment_texts
@@ -340,53 +282,6 @@ class _NoProcessPool:
 
     def __init__(self, *args, **kwargs):
         raise OSError("process creation refused (test)")
-
-
-class TestSharedMemoryFallbackAliasing:
-    """Regression: the sequential fallback used to unlink shared blocks
-    while a task result could still be a numpy view into one of them —
-    every later read of that result touched freed memory."""
-
-    def _force_fallback(self, monkeypatch):
-        monkeypatch.setattr(backends_module, "ProcessPoolExecutor", _NoProcessPool)
-
-    def test_result_aliasing_input_survives_unlink(self, monkeypatch):
-        self._force_fallback(monkeypatch)
-        big = np.arange(8192, dtype=float)  # 64 KiB: exported to a block
-        backend = get_backend("shared-memory", jobs=2)
-        call = backends_module.Call(fn=_identity, kwargs={"arr": big}, family="t")
-        report = backend.execute([call])
-        (result,) = report.results
-        # The blocks are gone; the result must be process-owned memory.
-        assert backends_module._ATTACHED == {}
-        np.testing.assert_array_equal(result, big)
-        assert result.flags.writeable  # a copy, not the read-only shared view
-        result += 1.0  # writable and backed by live memory
-        np.testing.assert_array_equal(result, big + 1.0)
-
-    def test_nested_aliasing_results_are_copied(self, monkeypatch):
-        self._force_fallback(monkeypatch)
-        big = np.arange(4096, dtype=float)
-        backend = get_backend("shared-memory", jobs=2)
-        call = backends_module.Call(
-            fn=_nested_identity, kwargs={"arr": big}, family="t"
-        )
-        (result,) = backend.execute([call]).results
-        np.testing.assert_array_equal(result["arr"], big)
-        np.testing.assert_array_equal(result["pair"][0], big)
-        assert result["arr"].flags.writeable
-        assert result["pair"][0].flags.writeable
-        assert result["tag"] == "x" and result["pair"][1] == 1
-
-    def test_non_aliasing_results_are_not_copied(self, monkeypatch):
-        self._force_fallback(monkeypatch)
-        big = np.arange(4096, dtype=float)
-        backend = get_backend("shared-memory", jobs=2)
-        call = backends_module.Call(fn=_normal_sum, kwargs={"seed": 3}, family="t")
-        small = backends_module.Call(fn=_identity, kwargs={"arr": big}, family="t")
-        scalar, arr = backend.execute([call, small]).results
-        assert scalar == _normal_sum(3)
-        np.testing.assert_array_equal(arr, big)
 
 
 class TestBrokenPoolResume:
@@ -540,7 +435,7 @@ class TestEngineCancellationAndProgress:
 
         assert not _backend_accepts_cancel(_Legacy)
         assert _backend_accepts_cancel(SequentialBackend)
-        assert _backend_accepts_cancel(backends_module.SharedMemoryBackend)
+        assert _backend_accepts_cancel(backends_module.ProcessBackend)
 
     def test_progress_callback_sees_batch_snapshots(self):
         snapshots: list[dict] = []

@@ -262,8 +262,9 @@ class TestCLIBackends:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "execution backends (for --backend / $REPRO_BACKEND):" in out
-        for name in ("auto", "sequential", "threads", "processes", "shared-memory"):
+        for name in ("auto", "sequential", "threads", "processes"):
             assert name in out
+        assert "shared-memory" not in out
 
     def test_backend_typo_gets_suggestion(self, capsys):
         assert main(["run", "fig4", "--backend", "procces"]) == 2
@@ -275,6 +276,12 @@ class TestCLIBackends:
         assert main(["run", "fig4", "--backend", "mpi"]) == 2
         err = capsys.readouterr().err
         assert "unknown backend 'mpi'" in err and "sequential" in err
+
+    def test_removed_shared_memory_backend_rejected(self, capsys):
+        assert main(["run", "fig4", "--backend", "shared-memory"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown backend 'shared-memory'" in err
+        assert "(known: auto, sequential, threads, processes)" in err
 
     @pytest.mark.parametrize("backend", ["threads", "processes"])
     def test_run_fig4_backend_matches_sequential(self, backend, capsys):

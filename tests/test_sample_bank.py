@@ -314,15 +314,19 @@ class TestPipelineParity:
     def test_materialize_preallocated_matches_concatenated_chunks(
         self, allocation_27, fabrication
     ):
-        from repro.core.yield_model import _chunk_frequencies
-        from repro.stats import chunk_layout
+        from repro.stats import chunk_layout, chunk_seed
 
         batch, chunk = 130, 50
         materialized = materialize_seeded_batch(
             allocation_27, fabrication, batch_size=batch, chunk_size=chunk, seed=7
         )
         chunks = [
-            _chunk_frequencies(allocation_27, fabrication, length, 7, index)
+            fabrication.sample_batch(
+                allocation_27,
+                length,
+                np.random.default_rng(chunk_seed(7, index)),
+                draw_seed=chunk_seed(7, index),
+            )
             for index, length in enumerate(chunk_layout(batch, chunk))
         ]
         reference = np.concatenate(chunks, axis=0)

@@ -321,9 +321,7 @@ class TestCancellation:
         asyncio.run(scenario())
         assert record["runs"] == 1  # the cancelled job never executed
 
-    @pytest.mark.parametrize(
-        "backend", ("sequential", "threads", "processes", "shared-memory")
-    )
+    @pytest.mark.parametrize("backend", ("sequential", "threads", "processes"))
     def test_cancel_running_job_stops_remaining_batches(self, backend, tmp_path):
         """Service cancel -> engine CancelToken -> every backend stops
         scheduling; the tail tasks never execute."""

@@ -22,12 +22,11 @@ from repro.core.yield_model import (
     materialize_seeded_batch,
     simulate_yield,
     simulate_yield_adaptive,
-    simulate_yield_chunks,
     simulate_yield_point,
     simulate_yield_streaming,
     yield_vs_qubits,
 )
-from repro.engine import ExecutionEngine, spawn_seed_at, spawn_seeds
+from repro.engine import spawn_seed_at, spawn_seeds
 from repro.stats import (
     StatsOptions,
     StreamingEstimator,
@@ -192,6 +191,12 @@ class TestAdaptiveEstimate:
             self._binomial_draw(0.5), ci_target=0.0, max_samples=600, chunk_size=250
         )
         assert outcome.trials == 600
+        # No target: every chunk of the layout is drawn (the streaming run).
+        untargeted = adaptive_estimate(
+            self._binomial_draw(0.0), ci_target=None, max_samples=600, chunk_size=250
+        )
+        assert (untargeted.trials, untargeted.chunks) == (600, 3)
+        assert not untargeted.reached_target
 
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError):
@@ -293,25 +298,6 @@ class TestChunkedParity:
         assert result.samples_used == 250  # one chunk: yield ~ 0
         assert result.ci_half_width <= 0.02
         assert result.ci_low <= result.estimate <= result.ci_high
-
-    def test_chunk_tasks_match_streaming_across_executors(self):
-        streamed = simulate_yield_streaming(
-            _ALLOCATION_20, _FABRICATION, batch_size=750, chunk_size=250, seed=13
-        )
-        serial = simulate_yield_chunks(
-            0.014, 0.06, 20, batch_size=750, chunk_size=250, seed=13,
-            lattice=_LATTICE_20,
-        )
-        parallel = simulate_yield_chunks(
-            0.014, 0.06, 20, batch_size=750, chunk_size=250, seed=13,
-            lattice=_LATTICE_20,
-            executor=ExecutionEngine(jobs=2, use_cache=False),
-        )
-        assert (
-            serial.num_collision_free
-            == parallel.num_collision_free
-            == streamed.num_collision_free
-        )
 
     @given(
         batch_size=st.integers(10, 200),

@@ -18,7 +18,6 @@ from repro.core.yield_model import (
     RepairedYieldResult,
     simulate_yield,
     simulate_yield_adaptive,
-    simulate_yield_chunks,
     simulate_yield_point,
     simulate_yield_streaming,
     yield_vs_qubits,
@@ -274,23 +273,17 @@ class TestYieldModelIntegration:
         streamed = simulate_yield_streaming(
             allocation, fab, batch_size=300, chunk_size=100, seed=9, tuning=opts
         )
-        chunked = simulate_yield_chunks(
-            SIGMA,
-            allocation.spec.step_ghz,
-            40,
-            batch_size=300,
+        # A zero-target adaptive run draws, and repairs, every chunk.
+        replayed = simulate_yield_adaptive(
+            allocation,
+            fab,
+            ci_target=0.0,
+            max_samples=300,
             chunk_size=100,
             seed=9,
             tuning=opts,
         )
-        assert (streamed.num_collision_free, streamed.num_repaired) == (
-            chunked.num_collision_free,
-            chunked.num_repaired,
-        )
-        assert (streamed.tuned_qubits, streamed.total_tunes) == (
-            chunked.tuned_qubits,
-            chunked.total_tunes,
-        )
+        assert replayed == streamed
         # The adaptive run's observed samples are a prefix of the stream.
         adaptive = simulate_yield_adaptive(
             allocation,
