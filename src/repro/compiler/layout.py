@@ -108,38 +108,71 @@ def find_long_path(
     low-degree-first expansion order finds them quickly in practice.  The
     search is bounded by ``step_budget`` expansion steps per starting node,
     and returns ``None`` when no sufficiently long path was found.
+
+    Search contract (pinned bit-for-bit by ``tests/test_layout_search.py``):
+
+    * Qubits are ordered by ``(degree, index)``.  The first ``attempts`` of
+      them are the starts, tried in that order, and every node expands its
+      neighbours in that order too.
+    * Each start gets ``step_budget`` steps, and every loop turn costs
+      exactly one: extending the path, trying a neighbour that is already
+      on the path, and backtracking out of an exhausted node alike.  So a
+      path that needs more steps than the budget is not found, even where
+      one exists.
+    * ``length <= 0`` returns ``[]``.  ``length == 1`` returns the first
+      start alone, without taking a step.  ``length`` above the qubit count
+      returns ``None``.
+    * ``attempts < 1`` or ``step_budget < 1`` raises :class:`ValueError`.
+
+    Internally the qubits are relabelled ``0..n-1`` in ``(degree, index)``
+    order, so each adjacency tuple is pre-sorted once per call, and a
+    neighbour's rank is its relabelled value.
     """
-    graph = coupling.graph()
+    if attempts < 1:
+        raise ValueError(f"attempts must be at least 1, got {attempts}")
+    if step_budget < 1:
+        raise ValueError(f"step_budget must be at least 1, got {step_budget}")
     if length <= 0:
         return []
-    if length > graph.number_of_nodes():
+    n = coupling.num_qubits
+    if length > n:
         return None
-    nodes = sorted(graph.nodes, key=lambda n: (graph.degree[n], n))
-    starts = nodes[:attempts]
+    neighbours = [coupling.neighbors(q) for q in range(n)]
+    nodes = sorted(range(n), key=lambda q: (len(neighbours[q]), q))
+    if length == 1:
+        return [nodes[0]]
+    rank = [0] * n
+    for label, q in enumerate(nodes):
+        rank[q] = label
+    adj = [tuple(sorted(rank[m] for m in neighbours[q])) for q in nodes]
 
-    for start in starts:
+    for start in range(min(attempts, n)):
         path = [start]
-        on_path = {start}
-        # Iterator stack: candidates still to try from each path position.
-        stack = [iter(sorted(graph.neighbors(start), key=lambda n: (graph.degree[n], n)))]
-        steps = 0
-        while stack and steps < step_budget:
-            steps += 1
-            try:
-                candidate = next(stack[-1])
-            except StopIteration:
-                stack.pop()
-                on_path.discard(path.pop())
+        on_path = bytearray(n)
+        on_path[start] = 1
+        # The top frame (its neighbour tuple and cursor) lives in locals;
+        # the frames below it are kept in two parallel lists.
+        top, cursor = adj[start], 0
+        nbrs: list[tuple[int, ...]] = []
+        pos: list[int] = []
+        for _ in range(step_budget):
+            if cursor == len(top):
+                on_path[path.pop()] = 0
+                if not nbrs:
+                    break
+                top, cursor = nbrs.pop(), pos.pop()
                 continue
-            if candidate in on_path:
+            candidate = top[cursor]
+            cursor += 1
+            if on_path[candidate]:
                 continue
             path.append(candidate)
-            on_path.add(candidate)
+            on_path[candidate] = 1
             if len(path) >= length:
-                return path
-            stack.append(
-                iter(sorted(graph.neighbors(candidate), key=lambda n: (graph.degree[n], n)))
-            )
+                return [nodes[v] for v in path]
+            nbrs.append(top)
+            pos.append(cursor)
+            top, cursor = adj[candidate], 0
     return None
 
 

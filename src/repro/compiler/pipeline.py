@@ -51,6 +51,7 @@ from repro.compiler.routing import (
     route_circuit,
     route_circuit_noise_aware,
 )
+from repro.engine.phases import phase
 from repro.engine.registry import did_you_mean
 from repro.topology.coupling import CouplingMap
 
@@ -436,10 +437,15 @@ class PassPipeline:
         return [stage.name for stage in self.passes]
 
     def run_context(self, circuit: QuantumCircuit, target) -> CompileContext:
-        """Run every pass and return the full final context."""
+        """Run every pass and return the full final context.
+
+        Each pass books its wall-clock to its own ``compile.<name>`` phase
+        (``compile.decompose``, ``compile.layout``, ...).
+        """
         context = CompileContext.for_target(circuit, target)
         for stage in self.passes:
-            stage.run(context)
+            with phase(f"compile.{stage.name}"):
+                stage.run(context)
         return context
 
     def run(self, circuit: QuantumCircuit, target) -> TranspiledCircuit:

@@ -5,7 +5,11 @@ regression when the engine says *where* task time went.  This module is
 that channel: hot-path kernels mark themselves with :func:`phase` —
 ``sample`` (fabrication draws), ``mask`` (collision screening), ``repair``
 (frequency repair), ``compile`` (transpilation), ``score`` (fidelity
-products) — and the backend trampolines wrap every task invocation in
+products).  Inside ``compile`` each compiler pass books its own
+``compile.<pass>`` phase — ``compile.decompose``, ``compile.layout``,
+``compile.route``, ``compile.swap-expand``, ``compile.metrics`` — so
+``compile`` itself keeps only the time outside the passes.  The backend
+trampolines wrap every task invocation in
 :func:`collecting`, so each task ships a ``{phase: seconds}`` dict home
 with its result no matter which process or thread ran it.  The engine
 aggregates the dicts into ``EngineStats.seconds_by_phase``, surfaced via

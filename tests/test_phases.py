@@ -7,10 +7,13 @@ import time
 
 import numpy as np
 
+from repro.circuits.benchmarks import build_benchmark
+from repro.compiler.transpile import transpile
 from repro.core.architecture import get_architecture
 from repro.core.collisions import count_collision_free
 from repro.core.fabrication import FabricationModel
 from repro.engine import ExecutionEngine, collecting, phase
+from repro.topology.coupling import CouplingMap
 
 
 class TestPhasePrimitive:
@@ -57,6 +60,25 @@ class TestPhasePrimitive:
                     time.sleep(0.005)
         assert "compile" in inner
         assert outer == {}
+
+    def test_transpile_books_every_compile_pass(self):
+        coupling = CouplingMap(
+            num_qubits=12, edges=[(i, i + 1) for i in range(11)] + [(0, 6)]
+        )
+        circuit = build_benchmark("qaoa", 8, seed=3)
+        started = time.perf_counter()
+        with collecting() as buckets:
+            transpile(circuit, coupling)
+        wall = time.perf_counter() - started
+        assert {
+            "compile.decompose",
+            "compile.layout",
+            "compile.route",
+            "compile.swap-expand",
+            "compile.metrics",
+        } <= set(buckets)
+        # The pass buckets are exclusive of the enclosing ``compile`` phase.
+        assert sum(buckets.values()) <= wall
 
     def test_thread_isolation(self):
         seen = {}
