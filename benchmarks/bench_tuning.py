@@ -1,11 +1,15 @@
 """E-TUN — post-fabrication repair: throughput and determinism.
 
-Two measurements back the tuning subsystem:
+Three measurements back the tuning subsystem:
 
 1. **Greedy-repair throughput** — devices repaired per second on a
    collided heavy-hex batch (the regime the ``tunedyield`` experiment
    runs in), plus the recovered-yield gain, for both shipped strategies.
-2. **Parallel == sequential bit-identity** — a tuned, chunk-streamed
+2. **Local re-check kernel** — ``CollisionGraph.local_violations`` (the
+   scalar kernel every candidate re-check goes through) against the
+   numpy subset evaluation it replaced, over every qubit of every
+   collided die of the same batch: identical counts, at least 3x faster.
+3. **Parallel == sequential bit-identity** — a tuned, chunk-streamed
    yield curve (``yield_vs_qubits`` through a 4-worker engine) must
    reproduce the same curve on a 1-worker engine *exactly*: same
    collision-free counts, same repaired counts, same accepted-shift
@@ -30,6 +34,7 @@ from repro.engine import ExecutionEngine
 from repro.stats import StatsOptions
 from repro.tuning import (
     AnnealingRepair,
+    CollisionGraph,
     GreedyLocalRepair,
     TuningOptions,
     repair_batch,
@@ -49,6 +54,10 @@ SEED = 2022
 PARITY_SIZES = (20, 40, 65, 80)
 PARITY_CHUNK_SIZE = 150
 PARITY_JOBS = 4
+
+#: Minimum per-call speedup of the scalar re-check kernel over the numpy
+#: subset evaluation (about 10x on a 2-core x86 host).
+MIN_RECHECK_SPEEDUP = 3.0
 
 
 def _bench_strategy(allocation, frequencies, strategy):
@@ -70,6 +79,40 @@ def _bench_strategy(allocation, frequencies, strategy):
     }
 
 
+def _bench_local_recheck(allocation, frequencies):
+    graph = CollisionGraph(allocation)
+    collided = [f for f in frequencies if graph.total_violations(f) > 0]
+    qubits = range(graph.num_qubits)
+    graph.local_violations(collided[0], 0)  # build the per-qubit tables
+
+    started = time.perf_counter()
+    numpy_counts = []
+    for freqs in collided:
+        for qubit in qubits:
+            edge_idx, triple_idx = graph.touched(qubit)
+            numpy_counts.append(
+                graph.edge_violations(freqs, edge_idx)
+                + graph.triple_violations(freqs, triple_idx)
+            )
+    numpy_seconds = time.perf_counter() - started
+
+    started = time.perf_counter()
+    kernel_counts = [
+        graph.local_violations(freqs, qubit) for freqs in collided for qubit in qubits
+    ]
+    kernel_seconds = time.perf_counter() - started
+
+    checks = len(kernel_counts)
+    return {
+        "devices": len(collided),
+        "checks": checks,
+        "identical": kernel_counts == numpy_counts,
+        "numpy_subset_us_per_check": round(1e6 * numpy_seconds / checks, 2),
+        "local_violations_us_per_check": round(1e6 * kernel_seconds / checks, 2),
+        "speedup": round(numpy_seconds / kernel_seconds, 2),
+    }
+
+
 def test_repair_throughput_and_parallel_bit_identity():
     """Measure repair throughput and pin the parallel determinism contract."""
     arch = get_architecture(None)
@@ -83,6 +126,10 @@ def test_repair_throughput_and_parallel_bit_identity():
     anneal = _bench_strategy(allocation, frequencies, AnnealingRepair())
     assert greedy["repaired_devices"] > 0, "benchmark batch produced no repairs"
     assert greedy["repaired_yield"] > greedy["as_fab_yield"]
+
+    recheck = _bench_local_recheck(allocation, frequencies)
+    assert recheck["identical"], "local_violations diverged from the numpy subset"
+    assert recheck["speedup"] >= MIN_RECHECK_SPEEDUP, recheck
 
     # Parallel == sequential bit-identity through the tuned, chunked sweep.
     kwargs = dict(
@@ -117,6 +164,7 @@ def test_repair_throughput_and_parallel_bit_identity():
         "batch_size": BATCH_SIZE,
         "seed": SEED,
         "strategies": [greedy, anneal],
+        "local_recheck": recheck,
         "parallel_bit_identity": {
             "jobs": PARITY_JOBS,
             "chunk_size": PARITY_CHUNK_SIZE,
@@ -138,6 +186,12 @@ def test_repair_throughput_and_parallel_bit_identity():
     print(
         f"[tuning] anneal: {anneal['repaired_devices']}/{anneal['collided_devices']} "
         f"repaired in {anneal['seconds']}s ({anneal['devices_per_second']} dev/s)"
+    )
+    print(
+        f"[tuning] local re-check: {recheck['checks']} checks, "
+        f"{recheck['numpy_subset_us_per_check']} -> "
+        f"{recheck['local_violations_us_per_check']} us/check "
+        f"({recheck['speedup']}x), identical: {recheck['identical']}"
     )
     print(
         f"[tuning] parallel(jobs={PARITY_JOBS}) == sequential: {identical} "

@@ -68,10 +68,14 @@ def heavy_hex_qubit_count(rows: int, cols: int) -> int:
     """Total number of qubits of an *untrimmed* ``rows x cols`` lattice."""
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be positive")
-    total = rows * cols
-    for bridge_row in range(rows - 1):
-        total += len(bridge_columns(cols, bridge_row))
-    return total
+    # Bridge rows 0..rows-2 alternate offsets: rows // 2 of them are
+    # even-indexed, (rows - 1) // 2 odd-indexed.
+    even_offset, odd_offset = _BRIDGE_OFFSETS
+    return (
+        rows * cols
+        + (rows // 2) * len(range(even_offset, cols, _BRIDGE_PERIOD))
+        + ((rows - 1) // 2) * len(range(odd_offset, cols, _BRIDGE_PERIOD))
+    )
 
 
 @dataclass

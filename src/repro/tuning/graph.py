@@ -10,7 +10,10 @@ strategy can
 1. evaluate the full device once (vectorised over all edges/triples),
 2. locate the qubits participating in violated criteria, and
 3. after each candidate shift, re-check **only the touched criteria**
-   instead of the whole device.
+   instead of the whole device, through :meth:`CollisionGraph.local_violations`:
+   a scalar kernel over per-qubit tuples of plain Python numbers (the 2-9
+   criteria touching one qubit are too few for numpy's per-call overhead
+   to pay off), bit-identical to the vectorised subset evaluation.
 
 The per-criterion formulas are the same as
 :func:`repro.core.collisions.collision_free_mask` — the graph counts one
@@ -75,6 +78,7 @@ class CollisionGraph:
         self._edges_by_qubit = [np.asarray(l, dtype=np.int64) for l in edge_lists]
         self._triples_by_qubit = [np.asarray(l, dtype=np.int64) for l in triple_lists]
         self._neighbors_by_qubit: list[np.ndarray] | None = None
+        self._local_terms: list[tuple[tuple, tuple]] | None = None
 
     # ------------------------------------------------------------------ #
     # Criterion evaluation (single device, vectorised over constraints)
@@ -217,11 +221,73 @@ class CollisionGraph:
         return self._neighbors_by_qubit[qubit]
 
     def local_violations(self, frequencies: np.ndarray, qubit: int) -> int:
-        """Violated criteria among the constraints touching ``qubit``."""
-        edge_idx, triple_idx = self.touched(qubit)
-        return self.edge_violations(frequencies, edge_idx) + self.triple_violations(
-            frequencies, triple_idx
-        )
+        """Violated criteria among the constraints touching ``qubit``.
+
+        Equals ``edge_violations(frequencies, e) + triple_violations(
+        frequencies, t)`` with ``(e, t) = touched(qubit)``, computed by a
+        scalar kernel: per qubit, one ``(control, target, alpha_c,
+        alpha_t)`` tuple per touched edge and one ``(control, a, b,
+        alpha_c, alpha_a, alpha_b)`` tuple per touched triple, built
+        lazily in one pass and cached on the graph.  Frequencies are read
+        with ``frequencies.item(i)`` and every criterion is written with
+        the same expression and operand order as the vectorised methods,
+        so on a float64 array both sides do the same IEEE double
+        arithmetic and every comparison agrees bit for bit, NaN
+        included.  This is the repair strategies' per-candidate re-check.
+        """
+        if self._local_terms is None:
+            self._local_terms = self._build_local_terms()
+        edges, triples = self._local_terms[qubit]
+        th = self.thresholds
+        item = frequencies.item
+        count = 0
+        if edges:
+            t1, t2, t3 = th.type1_ghz, th.type2_ghz, th.type3_ghz
+            for control, target, ai, aj in edges:
+                fi = item(control)
+                fj = item(target)
+                count += (
+                    (abs(fi - fj) < t1)
+                    + (abs(fi + ai / 2.0 - fj) < t2)
+                    + ((abs(fi - (fj + aj)) < t3) or (abs(fj - (fi + ai)) < t3))
+                    + ((fj < fi + ai) or (fi < fj))
+                )
+        if triples:
+            t5, t6, t7 = th.type5_ghz, th.type6_ghz, th.type7_ghz
+            for control, a, b, ai, aj, ak in triples:
+                fi = item(control)
+                fj = item(a)
+                fk = item(b)
+                count += (
+                    (abs(fj - fk) < t5)
+                    + ((abs(fj - (fk + ak)) < t6) or (abs(fk - (fj + aj)) < t6))
+                    + (abs(2.0 * fi + ai - (fj + fk)) < t7)
+                )
+        return count
+
+    def _build_local_terms(self) -> list[tuple[tuple, tuple]]:
+        alpha = self.alpha.tolist()
+        edge_terms = [
+            (c, t, alpha[c], alpha[t])
+            for c, t in zip(self.edge_control.tolist(), self.edge_target.tolist())
+        ]
+        triple_terms = [
+            (c, a, b, alpha[c], alpha[a], alpha[b])
+            for c, a, b in zip(
+                self.triple_control.tolist(),
+                self.triple_a.tolist(),
+                self.triple_b.tolist(),
+            )
+        ]
+        return [
+            (
+                tuple(edge_terms[i] for i in edge_idx.tolist()),
+                tuple(triple_terms[i] for i in triple_idx.tolist()),
+            )
+            for edge_idx, triple_idx in zip(
+                self._edges_by_qubit, self._triples_by_qubit
+            )
+        ]
 
     def per_qubit_violations(self, frequencies: np.ndarray) -> np.ndarray:
         """Number of violated criteria each qubit participates in.

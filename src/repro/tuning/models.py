@@ -22,6 +22,7 @@ the yield pipeline threads it through :class:`repro.tuning.TuningOptions`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -66,10 +67,14 @@ class TunerModel:
     max_tunes_per_qubit: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_shift_ghz < 0:
-            raise ValueError("max_shift_ghz must be non-negative")
-        if self.precision_sigma_ghz < 0:
-            raise ValueError("precision_sigma_ghz must be non-negative")
+        # NaN passes a bare ``< 0`` check and then fakes a perfect repair
+        # (NaN landing points fail every criterion comparison).
+        if not (math.isfinite(self.max_shift_ghz) and self.max_shift_ghz >= 0):
+            raise ValueError("max_shift_ghz must be finite and non-negative")
+        if not (
+            math.isfinite(self.precision_sigma_ghz) and self.precision_sigma_ghz >= 0
+        ):
+            raise ValueError("precision_sigma_ghz must be finite and non-negative")
         if self.max_tunes_per_qubit is not None and self.max_tunes_per_qubit < 0:
             raise ValueError("max_tunes_per_qubit must be non-negative or None")
 

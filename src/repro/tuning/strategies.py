@@ -27,7 +27,8 @@ Two strategies ship:
     *touched* constraints strictly decrease (everything untouched is
     invariant, so the device total strictly decreases too).  Vectorised:
     the full device is scored in one pass per round and every candidate
-    re-check evaluates only the incident edge/triple subsets.
+    re-check evaluates only the incident edge/triple subsets, through the
+    graph's scalar ``local_violations`` kernel.
 
 :class:`AnnealingRepair`
     Seeded simulated annealing over bounded per-qubit shifts with a
@@ -150,9 +151,12 @@ class GreedyLocalRepair:
     (and, for noiseless tuners, batches every candidate's "after" count
     through one ``batch_total_violations`` call), falling back to scalar
     re-checks only for qubits whose criteria an earlier accept in the
-    same round has dirtied.  Accepts, landing points and rng consumption
-    are bit-identical to the scalar reference loop
-    (:meth:`_repair_reference`), which the parity suite pins.
+    same round has dirtied; those, and every noisy candidate's "after"
+    count, go through the scalar kernel
+    :meth:`~repro.tuning.graph.CollisionGraph.local_violations`.
+    Accepts, landing points and rng consumption are bit-identical to the
+    historical scalar loop, kept verbatim as the parity oracle in
+    ``tests/repair_reference.py``.
 
     Attributes
     ----------
@@ -228,10 +232,7 @@ class GreedyLocalRepair:
                     continue
                 is_dirty = bool(dirty[qubit])
                 if is_dirty:
-                    edge_idx, triple_idx = graph.touched(qubit)
-                    before = graph.edge_violations(
-                        repaired, edge_idx
-                    ) + graph.triple_violations(repaired, triple_idx)
+                    before = graph.local_violations(repaired, qubit)
                 else:
                     before = int(per_qubit[qubit])
                 if before == 0:
@@ -247,13 +248,9 @@ class GreedyLocalRepair:
                     if accepted:
                         repaired[qubit] = targets[qubit]
                 else:
-                    if not is_dirty:
-                        edge_idx, triple_idx = graph.touched(qubit)
                     previous = repaired[qubit]
                     repaired[qubit] = targets[qubit] + noise
-                    after = graph.edge_violations(
-                        repaired, edge_idx
-                    ) + graph.triple_violations(repaired, triple_idx)
+                    after = graph.local_violations(repaired, qubit)
                     accepted = after < before
                     if not accepted:
                         repaired[qubit] = previous
@@ -264,87 +261,6 @@ class GreedyLocalRepair:
                     dirty[graph.constraint_neighbors(qubit)] = True
                     if total == 0:
                         break
-            if total == 0 or not improved:
-                break
-
-        if not tunes.any():
-            return _noop(frequencies, initial)
-        return RepairOutcome(
-            frequencies=repaired,
-            violations_before=initial,
-            violations_after=graph.total_violations(repaired),
-            tuned_qubits=int((tunes > 0).sum()),
-            total_tunes=int(tunes.sum()),
-            tuned_qubit_indices=tuple(np.flatnonzero(tunes > 0).tolist()),
-        )
-
-    def _repair_reference(
-        self,
-        graph: CollisionGraph,
-        frequencies: np.ndarray,
-        tuner: TunerModel,
-        rng: np.random.Generator,
-        initial_violations: int | None = None,
-    ) -> RepairOutcome:
-        """The historical scalar loop, kept verbatim as the parity oracle.
-
-        ``repair`` must match this qubit-for-qubit: same accepts, same
-        landing points, same rng stream.  The parity suite drives both
-        over random collided batches and compares outcomes *and* final
-        generator states.
-        """
-        initial = (
-            initial_violations
-            if initial_violations is not None
-            else graph.total_violations(frequencies)
-        )
-        if initial == 0 or tuner.is_noop:
-            return _noop(frequencies, initial)
-
-        budget = tuner.budget_for(graph.num_qubits)
-        as_fab = frequencies.astype(float, copy=True)
-        repaired = as_fab.copy()
-        tunes = np.zeros(graph.num_qubits, dtype=np.int64)
-        total = initial
-        sigma = tuner.precision_sigma_ghz
-        reach = tuner.max_shift_ghz
-
-        for _ in range(self.max_rounds):
-            per_qubit = graph.per_qubit_violations(repaired)
-            order = np.argsort(-per_qubit, kind="stable")
-            improved = False
-            for qubit in order:
-                qubit = int(qubit)
-                if per_qubit[qubit] == 0:
-                    break  # descending order: the rest are collision-free
-                if tunes[qubit] >= budget:
-                    continue
-                edge_idx, triple_idx = graph.touched(qubit)
-                before = graph.edge_violations(
-                    repaired, edge_idx
-                ) + graph.triple_violations(repaired, triple_idx)
-                if before == 0:
-                    continue  # already fixed by an earlier shift this round
-                # Aim at the design frequency; the tuner bounds the total
-                # intended displacement from the as-fabricated frequency
-                # and its actuation noise blurs the landing point.
-                intended_total = float(
-                    np.clip(graph.ideal[qubit] - as_fab[qubit], -reach, reach)
-                )
-                noise = rng.normal(0.0, sigma) if sigma > 0 else 0.0
-                previous = repaired[qubit]
-                repaired[qubit] = as_fab[qubit] + intended_total + noise
-                after = graph.edge_violations(
-                    repaired, edge_idx
-                ) + graph.triple_violations(repaired, triple_idx)
-                if after < before:
-                    tunes[qubit] += 1
-                    total += after - before
-                    improved = True
-                    if total == 0:
-                        break
-                else:
-                    repaired[qubit] = previous
             if total == 0 or not improved:
                 break
 
@@ -430,15 +346,10 @@ class AnnealingRepair:
             qubit = int(candidates[rng.integers(candidates.size)])
             shift = rng.uniform(-reach, reach)
             noise = rng.normal(0.0, sigma) if sigma > 0 else 0.0
-            edge_idx, triple_idx = graph.touched(qubit)
-            before = graph.edge_violations(
-                work, edge_idx
-            ) + graph.triple_violations(work, triple_idx)
+            before = graph.local_violations(work, qubit)
             previous = work[qubit]
             work[qubit] = as_fab[qubit] + shift + noise
-            after = graph.edge_violations(
-                work, edge_idx
-            ) + graph.triple_violations(work, triple_idx)
+            after = graph.local_violations(work, qubit)
             delta = after - before
             if delta <= 0 or rng.random() < np.exp(-delta / max(temperature, 1e-9)):
                 tunes[qubit] += 1

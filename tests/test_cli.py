@@ -174,6 +174,13 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "as-fab" in out and "repaired" in out
 
+    @pytest.mark.parametrize("reach", ["nan", "inf", "-inf", "-5"])
+    def test_non_finite_or_negative_reach_exits_2(self, reach, capsys):
+        args = ["run", "tunedyield", "--batch", "20", f"--max-shift-mhz={reach}"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "invalid tuning options" in err and "max_shift_ghz" in err
+
     def test_repair_budget_zero_is_noop_baseline(self, capsys):
         args = [
             "run", "fig4", "--batch", "80", "--jobs", "1", "--seed", "3", "--quiet",

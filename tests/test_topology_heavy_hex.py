@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.topology import heavy_hex
 from repro.topology.heavy_hex import (
     build_heavy_hex,
     bridge_columns,
@@ -45,6 +48,32 @@ class TestQubitCount:
     def test_rejects_non_positive_dimensions(self):
         with pytest.raises(ValueError):
             heavy_hex_qubit_count(0, 5)
+
+    def test_closed_form_matches_bridge_row_loop(self):
+        for rows in range(1, 61):
+            for cols in range(1, 121):
+                assert heavy_hex_qubit_count(rows, cols) == _loop_qubit_count(
+                    rows, cols
+                )
+
+    def test_lattice_search_unchanged_by_closed_form(self, monkeypatch):
+        built = {n: heavy_hex_by_qubit_count(n) for n in range(2, 700)}
+        monkeypatch.setattr(heavy_hex, "heavy_hex_qubit_count", _loop_qubit_count)
+        for n, lattice in built.items():
+            reference = heavy_hex_by_qubit_count(n)
+            assert (lattice.rows, lattice.cols) == (reference.rows, reference.cols)
+            assert lattice.sites == reference.sites
+            assert lattice.edges == reference.edges
+
+
+@functools.cache
+def _loop_qubit_count(rows: int, cols: int) -> int:
+    """The historical per-bridge-row count the closed form replaced
+    (memoised here only so the lattice-search comparison stays quick)."""
+    total = rows * cols
+    for bridge_row in range(rows - 1):
+        total += len(bridge_columns(cols, bridge_row))
+    return total
 
 
 class TestBuildHeavyHex:

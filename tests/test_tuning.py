@@ -69,6 +69,15 @@ class TestTunerModel:
         with pytest.raises(ValueError):
             TunerModel(max_tunes_per_qubit=-1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_reach_and_precision(self, value):
+        # A NaN reach used to slip past ``< 0`` and screen every die as
+        # repaired (NaN landing points fail every criterion comparison).
+        with pytest.raises(ValueError, match="finite"):
+            TunerModel(max_shift_ghz=value)
+        with pytest.raises(ValueError, match="finite"):
+            TunerModel(precision_sigma_ghz=value)
+
     def test_noop_conditions(self):
         assert TunerModel(max_shift_ghz=0.0).is_noop
         assert TunerModel(max_tunes_per_qubit=0).is_noop
