@@ -1,13 +1,18 @@
-"""E-ENG — the execution engine, measured: auto backend + staged kernel.
+"""E-ENG — the execution engine, measured: jobs=1 vs the pool + staged kernel.
 
 Two measurements, written to ``benchmarks/BENCH_engine.json``:
 
-* ``fig4_detuning_sweep``: the Fig. 4 Monte-Carlo grid run sequentially
-  vs. through the engine's default ``auto`` backend (with task fusion).
-  Bit-identical yields are asserted unconditionally.  The speedup is
-  recorded with a noise band: on a single-core host the auto mode's
-  whole job is to *not* pay pool overhead, so the honest expectation is
-  ~1.0x there and > 1x only when real cores exist.
+* ``fig4_detuning_sweep``: one row pair over the Fig. 4 Monte-Carlo
+  grid — the engine at ``jobs=1`` (every batch in-process) vs. the
+  engine on its process pool (``jobs`` = ``REPRO_BENCH_JOBS``, at least
+  2).  Bit-identical yields are asserted unconditionally.  The process
+  caches (sample bank, routing cache, architecture memo) are emptied
+  before each timed arm, so neither arm inherits the other's warm
+  state — forked workers would otherwise start with whatever the
+  in-process arm had banked.  The speedup is recorded with a noise
+  band: on a single-core host the pool is pure overhead, so ~1.0x or
+  below is the honest expectation there and > 1x only when real cores
+  exist.
 * ``staged_collision_mask``: the staged shrinking-subset collision
   kernel vs. the historical single-pass full-batch evaluation, at the
   yield phase transition where staging pays.  Bit-identical masks are
@@ -29,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import bench_batch_size, bench_jobs
+from conftest import bench_batch_size, bench_jobs, reset_process_caches
 
 from repro.analysis.figures.fig4_yield import run_fig4_yield_sweep
 from repro.core.collisions import CollisionThresholds, collision_free_mask
@@ -47,8 +52,7 @@ SWEEP_KWARGS = dict(
 )
 
 #: Measured speedups below this are regressions; between this and 1.0 is
-#: measurement noise on a host that cannot parallelise (the engine's
-#: sequential downgrade costs nothing but the measurement still jitters).
+#: measurement noise.
 _NOISE_FLOOR = 0.9
 
 _RECORD: dict = {}
@@ -59,7 +63,8 @@ def _flush() -> None:
     print(f"[engine] wrote {RESULT_PATH}")
 
 
-def _timed_sweep(engine: ExecutionEngine | None, batch_size: int):
+def _timed_sweep(engine: ExecutionEngine, batch_size: int):
+    reset_process_caches()
     started = time.perf_counter()
     result = run_fig4_yield_sweep(
         **SWEEP_KWARGS, batch_size=batch_size, engine=engine
@@ -67,15 +72,16 @@ def _timed_sweep(engine: ExecutionEngine | None, batch_size: int):
     return result, time.perf_counter() - started
 
 
-def test_engine_auto_backend_sweep_matches_sequential_and_is_fast(benchmark):
-    """Auto-backend Fig. 4 sweeps are bit-identical to sequential, and
-    faster when the hardware has the cores to show it."""
+def test_engine_pool_sweep_matches_one_job_and_is_fast(benchmark):
+    """Pool Fig. 4 sweeps are bit-identical to ``jobs=1``, and faster
+    when the hardware has the cores to show it."""
     cores = os.cpu_count() or 1
     jobs = max(2, bench_jobs())
     batch = min(bench_batch_size(1000), 2000)
 
-    sequential, seq_seconds = _timed_sweep(None, batch)
-    engine = ExecutionEngine(jobs=jobs, use_cache=False, backend="auto")
+    in_process = ExecutionEngine(jobs=1, use_cache=False)
+    sequential, seq_seconds = _timed_sweep(in_process, batch)
+    engine = ExecutionEngine(jobs=jobs, use_cache=False)
     parallel, par_seconds = benchmark.pedantic(
         lambda: _timed_sweep(engine, batch), rounds=1, iterations=1
     )
@@ -94,9 +100,8 @@ def test_engine_auto_backend_sweep_matches_sequential_and_is_fast(benchmark):
         context = None
     elif cores <= 1:
         context = (
-            f"host has {cores} core(s): the auto backend resolves batches "
-            "sequentially, so ~1.0x (no pool overhead) is the ceiling here; "
-            "sub-1.0x readings within the noise band are measurement jitter"
+            f"host has {cores} core(s): the pool can only add startup and "
+            "pickling cost here; sub-1.0x readings are that overhead"
         )
     elif jobs > cores:
         context = (
@@ -113,10 +118,7 @@ def test_engine_auto_backend_sweep_matches_sequential_and_is_fast(benchmark):
         "batch_size": batch,
         "cores": cores,
         "jobs": jobs,
-        "backend": engine.stats.backend,
         "workers_used": workers_used,
-        "tasks_fused": engine.stats.tasks_fused,
-        "fusion_batches": engine.stats.fusion_batches,
         "sequential_seconds": round(seq_seconds, 4),
         "parallel_seconds": round(par_seconds, 4),
         "speedup": round(speedup, 3),
@@ -127,9 +129,9 @@ def test_engine_auto_backend_sweep_matches_sequential_and_is_fast(benchmark):
         if par_seconds > 0
         else None,
     }
-    print(f"\n[engine] sequential {seq_seconds:.2f}s, auto {par_seconds:.2f}s "
-          f"({workers_used} worker(s) used of {jobs} jobs on {cores} cores, "
-          f"{engine.stats.tasks_fused} tasks fused) -> speedup {speedup:.2f}x")
+    print(f"\n[engine] jobs=1 {seq_seconds:.2f}s, jobs={jobs} {par_seconds:.2f}s "
+          f"({workers_used} worker(s) used on {cores} cores) "
+          f"-> speedup {speedup:.2f}x")
     if context:
         print(f"[engine] NOTE: {context}")
     _flush()

@@ -35,7 +35,7 @@ from repro.obs import tracing
 
 RESULT_PATH = Path(__file__).parent / "BENCH_obs.json"
 
-#: Reduced Fig. 4 grid (24 engine tasks), same shape as bench_backends.
+#: Reduced Fig. 4 grid (24 engine tasks).
 SWEEP_KWARGS = dict(
     steps_ghz=(0.05, 0.06, 0.07),
     sigmas_ghz=(0.014, 0.1323),
@@ -51,9 +51,7 @@ MICRO_ITERATIONS = 200_000
 
 
 def _timed_sweep(tracer, batch):
-    engine = ExecutionEngine(
-        jobs=1, use_cache=False, backend="sequential", tracer=tracer
-    )
+    engine = ExecutionEngine(jobs=1, use_cache=False, tracer=tracer)
     started = time.perf_counter()
     result = run_fig4_yield_sweep(**SWEEP_KWARGS, batch_size=batch, engine=engine)
     return result, time.perf_counter() - started

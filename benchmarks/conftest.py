@@ -14,6 +14,9 @@ import os
 import pytest
 
 from repro.analysis.study import ArchitectureStudy, StudyConfig
+from repro.compiler.routing import clear_routing_cache
+from repro.core.architecture import clear_architecture_caches
+from repro.core.sample_bank import clear_sample_bank
 from repro.engine import ExecutionEngine
 
 
@@ -30,6 +33,18 @@ def full_run() -> bool:
 def bench_jobs() -> int:
     """Worker processes for the engine (``REPRO_BENCH_JOBS``, default: all)."""
     return int(os.environ.get("REPRO_BENCH_JOBS", os.cpu_count() or 1))
+
+
+def reset_process_caches() -> None:
+    """Empty the process-wide memo caches before a timed arm.
+
+    The sample bank, the routing cache and the architecture memo would
+    otherwise carry one arm's warm state into the next (and into the
+    workers a pool forks from this process).
+    """
+    clear_sample_bank()
+    clear_routing_cache()
+    clear_architecture_caches()
 
 
 @pytest.fixture(scope="session")

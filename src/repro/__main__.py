@@ -4,8 +4,10 @@ Subcommands
 -----------
 ``run <experiment>``
     Regenerate one figure/table of the paper through the parallel
-    experiment engine.  ``--jobs N`` controls the worker-process count
-    (``1`` forces the sequential backend; results are bit-identical),
+    experiment engine.  ``--jobs N`` sets the worker-process count:
+    ``1`` runs everything in-process, above it batches with two or more
+    pending tasks run on a process pool (results are bit-identical;
+    values below 1 exit with status 2),
     ``--seed S`` overrides the experiment's master seed, ``--no-cache``
     bypasses the on-disk result cache and ``--batch B`` scales the
     Monte-Carlo batches.  ``--topology T`` switches topology-aware
@@ -20,18 +22,15 @@ Subcommands
     experiments: ``--tuning STRATEGY`` selects the repair strategy
     (``greedy`` or ``anneal``), ``--max-shift-mhz`` bounds the tuner's
     reach and ``--repair-budget`` caps the accepted shifts per qubit
-    (``0`` is a strict no-op baseline).  ``--backend NAME`` selects the
-    execution backend (``sequential``, ``threads``, ``processes`` or
-    the cost-based ``auto`` default; the
-    ``REPRO_BACKEND`` environment variable changes the default) —
-    results are bit-identical across backends.  The compiler flags steer the
+    (``0`` is a strict no-op baseline).  The compiler flags steer the
     application experiments (``fig10``, ``appsweep``):
     ``--benchmarks NAMES`` restricts the compiled benchmark subset
     (comma-separated) and ``--routing NAME`` selects a registered
     routing strategy (``basic`` or ``noise-aware``).  ``--dump-json
     PATH`` writes the experiment's full result — every numeric field,
     confidence intervals included — to a machine-readable JSON file,
-    along with engine statistics and routing/result-cache counters.
+    along with engine statistics and the routing-cache, sample-bank and
+    result-cache traffic of the run (worker processes included).
     ``--trace PATH`` records a span trace of the run (engine batches,
     per-task and per-phase spans, worker-process spans re-parented under
     the submitting task): a ``.jsonl`` path writes one span per line,
@@ -45,7 +44,7 @@ Subcommands
     ``--json`` emits the summary as JSON instead of text.
 ``list``
     Show every registered experiment, topology, repair strategy,
-    benchmark, routing strategy and execution backend.
+    benchmark and routing strategy.
 ``cache clear``
     Drop the on-disk result cache.
 ``serve``
@@ -56,7 +55,7 @@ Subcommands
     bounded-queue capacity (submissions beyond it get HTTP 429),
     ``--rate``/``--burst`` enable per-client token-bucket rate limiting,
     ``--max-attempts`` caps transient-failure retries and
-    ``--jobs``/``--backend``/``--no-cache`` configure each job's
+    ``--jobs``/``--no-cache`` configure each job's
     execution engine exactly like ``run``, and
     ``--log-level``/``--log-json`` the logging spine.  Submissions with
     identical experiment + parameters + code version coalesce onto one
@@ -81,10 +80,9 @@ Examples
     python -m repro run fig10 --routing noise-aware --benchmarks bv,qaoa
     python -m repro run appsweep --jobs 4 --batch 400
     python -m repro run fig4 --dump-json fig4.json
-    python -m repro run fig4 --trace fig4.trace.json --backend processes
+    python -m repro run fig4 --trace fig4.trace.json --jobs 2
     python -m repro trace fig4.trace.json --top 5
     python -m repro run fig4 --log-level debug
-    python -m repro run fig4 --backend threads --jobs 4
     python -m repro run fig8 --jobs 4 --batch 2000
     python -m repro cache clear
     python -m repro serve --port 8151 --workers 2
@@ -100,20 +98,31 @@ import time
 from pathlib import Path
 
 from repro.analysis.registry import EXPERIMENTS
-from repro.analysis.reporting import jsonable
+from repro.analysis.reporting import cache_traffic, jsonable
 from repro.circuits.benchmarks import BENCHMARK_NAMES
 from repro.compiler.pipeline import ROUTING_STRATEGIES
-from repro.compiler.routing import routing_cache_stats
 from repro.core.architecture import ARCHITECTURES
-from repro.core.sample_bank import SAMPLE_BANK_ENV, sample_bank_stats
-from repro.engine import BACKENDS, ExecutionEngine, ResultCache, did_you_mean
+from repro.core.sample_bank import SAMPLE_BANK_ENV
+from repro.engine import ExecutionEngine, ResultCache, did_you_mean
 from repro.obs import configure_logging
 from repro.obs import tracing as obs_tracing
 from repro.obs.export import format_summary, load_trace, summarize, write_trace
+from repro.obs.metrics import REGISTRY
 from repro.stats import StatsOptions
 from repro.tuning import STRATEGIES, TuningOptions
 
 __all__ = ["main"]
+
+
+def _jobs(text: str) -> int:
+    """``--jobs`` value: an integer of at least 1 (argparse exits 2 otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -129,17 +138,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--jobs",
         "-j",
-        type=int,
+        type=_jobs,
         default=None,
-        help="worker processes (default: all cores; 1 = sequential)",
-    )
-    run.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="execution backend (sequential, threads, processes or "
-        "auto; default: $REPRO_BACKEND or auto; "
-        "results are bit-identical across backends)",
+        help="worker processes (default: all cores; 1 = in-process; "
+        "results are bit-identical at any value)",
     )
     run.add_argument(
         "--seed", "-s", type=int, default=None, help="master seed override"
@@ -301,15 +303,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--jobs",
         "-j",
-        type=int,
+        type=_jobs,
         default=None,
-        help="engine worker processes per job (default: all cores)",
-    )
-    serve.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="engine execution backend for every job (see `run --backend`)",
+        help="engine worker processes per job (default: all cores; "
+        "1 = in-process)",
     )
     serve.add_argument(
         "--no-cache",
@@ -362,10 +359,6 @@ def _cmd_list() -> int:
     width = max((len(name) for name in ROUTING_STRATEGIES.names()), default=0)
     for strategy in ROUTING_STRATEGIES.specs():
         print(f"  {strategy.name:<{width}}  {strategy.description}")
-    print("\nexecution backends (for --backend / $REPRO_BACKEND):")
-    width = max((len(name) for name in BACKENDS.names()), default=0)
-    for backend in BACKENDS.specs():
-        print(f"  {backend.name:<{width}}  {backend.description}")
     return 0
 
 
@@ -396,15 +389,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # The env var (not a process-local flag) so spawned engine worker
         # processes inherit the opt-out.
         os.environ[SAMPLE_BANK_ENV] = "0"
-
-    if args.backend is not None and args.backend not in BACKENDS:
-        known = ", ".join(BACKENDS.names())
-        suggestion = did_you_mean(args.backend, BACKENDS.names())
-        print(
-            f"unknown backend {args.backend!r}{suggestion} (known: {known})",
-            file=sys.stderr,
-        )
-        return 2
 
     if args.topology is not None and args.topology not in ARCHITECTURES:
         known = ", ".join(sorted(ARCHITECTURES.names()))
@@ -510,10 +494,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     tracer = obs_tracing.Tracer() if args.trace is not None else None
     engine = ExecutionEngine(
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        backend=args.backend,
-        tracer=tracer,
+        jobs=args.jobs, use_cache=not args.no_cache, tracer=tracer
     )
 
     def _run() -> tuple:
@@ -529,6 +510,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             routing=args.routing,
         )
 
+    marks = REGISTRY.checkpoint()
     started = time.perf_counter()
     if tracer is not None:
         with tracer.activate():
@@ -561,18 +543,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "elapsed_seconds": elapsed,
             "engine": {
                 "jobs": engine.stats.jobs,
-                "backend": engine.stats.backend,
                 "workers_used": engine.stats.workers_used,
                 "tasks_total": engine.stats.tasks_total,
                 "tasks_executed": engine.stats.tasks_executed,
-                "tasks_fused": engine.stats.tasks_fused,
-                "fusion_batches": engine.stats.fusion_batches,
                 "cache_hits": engine.stats.cache_hits,
                 "wall_seconds": engine.stats.wall_seconds,
                 "seconds_by_family": jsonable(dict(engine.stats.seconds_by_family)),
                 "seconds_by_phase": jsonable(dict(engine.stats.seconds_by_phase)),
-                "routing_cache": routing_cache_stats(),
-                "sample_bank": sample_bank_stats(),
+                **cache_traffic(marks),
                 "result_cache": (
                     engine.cache.stats() if engine.cache is not None else None
                 ),
@@ -614,14 +592,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"invalid logging options: {exc}", file=sys.stderr)
         return 2
-    if args.backend is not None and args.backend not in BACKENDS:
-        known = ", ".join(BACKENDS.names())
-        suggestion = did_you_mean(args.backend, BACKENDS.names())
-        print(
-            f"unknown backend {args.backend!r}{suggestion} (known: {known})",
-            file=sys.stderr,
-        )
-        return 2
     try:
         retry = RetryPolicy(max_attempts=args.max_attempts)
     except ValueError as exc:
@@ -636,7 +606,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     engine_options = {
         "jobs": args.jobs,
-        "backend": args.backend,
         "use_cache": not args.no_cache,
     }
 

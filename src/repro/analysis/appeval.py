@@ -49,9 +49,9 @@ matrix plus lazily-filled per-source Dijkstra predecessor rows) are
 memoised on a content digest of the device's coupling map and edge-error
 map, so every :func:`compile_and_score` task compiling onto the same
 device reuses one ``RoutingWeights`` entry instead of rebuilding it.
-Within a fused engine super-task the whole run shares one worker
-process, so consecutive sub-tasks hit the same cache — the dominant
-per-compile cost collapses to path reconstruction.  The cache changes
+Tasks that run in the same process — every task at ``jobs=1``, the
+tasks one pool worker picks up otherwise — hit the same cache, so the
+dominant per-compile cost collapses to path reconstruction.  The cache changes
 *when* shortest paths are computed, never *what* they are (same weights,
 same tie-breaks), so cached and cold compiles are bit-identical and the
 ``fig10``/``appsweep`` goldens pin that.

@@ -5,7 +5,9 @@ benchmark prints the series the original figure plots, and these helpers
 keep that output aligned and readable.  :func:`jsonable` is the
 machine-readable counterpart: it flattens any experiment's result object
 (dataclasses, numpy arrays, nested containers) into plain JSON types for
-the CLI's ``--dump-json``.
+the CLI's ``--dump-json``.  :func:`cache_traffic` is the routing-cache
+and sample-bank block of that dump and of the service's per-job
+snapshots.
 """
 
 from __future__ import annotations
@@ -15,7 +17,11 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["format_table", "format_series", "jsonable"]
+from repro.compiler.routing import routing_cache_stats
+from repro.core.sample_bank import sample_bank_stats
+from repro.obs.metrics import REGISTRY
+
+__all__ = ["format_table", "format_series", "jsonable", "cache_traffic"]
 
 #: Recursion cap for :func:`jsonable` (guards pathological cycles).
 _MAX_DEPTH = 16
@@ -51,7 +57,7 @@ def jsonable(value: Any, depth: int = 0) -> Any:
     if isinstance(value, dict):
         # Sorted keys make the output deterministic regardless of the
         # mapping's insertion order (defaultdicts populated per-phase or
-        # per-family arrive in execution order, which varies by backend).
+        # per-family arrive in execution order, which varies with --jobs).
         converted = {
             (k if isinstance(k, str) else repr(k)): jsonable(v, depth + 1)
             for k, v in value.items()
@@ -61,6 +67,47 @@ def jsonable(value: Any, depth: int = 0) -> Any:
         items = sorted(value, key=repr) if isinstance(value, (set, frozenset)) else value
         return [jsonable(v, depth + 1) for v in items]
     return repr(value)
+
+
+#: Traffic counters read from the metrics registry: metric name ->
+#: ``{event label: stats key}`` (the keys the cache stats dicts use).
+_TRAFFIC = {
+    "routing_cache": (
+        "repro_routing_cache_events_total",
+        {"hit": "hits", "miss": "misses", "eviction": "evictions"},
+    ),
+    "sample_bank": (
+        "repro_sample_bank_events_total",
+        {
+            "hit": "hits",
+            "miss": "misses",
+            "eviction": "evictions",
+            "bypass": "bypasses",
+            "oversize": "oversize",
+        },
+    ),
+}
+
+
+def cache_traffic(marks: dict) -> dict[str, dict[str, Any]]:
+    """Routing-cache and sample-bank traffic since ``marks``, plus occupancy.
+
+    ``marks`` is a ``REGISTRY.checkpoint()`` taken before the run.  The
+    traffic counts come from the metrics registry, which also holds the
+    deltas the engine merges home from worker processes, so they are the
+    same at any ``jobs``.  Occupancy (``entries``, ``sources_computed``,
+    ``bytes``, ``enabled``) is this process's own.
+    """
+    delta = REGISTRY.delta_since(marks) or {"entries": []}
+    moved = {
+        (entry["name"], *entry["labels"]): entry["payload"]
+        for entry in delta["entries"]
+    }
+    views = {"routing_cache": routing_cache_stats(), "sample_bank": sample_bank_stats()}
+    for block, (metric, stats_keys) in _TRAFFIC.items():
+        for event, stat in stats_keys.items():
+            views[block][stat] = int(moved.get((metric, event), 0))
+    return views
 
 
 def format_table(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

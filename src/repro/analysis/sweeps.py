@@ -41,7 +41,7 @@ def grid_sweep(
         ``seed=`` keyword (the runner must accept it).
     executor:
         Optional engine hook; ``runner`` must then be picklable
-        (module-level) for the process-pool backend.
+        (module-level) for the process pool.
     name:
         Task-family label for instrumentation and caching.
     share_draws:

@@ -34,9 +34,9 @@ Because ziggurat sampling consumes a variable number of raw words per
 normal, the end state cannot be recomputed cheaply — storing it is what
 makes hits safe for continued generators.
 
-The bank is process-global: fused engine super-tasks running several
-yield points in one worker share it for free, the same per-worker
-contract as the routing cache (PR 8).  Counters mirror into the process
+The bank is process-global: every yield point that runs in one process
+(in-process at ``jobs=1``, or one pool worker's share of a batch)
+shares it for free, the same per-worker contract as the routing cache.  Counters mirror into the process
 metrics registry as ``repro_sample_bank_events_total{event}`` so worker
 deltas ship home through the engine's existing metrics merge.
 

@@ -2,18 +2,17 @@
 
 The analysis layer regenerates every figure and table of the paper from
 thousands of independent Monte-Carlo points.  This package turns those
-points into :class:`Task` objects and executes them on a pluggable
-backend (:data:`BACKENDS`: ``sequential | threads | processes``,
-default ``auto`` picks per batch by estimated cost) with
+points into :class:`Task` objects and executes them — in-process at
+``jobs=1`` (or when at most one task is pending), on a process pool of
+``jobs`` workers otherwise — with
 
 * deterministic per-task seed derivation (``np.random.SeedSequence.spawn``),
-  so every backend is bit-identical to a sequential run at the same seed;
+  so the pool is bit-identical to an in-process run at the same seed;
 * an on-disk content-addressed result cache keyed on task name, parameters,
   seed and code version;
-* task fusion on pooled backends (small same-function tasks coalesce into
-  super-tasks; per-subtask durations and cache entries survive);
 * wall-clock / throughput instrumentation;
-* a sequential in-process fallback (``jobs=1`` or pickling-hostile tasks).
+* an in-process fallback for pickling-hostile tasks and environments
+  that cannot start worker processes.
 
 Layering: the engine depends only on numpy and the standard library, so
 any layer may import it.  The ``core`` sweep entry points accept their
@@ -23,17 +22,7 @@ executor duck-typed (anything implementing
 never construct runners or caches themselves.
 """
 
-from repro.engine.backends import (
-    BACKENDS,
-    Backend,
-    BackendSpec,
-    CancelToken,
-    ExecutionCancelled,
-    ProcessBackend,
-    SequentialBackend,
-    ThreadBackend,
-    get_backend,
-)
+from repro.engine.backends import CancelToken, ExecutionCancelled
 from repro.engine.cache import ResultCache, stable_token
 from repro.engine.dispatch import run_calls
 from repro.engine.phases import collecting, phase
@@ -45,15 +34,8 @@ from repro.engine.task import Task, TaskGraph
 __all__ = [
     "ExecutionEngine",
     "EngineStats",
-    "Backend",
-    "BackendSpec",
-    "BACKENDS",
     "CancelToken",
     "ExecutionCancelled",
-    "get_backend",
-    "SequentialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
     "ResultCache",
     "stable_token",
     "ExperimentRegistry",

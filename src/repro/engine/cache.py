@@ -146,8 +146,8 @@ class ResultCache:
         self.misses = 0
         self.unlinked = 0  # poisoned entries deleted by get() (a subset of misses)
         # hits/misses are bare ints incremented from whichever thread runs
-        # get(); without the lock concurrent engines (the thread backend,
-        # the service's worker pool) lose increments and skew EngineStats.
+        # get(); without the lock concurrent engines (the service's
+        # worker threads) lose increments and skew EngineStats.
         self._stats_lock = threading.Lock()
 
     def __getstate__(self) -> dict:

@@ -8,8 +8,8 @@ that channel: hot-path kernels mark themselves with :func:`phase` —
 products).  Inside ``compile`` each compiler pass books its own
 ``compile.<pass>`` phase — ``compile.decompose``, ``compile.layout``,
 ``compile.route``, ``compile.swap-expand``, ``compile.metrics`` — so
-``compile`` itself keeps only the time outside the passes.  The backend
-trampolines wrap every task invocation in
+``compile`` itself keeps only the time outside the passes.  The engine's
+task trampoline wraps every task invocation in
 :func:`collecting`, so each task ships a ``{phase: seconds}`` dict home
 with its result no matter which process or thread ran it.  The engine
 aggregates the dicts into ``EngineStats.seconds_by_phase``, surfaced via
@@ -34,10 +34,9 @@ bucket accounting — so traces show where task time went without any
 extra annotations in the kernels.
 
 Thread safety: state is ``threading.local`` — each worker thread collects
-its own frames, and nested collectors shadow outer ones (a fused
-super-task collects per subtask; the surrounding trampoline frame then
-sees nothing, which is exactly right — the engine books the subtask
-dicts individually).
+its own frames, and nested collectors shadow outer ones (the task
+trampoline collects per task; an enclosing frame then sees nothing,
+which is exactly right — the engine books each task's dict itself).
 """
 
 from __future__ import annotations

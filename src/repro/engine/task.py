@@ -26,8 +26,8 @@ class Task:
         of the instrumentation break-down.
     fn:
         Module-level callable invoked as ``fn(**params)``.  It must be
-        picklable for the process-pool backend; closures and lambdas only
-        work with the sequential fallback.
+        picklable for the process pool; closures and lambdas run
+        in-process instead.
     params:
         Keyword arguments.  Values become part of the cache key via
         :func:`repro.engine.cache.stable_token`.

@@ -5,11 +5,10 @@ This package is the operational substrate the service-oriented layers
 
 ``repro.obs.tracing``
     Span-based tracing with explicit span contexts (trace id, span id,
-    parent id).  Spans ride through every execution-backend trampoline
-    the same way the per-phase wall-clock collectors do, so spans
-    emitted inside ``threads``/``processes`` workers
-    are shipped home with their task result and re-parented under the
-    submitting task's span.
+    parent id).  Spans ride through the engine's task trampoline the
+    same way the per-phase wall-clock collectors do, so spans emitted
+    inside process-pool workers are shipped home with their task
+    result and re-parented under the submitting task's span.
 ``repro.obs.metrics``
     A process-wide metrics registry — ``Counter``/``Gauge``/``Histogram``
     primitives with labelled series, mergeable cross-process snapshots,

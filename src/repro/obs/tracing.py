@@ -4,16 +4,16 @@ A *span* is one named, timed region of work.  Every span record carries
 an explicit context — ``trace_id`` (one per traced run), ``id`` (unique
 per span) and ``parent`` (the enclosing span's id, ``None`` for roots) —
 so a tree can be rebuilt from a flat list no matter which process or
-thread emitted each record.  That explicitness is the whole design: the
-execution backends ship worker-side span lists home inside their
+thread emitted each record.  That explicitness is the whole design:
+worker processes ship their span lists home inside the engine's
 :class:`~repro.engine.backends.ExecutionReport` exactly like the
 per-phase second buckets, and the engine re-parents each task's root
 spans under the span that was active on the submitting thread.
 
 Collection mirrors :mod:`repro.engine.phases`: state is thread-local,
 :func:`collect_spans` installs a collector frame, and nested collectors
-shadow outer ones (a backend trampoline collects per task; the fused
-super-task trampoline collects per subtask).  Without an active
+shadow outer ones (the task trampoline collects per task, shadowing
+any collector active on the engine thread).  Without an active
 collector every entry point is a no-op costing one thread-local
 attribute read — the zero-overhead-when-off invariant the goldens and
 ``benchmarks/bench_obs.py`` pin.
@@ -79,7 +79,7 @@ def collect_spans():
     """Collect spans finished inside this block into the yielded list.
 
     Re-entrant: an inner ``collect_spans`` shadows the outer one for its
-    duration, so a nested collector (a fused subtask) owns its spans and
+    duration, so a nested collector (one task's trampoline) owns its spans and
     the surrounding frame sees nothing — the shipping layer books them
     individually, exactly like the phase collectors.
     """

@@ -6,7 +6,7 @@ runner parameters, the coalescing key, the lifecycle state machine
 (``QUEUED -> RUNNING [-> RETRYING -> RUNNING]* -> SUCCEEDED | FAILED |
 CANCELLED``), an append-only event log that the streaming endpoints
 replay, and the :class:`~repro.engine.backends.CancelToken` that
-propagates cancellation down into the execution backends.
+propagates cancellation down into the engine's execution paths.
 
 A :class:`JobHandle` is what ``submit()`` returns: a thin client-side
 view of a job.  Several handles may share one job — that is request

@@ -20,7 +20,7 @@ and wrapped by the HTTP front-end (:mod:`repro.service.http`).  It owns:
 * **cancellation**: each job carries a
   :class:`~repro.engine.backends.CancelToken` threaded into its
   ``ExecutionEngine``, so ``cancel()`` stops the scheduling of remaining
-  batches inside every execution backend;
+  calls whether the batch runs in-process or on the process pool;
 * optional **per-client token-bucket rate limiting**
   (:mod:`repro.service.ratelimit`).
 
@@ -38,7 +38,6 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Any, AsyncIterator, Callable
 
-from repro.compiler.routing import routing_cache_stats
 from repro.core.sample_bank import sample_bank_stats
 from repro.engine.cache import ResultCache, code_version_token
 from repro.engine.runner import ExecutionEngine
@@ -155,8 +154,8 @@ class JobManager:
         Optional :class:`RateLimiter`; when set, every submission spends
         one token for its client (``None`` clients share "anonymous").
     engine_options:
-        Keyword arguments for each job's ``ExecutionEngine`` — ``jobs``,
-        ``backend``, ``use_cache``, ``fuse``.  Each attempt gets a fresh
+        Keyword arguments for each job's ``ExecutionEngine`` — ``jobs``
+        and ``use_cache``.  Each attempt gets a fresh
         engine (per-job stats stay clean) sharing one ``ResultCache``.
     normalize:
         Params canonicaliser; defaults to
@@ -402,51 +401,33 @@ class JobManager:
     def _engine_snapshot(
         self,
         engine: ExecutionEngine,
-        routing_base: dict[str, Any] | None = None,
+        marks: dict,
         cache_base: dict[str, int] | None = None,
         trace_id: str | None = None,
-        bank_base: dict[str, Any] | None = None,
     ) -> dict[str, Any]:
         """Per-job engine stats plus the cache traffic the job caused.
 
         The routing cache, the sample bank and the result cache are
         shared process-wide (that sharing is the point), so their
-        counters are cumulative; the baselines captured at job start
-        turn them into per-job deltas.  Concurrent jobs overlap in those
-        deltas — they measure what happened *during* the job, which for
-        capacity questions is the honest number.  Occupancy fields
-        (``entries``, ``sources_computed``, ``bytes``) stay absolute.
+        traffic is read as a delta from the metrics-registry checkpoint
+        ``marks`` and the result-cache ``cache_base`` taken at job
+        start.  Concurrent jobs overlap in those deltas — they measure
+        what happened *during* the job, which for capacity questions is
+        the honest number.  Occupancy fields (``entries``,
+        ``sources_computed``, ``bytes``) stay absolute.
         """
+        from repro.analysis.reporting import cache_traffic
+
         stats = engine.stats
         snapshot = {
             "jobs": stats.jobs,
-            "backend": stats.backend,
             "workers_used": stats.workers_used,
             "tasks_total": stats.tasks_total,
             "tasks_executed": stats.tasks_executed,
-            "tasks_fused": stats.tasks_fused,
             "cache_hits": stats.cache_hits,
             "wall_seconds": stats.wall_seconds,
             "seconds_by_phase": dict(stats.seconds_by_phase),
-        }
-        routing_now = routing_cache_stats()
-        snapshot["routing_cache"] = {
-            key: (
-                value - routing_base.get(key, 0)
-                if routing_base is not None and key in ("hits", "misses", "evictions")
-                else value
-            )
-            for key, value in routing_now.items()
-        }
-        bank_now = sample_bank_stats()
-        bank_delta_keys = ("hits", "misses", "evictions", "bypasses", "oversize")
-        snapshot["sample_bank"] = {
-            key: (
-                value - bank_base.get(key, 0)
-                if bank_base is not None and key in bank_delta_keys
-                else value
-            )
-            for key, value in bank_now.items()
+            **cache_traffic(marks),
         }
         if self._cache is not None:
             cache_now = self._cache.stats()
@@ -464,10 +445,9 @@ class JobManager:
         spec = self.registry.get(job.experiment)
         job.started = time.time()
         # Shared-cache counters are cumulative across jobs; capture them
-        # now so the job's snapshot reports its own delta (satellite of
-        # the unified observability work — see _engine_snapshot).
-        routing_base = routing_cache_stats()
-        bank_base = sample_bank_stats()
+        # now so the job's snapshot reports its own delta (see
+        # _engine_snapshot).
+        marks = REGISTRY.checkpoint()
         cache_base = self._cache.stats() if self._cache is not None else None
         attempt = 0
         while True:
@@ -485,22 +465,14 @@ class JobManager:
                 # mark the job and let the cancellation propagate.
                 job.cancel.cancel()
                 job.engine_stats = self._engine_snapshot(
-                    engine,
-                    routing_base,
-                    cache_base,
-                    trace_id=job.trace_id,
-                    bank_base=bank_base,
+                    engine, marks, cache_base, trace_id=job.trace_id
                 )
                 self._finish(job, JobState.CANCELLED)
                 raise
             except BaseException as exc:  # noqa: BLE001 - classified below
                 rule = self.classifier.classify(exc)
                 job.engine_stats = self._engine_snapshot(
-                    engine,
-                    routing_base,
-                    cache_base,
-                    trace_id=job.trace_id,
-                    bank_base=bank_base,
+                    engine, marks, cache_base, trace_id=job.trace_id
                 )
                 error = _error_record(exc, rule.name, rule.classification.value, attempt)
                 if (
@@ -543,11 +515,7 @@ class JobManager:
                 job.result = result
                 job.text = text
                 job.engine_stats = self._engine_snapshot(
-                    engine,
-                    routing_base,
-                    cache_base,
-                    trace_id=job.trace_id,
-                    bank_base=bank_base,
+                    engine, marks, cache_base, trace_id=job.trace_id
                 )
                 self._finish(job, JobState.SUCCEEDED)
                 return

@@ -1,15 +1,13 @@
-"""Tests for the pluggable execution backends.
+"""Tests for the engine's two execution paths.
 
-Covers the backend PR's contract: the registry (names, did-you-mean
-diagnostics, the ``auto`` selection mode), bit-identical results across
-all three executable backends — at the ``map_calls`` level, at the
-experiment level (``fig4`` / ``tunedyield`` / ``appsweep``), and against
-the committed fig4 golden — task fusion bookkeeping (per-subtask cache
-entries and stats) and the ``REPRO_BACKEND`` environment default.
-
-Regression suites added with the service PR: the broken-pool resume (no
-re-execution of completed calls) and cooperative cancellation through
-every backend.
+One rule decides how a batch runs: in-process at ``jobs=1`` (or with at
+most one pending task), on a process pool otherwise.  Covered here:
+that rule, bit-identical results on both paths — at the ``map_calls``
+level, at the experiment level (``fig4`` / ``tunedyield`` /
+``appsweep``), and against the committed fig4 golden — the pool's
+infrastructure fallbacks (unpicklable functions, refused process
+creation, the broken-pool resume that never re-executes completed
+calls) and cooperative cancellation on both paths.
 """
 
 from __future__ import annotations
@@ -23,24 +21,26 @@ import pytest
 
 from repro.analysis.registry import EXPERIMENTS
 from repro.engine import (
-    BACKENDS,
-    Backend,
     CancelToken,
     ExecutionCancelled,
     ExecutionEngine,
-    ResultCache,
-    SequentialBackend,
-    get_backend,
     spawn_seeds,
 )
 from repro.engine import backends as backends_module
-from repro.engine.runner import BACKEND_ENV_VAR
 
-#: Every instantiable backend (``auto`` is a selection mode, not a class).
-EXECUTABLE_BACKENDS = ("sequential", "threads", "processes")
+#: The two execution paths, by the ``jobs`` that selects each.
+PATHS = [pytest.param(1, id="sequential"), pytest.param(2, id="processes")]
+POOL = PATHS[1:]
 
 
-# Module-level task functions: picklable for the process-pool backends.
+def _execute(jobs, calls, cancel=None):
+    """Run a call batch on the path ``jobs`` selects."""
+    if jobs == 1:
+        return backends_module._run_serial(calls, cancel)
+    return backends_module.run_pool(calls, jobs, cancel)
+
+
+# Module-level task functions: picklable for the process pool.
 def _normal_sum(seed: int, count: int = 8) -> float:
     return float(np.random.default_rng(seed).normal(size=count).sum())
 
@@ -75,69 +75,26 @@ def _gated(marker_dir: str, index: int, gate: str, timeout: float = 30.0) -> int
     return index
 
 
-class TestBackendRegistry:
-    def test_all_backends_registered(self):
-        assert set(BACKENDS.names()) == {"auto", *EXECUTABLE_BACKENDS}
-
-    def test_unknown_backend_has_did_you_mean(self):
-        with pytest.raises(KeyError, match="did you mean 'processes'"):
-            BACKENDS.get("procesess")
-
-    def test_unknown_backend_lists_known_names(self):
-        with pytest.raises(KeyError, match="known: .*sequential"):
-            BACKENDS.get("mpi")
-
-    def test_auto_is_not_instantiable(self):
-        with pytest.raises(ValueError, match="selection mode"):
-            get_backend("auto", jobs=2)
-
-    @pytest.mark.parametrize("name", EXECUTABLE_BACKENDS)
-    def test_instances_satisfy_protocol(self, name):
-        backend = get_backend(name, jobs=2)
-        assert isinstance(backend, Backend)
-        assert backend.name == name
-
-    def test_engine_rejects_unknown_backend_early(self):
-        with pytest.raises(KeyError, match="did you mean 'threads'"):
-            ExecutionEngine(jobs=2, use_cache=False, backend="treads")
-
-    def test_duplicate_registration_rejected(self):
-        spec = BACKENDS.get("sequential")
-        with pytest.raises(ValueError, match="already registered"):
-            BACKENDS.register(spec)
-
-
 class TestBackendParity:
-    """All backends must be bit-identical: tasks carry their own seeds."""
+    """Both paths must be bit-identical: tasks carry their own seeds."""
 
-    @pytest.mark.parametrize("name", EXECUTABLE_BACKENDS)
-    def test_map_calls_matches_sequential(self, name):
+    @pytest.mark.parametrize("jobs", PATHS)
+    def test_map_calls_matches_sequential(self, jobs):
         kwargs = [{"seed": s} for s in spawn_seeds(7, 6)]
-        baseline = ExecutionEngine(jobs=1, use_cache=False, backend="sequential")
-        engine = ExecutionEngine(jobs=2, use_cache=False, backend=name)
+        baseline = ExecutionEngine(jobs=1, use_cache=False)
+        engine = ExecutionEngine(jobs=jobs, use_cache=False)
         assert engine.map_calls(_normal_sum, kwargs, name="t") == baseline.map_calls(
             _normal_sum, kwargs, name="t"
         )
 
-    @pytest.mark.parametrize("name", ("threads", "processes"))
-    def test_fusion_does_not_change_results(self, name):
-        kwargs = [{"seed": s} for s in spawn_seeds(13, 9)]
-        fused = ExecutionEngine(jobs=2, use_cache=False, backend=name)
-        plain = ExecutionEngine(jobs=2, use_cache=False, backend=name, fuse=False)
-        assert fused.map_calls(_normal_sum, kwargs, name="t") == plain.map_calls(
-            _normal_sum, kwargs, name="t"
-        )
-        assert fused.stats.tasks_fused == 9
-        assert plain.stats.tasks_fused == 0
-
-    @pytest.mark.parametrize("name", ("threads", "processes"))
-    def test_task_exceptions_propagate_from_pools(self, name):
-        engine = ExecutionEngine(jobs=2, use_cache=False, backend=name, fuse=False)
+    @pytest.mark.parametrize("jobs", POOL)
+    def test_task_exceptions_propagate_from_pools(self, jobs):
+        engine = ExecutionEngine(jobs=jobs, use_cache=False)
         with pytest.raises(RuntimeError, match="task failed on"):
             engine.map_calls(_boom, [{"x": 1}, {"x": 2}], name="boom")
 
     def test_lambda_downgrades_process_backend_to_sequential(self):
-        engine = ExecutionEngine(jobs=2, use_cache=False, backend="processes")
+        engine = ExecutionEngine(jobs=2, use_cache=False)
         offset = 10
         results = engine.map_calls(
             lambda x: x + offset, [{"x": 1}, {"x": 2}, {"x": 3}], name="closure"
@@ -146,93 +103,42 @@ class TestBackendParity:
         assert engine.stats.workers_used == 1  # ran in-process
 
 
-class TestTaskFusion:
-    def test_fusion_stats_and_grouping(self):
-        engine = ExecutionEngine(jobs=2, use_cache=False, backend="threads")
-        values = list(range(8))
-        results = engine.map_calls(_square, [{"x": v} for v in values], name="sq")
-        assert results == [v * v for v in values]
-        # 8 pending tasks on 2 workers, 2 waves -> groups of 2, 4 batches.
-        assert engine.stats.tasks_fused == 8
-        assert engine.stats.fusion_batches == 4
-        assert engine.stats.tasks_executed == 8
+class TestExecutionRule:
+    """``jobs`` alone picks the path: in-process at 1, the pool above it."""
 
-    def test_fused_tasks_keep_per_subtask_cache_entries(self, tmp_path):
-        kwargs = [{"seed": s} for s in spawn_seeds(11, 8)]
-        first = ExecutionEngine(
-            jobs=2, cache=ResultCache(tmp_path / "cache"), backend="threads"
-        )
-        warm = first.map_calls(_normal_sum, kwargs, name="ns")
-        assert first.stats.tasks_fused == 8
-
-        second = ExecutionEngine(
-            jobs=2, cache=ResultCache(tmp_path / "cache"), backend="threads"
-        )
-        replay = second.map_calls(_normal_sum, kwargs, name="ns")
-        assert replay == warm
-        assert second.stats.cache_hits == 8
-        assert second.stats.tasks_executed == 0
-
-    def test_small_batches_do_not_fuse(self):
-        engine = ExecutionEngine(jobs=2, use_cache=False, backend="threads")
-        engine.map_calls(_square, [{"x": 1}, {"x": 2}], name="sq")
-        assert engine.stats.tasks_fused == 0  # len(pending) <= jobs
-
-    def test_sequential_backend_never_fuses(self):
-        engine = ExecutionEngine(jobs=2, use_cache=False, backend="sequential")
-        engine.map_calls(_square, [{"x": v} for v in range(8)], name="sq")
-        assert engine.stats.tasks_fused == 0
-        assert engine.stats.fusion_batches == 0
-
-
-class TestAutoModeAndEnvironment:
-    def test_auto_resolves_tiny_batches_sequentially(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_pool_runs_batches_of_two_or_more_on_every_worker(self, tmp_path):
         engine = ExecutionEngine(jobs=2, use_cache=False)
-        kwargs = [{"x": v} for v in range(6)]
-        assert engine.map_calls(_square, kwargs, name="sq") == [
-            v * v for v in range(6)
+        # Each call blocks until both have started, so a single worker
+        # could never finish the batch: two distinct PIDs must show up.
+        kwargs = [
+            {"marker_dir": str(tmp_path), "index": i, "gate": f"ran-{1 - i}"}
+            for i in range(2)
         ]
-        assert engine.stats.backend == "auto"
-        assert engine.stats.workers_used == 1  # probe + cheap -> in-process
+        assert engine.map_calls(_gated, kwargs, name="gated") == [0, 1]
+        assert engine.stats.workers_used == 2
 
-    def test_auto_matches_sequential_results(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        kwargs = [{"seed": s} for s in spawn_seeds(5, 7)]
-        auto = ExecutionEngine(jobs=2, use_cache=False, backend="auto")
-        seq = ExecutionEngine(jobs=1, use_cache=False, backend="sequential")
-        assert auto.map_calls(_normal_sum, kwargs, name="t") == seq.map_calls(
-            _normal_sum, kwargs, name="t"
-        )
+    def test_one_job_never_builds_a_pool(self, monkeypatch):
+        def _refuse(*args, **kwargs):
+            raise AssertionError("jobs=1 must not construct a process pool")
 
-    def test_env_var_sets_default_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "threads")
-        assert ExecutionEngine(jobs=2, use_cache=False).backend == "threads"
+        monkeypatch.setattr(backends_module, "ProcessPoolExecutor", _refuse)
+        engine = ExecutionEngine(jobs=1, use_cache=False)
+        values = list(range(8))
+        assert engine.map_calls(_square, [{"x": v} for v in values], name="sq") == [
+            v * v for v in values
+        ]
+        assert engine.stats.workers_used == 1
 
-    def test_explicit_backend_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "threads")
-        engine = ExecutionEngine(jobs=2, use_cache=False, backend="sequential")
-        assert engine.backend == "sequential"
+    def test_single_pending_task_runs_in_process(self, monkeypatch):
+        def _refuse(*args, **kwargs):
+            raise AssertionError("one pending task must not construct a pool")
 
-    def test_empty_env_falls_back_to_auto(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "")
-        assert ExecutionEngine(jobs=2, use_cache=False).backend == "auto"
-
-    def test_invalid_env_backend_raises_with_suggestion(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "procesess")
-        with pytest.raises(KeyError, match="did you mean 'processes'"):
-            ExecutionEngine(jobs=2, use_cache=False)
-
-    def test_stats_summary_names_backend(self):
-        engine = ExecutionEngine(jobs=1, use_cache=False, backend="sequential")
-        engine.map_calls(_square, [{"x": 2}], name="sq")
-        assert "[sequential]" in engine.stats.summary()
-
-    def test_sequential_backend_forces_one_job(self):
-        assert SequentialBackend(jobs=8).jobs == 1
+        monkeypatch.setattr(backends_module, "ProcessPoolExecutor", _refuse)
+        engine = ExecutionEngine(jobs=2, use_cache=False)
+        assert engine.map_calls(_square, [{"x": 3}], name="sq") == [9]
 
 
-#: (experiment, runner kwargs) pairs for end-to-end backend parity —
+#: (experiment, runner kwargs) pairs for end-to-end path parity —
 #: small batches, every engine-driven Monte-Carlo / compile path.
 _EXPERIMENT_CASES = {
     "fig4": dict(seed=7, batch_size=100),
@@ -245,30 +151,30 @@ _EXPERIMENT_CASES = {
 def sequential_experiment_texts():
     texts = {}
     for name, kwargs in _EXPERIMENT_CASES.items():
-        engine = ExecutionEngine(jobs=1, use_cache=False, backend="sequential")
+        engine = ExecutionEngine(jobs=1, use_cache=False)
         _, texts[name] = EXPERIMENTS.get(name).runner(engine, **kwargs)
     return texts
 
 
 class TestExperimentBackendParity:
-    @pytest.mark.parametrize("backend", ("threads", "processes"))
+    @pytest.mark.parametrize("jobs", POOL)
     @pytest.mark.parametrize("experiment", sorted(_EXPERIMENT_CASES))
     def test_experiment_output_identical(
-        self, backend, experiment, sequential_experiment_texts
+        self, jobs, experiment, sequential_experiment_texts
     ):
-        engine = ExecutionEngine(jobs=2, use_cache=False, backend=backend)
+        engine = ExecutionEngine(jobs=jobs, use_cache=False)
         spec = EXPERIMENTS.get(experiment)
         _, text = spec.runner(engine, **_EXPERIMENT_CASES[experiment])
         assert text == sequential_experiment_texts[experiment]
 
-    @pytest.mark.parametrize("backend", ("threads", "processes"))
-    def test_fig4_golden_survives_backend(self, backend):
-        """Spot-check: the committed fig4 golden holds under pooled backends."""
+    @pytest.mark.parametrize("jobs", POOL)
+    def test_fig4_golden_survives_backend(self, jobs):
+        """Spot-check: the committed fig4 golden holds on the process pool."""
         from test_golden_regression import GOLDEN_DIR, GOLDEN_PARAMS, _drift, summarize
         import json
 
         seed, batch = GOLDEN_PARAMS["fig4"]
-        engine = ExecutionEngine(jobs=2, use_cache=False, backend=backend)
+        engine = ExecutionEngine(jobs=jobs, use_cache=False)
         result, _ = EXPERIMENTS.get("fig4").runner(
             engine, seed=seed, batch_size=batch, full=False
         )
@@ -294,7 +200,6 @@ class TestBrokenPoolResume:
         monkeypatch.setattr(backends_module, "_workers_can_start", lambda: False)
         marker_dir = str(tmp_path)
         parent = os.getpid()
-        backend = get_backend("processes", jobs=1)  # FIFO: one worker
         calls = [
             backends_module.Call(
                 fn=_record_marker,
@@ -308,7 +213,7 @@ class TestBrokenPoolResume:
             kwargs={"marker_dir": marker_dir, "index": 2, "parent_pid": parent},
             family="resume",
         )
-        report = backend.execute(calls)
+        report = backends_module.run_pool(calls, jobs=1)  # FIFO: one worker
         assert report.results == [0, 10, 20, 30, 40]
         lines = (tmp_path / "markers.log").read_text().splitlines()
         executed = sorted(int(line.split(":")[0]) for line in lines)
@@ -320,7 +225,6 @@ class TestBrokenPoolResume:
 
     def test_pool_that_never_starts_runs_everything_once(self, monkeypatch, tmp_path):
         monkeypatch.setattr(backends_module, "ProcessPoolExecutor", _NoProcessPool)
-        backend = get_backend("processes", jobs=2)
         calls = [
             backends_module.Call(
                 fn=_record_marker,
@@ -329,15 +233,14 @@ class TestBrokenPoolResume:
             )
             for i in range(3)
         ]
-        assert backend.execute(calls).results == [0, 10, 20]
+        assert backends_module.run_pool(calls, jobs=2).results == [0, 10, 20]
         lines = (tmp_path / "markers.log").read_text().splitlines()
         assert sorted(int(line.split(":")[0]) for line in lines) == [0, 1, 2]
 
 
 class TestCancellation:
-    @pytest.mark.parametrize("name", EXECUTABLE_BACKENDS)
-    def test_pre_cancelled_token_runs_nothing(self, name, tmp_path):
-        backend = get_backend(name, jobs=2)
+    @pytest.mark.parametrize("jobs", PATHS)
+    def test_pre_cancelled_token_runs_nothing(self, jobs, tmp_path):
         token = CancelToken()
         token.cancel()
         calls = [
@@ -349,12 +252,11 @@ class TestCancellation:
             for i in range(4)
         ]
         with pytest.raises(ExecutionCancelled):
-            backend.execute(calls, cancel=token)
+            _execute(jobs, calls, cancel=token)
         assert not (tmp_path / "markers.log").exists()
 
-    @pytest.mark.parametrize("name", EXECUTABLE_BACKENDS)
+    @pytest.mark.parametrize("name", ("sequential", "processes"))
     def test_cancel_mid_batch_stops_unscheduled_calls(self, name, tmp_path):
-        backend = get_backend(name, jobs=1)  # one worker: FIFO scheduling
         token = CancelToken()
         # Call 0 blocks on its own gate; the tail blocks on a second gate
         # that stays closed until the execute loop has had time to observe
@@ -376,7 +278,10 @@ class TestCancellation:
 
         def run():
             try:
-                backend.execute(calls, cancel=token)
+                if name == "sequential":
+                    backends_module._run_serial(calls, token)
+                else:  # one worker: FIFO scheduling
+                    backends_module.run_pool(calls, jobs=1, cancel=token)
                 outcome.append(None)
             except BaseException as exc:  # noqa: BLE001 - recorded for assert
                 outcome.append(exc)
@@ -419,32 +324,14 @@ class TestEngineCancellationAndProgress:
     def test_engine_checks_token_before_running(self):
         token = CancelToken()
         token.cancel()
-        engine = ExecutionEngine(
-            jobs=1, use_cache=False, backend="sequential", cancel=token
-        )
+        engine = ExecutionEngine(jobs=1, use_cache=False, cancel=token)
         with pytest.raises(ExecutionCancelled):
             engine.map_calls(_square, [{"x": 1}], name="sq")
         assert engine.stats.tasks_executed == 0
 
-    def test_legacy_backend_signatures_are_detected(self):
-        from repro.engine.runner import _backend_accepts_cancel
-
-        class _Legacy:
-            def execute(self, calls):
-                return backends_module.ExecutionReport(results=[], seconds=[])
-
-        assert not _backend_accepts_cancel(_Legacy)
-        assert _backend_accepts_cancel(SequentialBackend)
-        assert _backend_accepts_cancel(backends_module.ProcessBackend)
-
     def test_progress_callback_sees_batch_snapshots(self):
         snapshots: list[dict] = []
-        engine = ExecutionEngine(
-            jobs=1,
-            use_cache=False,
-            backend="sequential",
-            progress=snapshots.append,
-        )
+        engine = ExecutionEngine(jobs=1, use_cache=False, progress=snapshots.append)
         engine.map_calls(_square, [{"x": v} for v in range(4)], name="sq")
         assert snapshots, "progress callback never fired"
         last = snapshots[-1]

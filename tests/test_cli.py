@@ -265,57 +265,60 @@ class TestCLI:
 
 
 class TestCLIBackends:
-    def test_list_shows_backends(self, capsys):
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "execution backends (for --backend / $REPRO_BACKEND):" in out
-        for name in ("auto", "sequential", "threads", "processes"):
-            assert name in out
-        assert "shared-memory" not in out
+    """``--jobs`` is the only execution setting; the dump reports it."""
 
-    def test_backend_typo_gets_suggestion(self, capsys):
-        assert main(["run", "fig4", "--backend", "procces"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown backend 'procces'" in err
-        assert "did you mean 'processes'" in err
+    @pytest.mark.parametrize("command", ["run fig4", "serve"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, command, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"must be at least 1, got {int(jobs)}" in capsys.readouterr().err
 
-    def test_unknown_backend_rejected(self, capsys):
-        assert main(["run", "fig4", "--backend", "mpi"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown backend 'mpi'" in err and "sequential" in err
+    @pytest.mark.parametrize("jobs", [pytest.param("2", id="processes")])
+    def test_run_fig4_backend_matches_sequential(self, jobs, tmp_path, capsys):
+        """``--jobs 2`` runs fig4 on the process pool, bit-identical to ``--jobs 1``."""
+        import json
 
-    def test_removed_shared_memory_backend_rejected(self, capsys):
-        assert main(["run", "fig4", "--backend", "shared-memory"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown backend 'shared-memory'" in err
-        assert "(known: auto, sequential, threads, processes)" in err
-
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
-    def test_run_fig4_backend_matches_sequential(self, backend, capsys):
         args = ["run", "fig4", "--seed", "7", "--batch", "100", "--no-cache"]
-        assert main([*args, "--jobs", "1", "--backend", "sequential"]) == 0
+        (tmp_path / "seq").mkdir()
+        (tmp_path / "par").mkdir()
+        # One file name in two directories: the "[dump]" lines compare equal.
+        seq_dump, par_dump = tmp_path / "seq" / "fig4.json", tmp_path / "par" / "fig4.json"
+        assert main([*args, "--jobs", "1", "--dump-json", str(seq_dump)]) == 0
         seq = capsys.readouterr().out
-        assert main([*args, "--jobs", "2", "--backend", backend]) == 0
+        assert main([*args, "--jobs", jobs, "--dump-json", str(par_dump)]) == 0
         par = capsys.readouterr().out
         strip = lambda text: [
-            line for line in text.splitlines() if not line.startswith("[engine]")
+            line.replace(str(tmp_path / "seq"), "").replace(str(tmp_path / "par"), "")
+            for line in text.splitlines()
+            if not line.startswith("[engine]")
         ]
         assert strip(seq) == strip(par)
+        assert json.loads(seq_dump.read_text())["engine"]["workers_used"] == 1
+        assert json.loads(par_dump.read_text())["engine"]["workers_used"] == int(jobs)
 
-    def test_engine_line_names_backend(self, capsys):
-        args = [
-            "run", "fig4", "--seed", "3", "--batch", "60",
-            "--jobs", "1", "--backend", "threads", "--no-cache",
-        ]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "[threads]" in out
+    def test_list_has_no_backend_block(self, capsys):
+        assert main(["list"]) == 0
+        assert "backend" not in capsys.readouterr().out
 
-    def test_env_var_backend_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "threads")
-        args = ["run", "fig4", "--seed", "3", "--batch", "60", "--jobs", "1", "--no-cache"]
-        assert main(args) == 0
-        assert "[threads]" in capsys.readouterr().out
+    def test_dump_json_cache_traffic_matches_across_jobs(self, tmp_path, capsys):
+        """Routing-cache traffic counted in pool workers reaches the dump."""
+        import json
+
+        counts = {}
+        for jobs in ("1", "2"):
+            path = tmp_path / f"appsweep-{jobs}.json"
+            args = [
+                "run", "appsweep", "--batch", "40", "--seed", "7", "--jobs",
+                jobs, "--no-cache", "--quiet", "--dump-json", str(path),
+            ]
+            assert main(args) == 0
+            routing = json.loads(path.read_text())["engine"]["routing_cache"]
+            counts[jobs] = routing["hits"] + routing["misses"]
+        capsys.readouterr()
+        assert counts["1"] > 0
+        assert counts["1"] == counts["2"]
 
     def test_dump_json_reports_engine_stats(self, tmp_path, capsys):
         import json
@@ -323,16 +326,16 @@ class TestCLIBackends:
         path = tmp_path / "fig4.json"
         args = [
             "run", "fig4", "--batch", "60", "--jobs", "1", "--seed", "7",
-            "--backend", "sequential", "--quiet", "--dump-json", str(path),
+            "--quiet", "--dump-json", str(path),
         ]
         assert main(args) == 0
         capsys.readouterr()
         payload = json.loads(path.read_text())
         engine = payload["engine"]
-        assert engine["backend"] == "sequential"
         assert engine["jobs"] == 1
+        assert engine["workers_used"] == 1
         assert engine["tasks_total"] >= engine["tasks_executed"] > 0
-        assert {"tasks_fused", "fusion_batches", "cache_hits", "wall_seconds"} <= set(
+        assert {"cache_hits", "wall_seconds", "routing_cache", "sample_bank"} <= set(
             engine
         )
 

@@ -32,7 +32,7 @@ from repro.engine import (
 from repro.engine.cache import code_version_token
 
 
-# Module-level task functions: picklable for the process-pool backend.
+# Module-level task functions: picklable for the process pool.
 def _square(x: int) -> int:
     return x * x
 

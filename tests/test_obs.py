@@ -2,10 +2,10 @@
 
 Covers the observability PR's tentpole contract: span collection is a
 strict no-op when no collector is active, span trees keep the same
-shape across execution backends (worker spans are shipped home and
-re-parented under the submitting task — the cross-process parity test
-runs the same appsweep slice under the sequential and processes
-backends and compares ``(name, parent-name)`` multisets), the metrics
+shape in-process and on the process pool (worker spans are shipped
+home and re-parented under the submitting task — the cross-process
+parity test runs the same appsweep slice at ``jobs=1`` and ``jobs=2``
+and compares ``(name, parent-name)`` multisets), the metrics
 registry merges worker-process deltas without double counting, the
 Prometheus renderer round-trips through the bundled parser, and both
 trace file formats (JSONL and Chrome trace-event JSON) survive a
@@ -98,7 +98,7 @@ class TestTracing:
 
 
 def _span_shape(spans):
-    """Backend-invariant tree shape: sorted (name, parent-name) pairs."""
+    """Path-invariant tree shape: sorted (name, parent-name) pairs."""
     by_id = {s["id"]: s for s in spans}
     return sorted(
         (s["name"], by_id[s["parent"]]["name"] if s["parent"] else None)
@@ -107,18 +107,16 @@ def _span_shape(spans):
 
 
 class TestCrossBackendParity:
-    def _trace_appsweep(self, backend):
+    def _trace_appsweep(self, jobs):
         tracer = tracing.Tracer()
-        engine = ExecutionEngine(
-            jobs=2, use_cache=False, backend=backend, tracer=tracer
-        )
+        engine = ExecutionEngine(jobs=jobs, use_cache=False, tracer=tracer)
         spec = EXPERIMENTS.get("appsweep")
         spec.runner(engine, seed=3, batch_size=40, benchmarks=("bv",))
         return tracer.spans
 
     def test_same_span_tree_shape_sequential_vs_processes(self):
-        sequential = self._trace_appsweep("sequential")
-        processes = self._trace_appsweep("processes")
+        sequential = self._trace_appsweep(jobs=1)
+        processes = self._trace_appsweep(jobs=2)
         assert _span_shape(sequential) == _span_shape(processes)
         # The processes run really did cross a process boundary ...
         assert len({s["pid"] for s in processes}) > 1
@@ -135,9 +133,7 @@ class TestCrossBackendParity:
         spec = EXPERIMENTS.get("appsweep")
 
         def run(tracer):
-            engine = ExecutionEngine(
-                jobs=1, use_cache=False, backend="sequential", tracer=tracer
-            )
+            engine = ExecutionEngine(jobs=1, use_cache=False, tracer=tracer)
             result, _ = spec.runner(
                 engine, seed=3, batch_size=40, benchmarks=("bv",)
             )

@@ -52,8 +52,8 @@ class TestPhasePrimitive:
         assert buckets["score"] >= 0.01
 
     def test_nested_collector_shadows_outer(self):
-        # A fused super-task collects per subtask; the surrounding
-        # trampoline frame must see nothing for that stretch.
+        # The task trampoline collects per task; an enclosing frame
+        # must see nothing for that stretch.
         with collecting() as outer:
             with collecting() as inner:
                 with phase("compile"):
@@ -113,17 +113,17 @@ class TestEngineAggregation:
         ]
 
     def test_sequential_backend_books_mask_seconds(self):
-        engine = ExecutionEngine(jobs=1, use_cache=False, backend="sequential")
+        engine = ExecutionEngine(jobs=1, use_cache=False)
         engine.map_calls(count_collision_free, self._mask_kwargs(), name="mask-task")
         assert engine.stats.seconds_by_phase.get("mask", 0.0) > 0.0
 
-    def test_threads_backend_books_mask_seconds(self):
-        engine = ExecutionEngine(jobs=2, use_cache=False, backend="threads")
+    def test_process_pool_books_mask_seconds(self):
+        engine = ExecutionEngine(jobs=2, use_cache=False)
         engine.map_calls(count_collision_free, self._mask_kwargs(), name="mask-task")
         assert engine.stats.seconds_by_phase.get("mask", 0.0) > 0.0
 
     def test_phase_seconds_bounded_by_family_seconds(self):
-        engine = ExecutionEngine(jobs=1, use_cache=False, backend="sequential")
+        engine = ExecutionEngine(jobs=1, use_cache=False)
         engine.map_calls(count_collision_free, self._mask_kwargs(), name="mask-task")
         total_phase = sum(engine.stats.seconds_by_phase.values())
         total_family = sum(engine.stats.seconds_by_family.values())
@@ -134,13 +134,9 @@ class TestEngineAggregation:
         from repro.engine import ResultCache
 
         kwargs = self._mask_kwargs()
-        first = ExecutionEngine(
-            jobs=1, cache=ResultCache(tmp_path), backend="sequential"
-        )
+        first = ExecutionEngine(jobs=1, cache=ResultCache(tmp_path))
         first.map_calls(count_collision_free, kwargs, name="mask-task")
-        second = ExecutionEngine(
-            jobs=1, cache=ResultCache(tmp_path), backend="sequential"
-        )
+        second = ExecutionEngine(jobs=1, cache=ResultCache(tmp_path))
         second.map_calls(count_collision_free, kwargs, name="mask-task")
         assert second.stats.cache_hits == len(kwargs)
         assert second.stats.seconds_by_phase == {}

@@ -277,16 +277,14 @@ class TestPipelineParity:
         assert stats["hits"] == len(SMALL_SWEEP["sizes"]) * (num_combos - 1)
         assert stats["bypasses"] == 0
 
-    @pytest.mark.parametrize(
-        "backend,jobs", [("threads", 3), ("processes", 2)]
-    )
-    def test_cross_jobs_parity_with_bank(self, backend, jobs):
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_cross_jobs_parity_with_bank(self, jobs):
         """Engine runs at any --jobs reproduce the sequential banked sweep."""
         from repro.engine import ExecutionEngine
 
         set_sample_bank_enabled(True)
         sequential = detuning_sweep(**SMALL_SWEEP, share_draws=True)
-        engine = ExecutionEngine(jobs=jobs, use_cache=False, backend=backend)
+        engine = ExecutionEngine(jobs=jobs, use_cache=False)
         parallel = detuning_sweep(**SMALL_SWEEP, share_draws=True, executor=engine)
         assert _flatten(parallel) == _flatten(sequential)
 

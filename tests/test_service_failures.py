@@ -29,7 +29,7 @@ from repro.service import (
     TransientServiceError,
 )
 
-FAST_ENGINE = {"use_cache": False, "backend": "sequential", "jobs": 1}
+FAST_ENGINE = {"use_cache": False, "jobs": 1}
 
 
 def make_registry(name, runner):
