@@ -1,8 +1,9 @@
 """E-SAMP — common-random-number sample bank on the Fig. 4/7 detuning sweep.
 
 Runs the yield-vs-sigma detuning sweep (20 fabrication precisions, one
-shared-draw axis) twice sequentially — sample bank disabled, then
-enabled — and writes ``benchmarks/BENCH_sampling.json``:
+shared-draw axis) twice sequentially — unbanked (the process bank
+swapped for a zero-capacity one, so every draw is sampled afresh), then
+banked — and writes ``benchmarks/BENCH_sampling.json``:
 
 * **bit-identity asserted**: the banked sweep must reproduce every
   unbanked yield point exactly (same counts, same CI bounds) — banking
@@ -29,11 +30,8 @@ from pathlib import Path
 
 from conftest import bench_batch_size
 
-from repro.core.sample_bank import (
-    clear_sample_bank,
-    sample_bank_stats,
-    set_sample_bank_enabled,
-)
+from repro.core import sample_bank
+from repro.core.sample_bank import SampleBank, clear_sample_bank, sample_bank_stats
 from repro.core.yield_model import detuning_sweep
 from repro.engine import phases
 
@@ -74,21 +72,20 @@ def _flatten(curves) -> list[tuple]:
     ]
 
 
-def test_sample_bank_detuning_sweep_speedup():
+def test_sample_bank_detuning_sweep_speedup(monkeypatch):
     """Banked sweep: bit-identical points, >= 3x faster sampling phase."""
     batch = min(bench_batch_size(1000), 2000)
 
     try:
-        set_sample_bank_enabled(False)
-        _timed_sweep(batch)  # warm-up: allocations, lattice caches, imports
-        unbanked, unbanked_sample, unbanked_total = _timed_sweep(batch)
+        with monkeypatch.context() as patch:
+            patch.setattr(sample_bank, "_BANK", SampleBank(max_bytes=0))
+            _timed_sweep(batch)  # warm-up: allocations, lattice caches, imports
+            unbanked, unbanked_sample, unbanked_total = _timed_sweep(batch)
 
-        set_sample_bank_enabled(True)
         clear_sample_bank()
         banked, banked_sample, banked_total = _timed_sweep(batch)
         bank = sample_bank_stats()
     finally:
-        set_sample_bank_enabled(None)
         clear_sample_bank()
 
     assert _flatten(banked) == _flatten(unbanked), (

@@ -10,7 +10,8 @@ Subcommands
     values below 1 exit with status 2),
     ``--seed S`` overrides the experiment's master seed, ``--no-cache``
     bypasses the on-disk result cache and ``--batch B`` scales the
-    Monte-Carlo batches.  ``--topology T`` switches topology-aware
+    Monte-Carlo batches (a negative seed or a batch below 1 exits with
+    status 2).  ``--topology T`` switches topology-aware
     experiments to another registered architecture (heavy-hex, square,
     ring); the selection is validated against the registry and becomes
     part of every Monte-Carlo point's cache key.  The statistics flags
@@ -97,12 +98,11 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis.registry import EXPERIMENTS
+from repro.analysis.registry import EXPERIMENTS, INT_OPTION_MINIMUMS
 from repro.analysis.reporting import cache_traffic, jsonable
 from repro.circuits.benchmarks import BENCHMARK_NAMES
 from repro.compiler.pipeline import ROUTING_STRATEGIES
 from repro.core.architecture import ARCHITECTURES
-from repro.core.sample_bank import SAMPLE_BANK_ENV
 from repro.engine import ExecutionEngine, ResultCache, did_you_mean
 from repro.obs import configure_logging
 from repro.obs import tracing as obs_tracing
@@ -114,15 +114,21 @@ from repro.tuning import STRATEGIES, TuningOptions
 __all__ = ["main"]
 
 
-def _jobs(text: str) -> int:
-    """``--jobs`` value: an integer of at least 1 (argparse exits 2 otherwise)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type: an integer of at least ``minimum`` (exit 2 otherwise)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,13 +144,17 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--jobs",
         "-j",
-        type=_jobs,
+        type=_int_at_least(1),
         default=None,
         help="worker processes (default: all cores; 1 = in-process; "
         "results are bit-identical at any value)",
     )
     run.add_argument(
-        "--seed", "-s", type=int, default=None, help="master seed override"
+        "--seed",
+        "-s",
+        type=_int_at_least(INT_OPTION_MINIMUMS["seed"]),
+        default=None,
+        help="master seed override",
     )
     run.add_argument(
         "--no-cache",
@@ -152,15 +162,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bypass the on-disk result cache",
     )
     run.add_argument(
-        "--no-sample-bank",
-        action="store_true",
-        help="disable the common-random-number fabrication sample bank "
-        "(sets $REPRO_SAMPLE_BANK=0 so worker processes inherit it)",
-    )
-    run.add_argument(
         "--batch",
         "-b",
-        type=int,
+        type=_int_at_least(INT_OPTION_MINIMUMS["batch_size"]),
         default=None,
         help="Monte-Carlo batch size override",
     )
@@ -303,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--jobs",
         "-j",
-        type=_jobs,
+        type=_int_at_least(1),
         default=None,
         help="engine worker processes per job (default: all cores; "
         "1 = in-process)",
@@ -312,12 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="bypass the on-disk result cache",
-    )
-    serve.add_argument(
-        "--no-sample-bank",
-        action="store_true",
-        help="disable the common-random-number fabrication sample bank "
-        "for every job (sets $REPRO_SAMPLE_BANK=0)",
     )
     _add_logging_flags(serve)
     return parser
@@ -384,11 +382,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-
-    if args.no_sample_bank:
-        # The env var (not a process-local flag) so spawned engine worker
-        # processes inherit the opt-out.
-        os.environ[SAMPLE_BANK_ENV] = "0"
 
     if args.topology is not None and args.topology not in ARCHITECTURES:
         known = ", ".join(sorted(ARCHITECTURES.names()))
@@ -531,6 +524,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"[{spec.name}] {spec.description}")
         print(text)
     if args.dump_json is not None:
+        traffic = cache_traffic(marks)
+        if engine.cache is None:
+            traffic["result_cache"] = None
         payload = {
             "experiment": spec.name,
             "description": spec.description,
@@ -550,10 +546,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "wall_seconds": engine.stats.wall_seconds,
                 "seconds_by_family": jsonable(dict(engine.stats.seconds_by_family)),
                 "seconds_by_phase": jsonable(dict(engine.stats.seconds_by_phase)),
-                **cache_traffic(marks),
-                "result_cache": (
-                    engine.cache.stats() if engine.cache is not None else None
-                ),
+                **traffic,
             },
             "result": jsonable(result),
             "text": text,
@@ -597,8 +590,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"invalid retry options: {exc}", file=sys.stderr)
         return 2
-    if args.no_sample_bank:
-        os.environ[SAMPLE_BANK_ENV] = "0"
     limiter = (
         RateLimiter(rate=args.rate, burst=args.burst)
         if args.rate is not None

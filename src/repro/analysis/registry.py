@@ -28,6 +28,7 @@ the CLI prints.
 
 from __future__ import annotations
 
+import numbers
 from typing import Any
 
 from repro.analysis.figures import (
@@ -57,6 +58,7 @@ __all__ = [
     "EXPERIMENTS",
     "build_study",
     "RUNNER_OPTION_NAMES",
+    "INT_OPTION_MINIMUMS",
     "normalize_runner_params",
 ]
 
@@ -76,16 +78,23 @@ RUNNER_OPTION_NAMES = (
     "routing",
 )
 
+#: Smallest accepted value of each integer runner option.  The CLI's
+#: ``--seed``/``--batch`` types and :func:`normalize_runner_params` both
+#: enforce it, so bad input fails at the edge (exit 2 / HTTP 400).
+INT_OPTION_MINIMUMS = {"seed": 0, "batch_size": 1}
+
 
 def normalize_runner_params(params: dict[str, Any] | None) -> dict[str, Any]:
     """Canonicalise a runner-options mapping for submission/coalescing.
 
-    Unknown keys raise ``ValueError`` with a did-you-mean suggestion;
-    ``None`` values are dropped (an explicit ``seed=None`` means "use the
-    experiment default", exactly like omitting it); ``benchmarks`` lists
-    become tuples; keys are sorted.  Two submissions that would drive a
-    runner identically therefore normalise to the same dict — the basis
-    of the service's request-coalescing key.
+    Unknown keys raise ``ValueError`` with a did-you-mean suggestion, as
+    does an integer option (:data:`INT_OPTION_MINIMUMS`) that is not an
+    integer or is below its minimum; ``None`` values are dropped (an
+    explicit ``seed=None`` means "use the experiment default", exactly
+    like omitting it); ``benchmarks`` lists become tuples; keys are
+    sorted.  Two submissions that would drive a runner identically
+    therefore normalise to the same dict — the basis of the service's
+    request-coalescing key.
     """
     from repro.engine.registry import did_you_mean
 
@@ -100,6 +109,16 @@ def normalize_runner_params(params: dict[str, Any] | None) -> dict[str, Any]:
         value = (params or {})[key]
         if value is None:
             continue
+        minimum = INT_OPTION_MINIMUMS.get(key)
+        if minimum is not None and (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Integral)
+            or value < minimum
+        ):
+            raise ValueError(
+                f"experiment parameter {key!r} must be an integer of at "
+                f"least {minimum}, got {value!r}"
+            )
         if key == "benchmarks":
             value = tuple(value)
         cleaned[key] = value

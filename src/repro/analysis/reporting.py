@@ -5,9 +5,9 @@ benchmark prints the series the original figure plots, and these helpers
 keep that output aligned and readable.  :func:`jsonable` is the
 machine-readable counterpart: it flattens any experiment's result object
 (dataclasses, numpy arrays, nested containers) into plain JSON types for
-the CLI's ``--dump-json``.  :func:`cache_traffic` is the routing-cache
-and sample-bank block of that dump and of the service's per-job
-snapshots.
+the CLI's ``--dump-json``.  :func:`cache_traffic` is the routing-cache,
+sample-bank and result-cache block of that dump and of the service's
+per-job snapshots.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ def jsonable(value: Any, depth: int = 0) -> Any:
     return repr(value)
 
 
-#: Traffic counters read from the metrics registry: metric name ->
-#: ``{event label: stats key}`` (the keys the cache stats dicts use).
+#: Traffic counters read from the metrics registry: block -> metric
+#: name and ``{event label: stats key}``.
 _TRAFFIC = {
     "routing_cache": (
         "repro_routing_cache_events_total",
@@ -86,24 +86,33 @@ _TRAFFIC = {
             "oversize": "oversize",
         },
     ),
+    "result_cache": (
+        "repro_result_cache_events_total",
+        {"hit": "hits", "miss": "misses", "poisoned_unlink": "poisoned_unlinks"},
+    ),
 }
 
 
 def cache_traffic(marks: dict) -> dict[str, dict[str, Any]]:
-    """Routing-cache and sample-bank traffic since ``marks``, plus occupancy.
+    """Routing-cache, sample-bank and result-cache traffic since ``marks``.
 
     ``marks`` is a ``REGISTRY.checkpoint()`` taken before the run.  The
     traffic counts come from the metrics registry, which also holds the
     deltas the engine merges home from worker processes, so they are the
     same at any ``jobs``.  Occupancy (``entries``, ``sources_computed``,
-    ``bytes``, ``enabled``) is this process's own.
+    ``bytes``) is this process's own.  A caller whose run had result
+    caching off reports its ``result_cache`` block as ``None``.
     """
     delta = REGISTRY.delta_since(marks) or {"entries": []}
     moved = {
         (entry["name"], *entry["labels"]): entry["payload"]
         for entry in delta["entries"]
     }
-    views = {"routing_cache": routing_cache_stats(), "sample_bank": sample_bank_stats()}
+    views = {
+        "routing_cache": routing_cache_stats(),
+        "sample_bank": sample_bank_stats(),
+        "result_cache": {},
+    }
     for block, (metric, stats_keys) in _TRAFFIC.items():
         for event, stat in stats_keys.items():
             views[block][stat] = int(moved.get((metric, event), 0))

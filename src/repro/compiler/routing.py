@@ -26,13 +26,12 @@ Routing cache
 The weighted shortest-path structure is the noise-aware router's only
 expensive input, and application sweeps compile the *same* device dozens
 of times (every benchmark x width x circuit seed shares it).  It is
-therefore memoised process-wide in an LRU keyed on content — the qubit
+therefore memoised process-wide in a
+:class:`repro.engine.cache.BoundedLRU` keyed on content — the qubit
 count, the coupling's edge list and the resolved per-edge costs — so any
 two calls that would route over identical weights share one
 :class:`RoutingWeights`, no matter how many distinct ``Device`` objects
-(or pickled copies in an engine worker) carry that content.  Fused engine
-super-tasks running several :func:`repro.analysis.appeval.compile_and_score`
-subtasks in one worker hit the same cache for free.
+(or pickled copies in an engine worker) carry that content.
 
 Within one :class:`RoutingWeights`, Dijkstra trees are computed *lazily
 per source*: scipy's Dijkstra is per-source independent, so computing
@@ -50,7 +49,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +58,7 @@ from scipy.sparse.csgraph import shortest_path
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
 from repro.compiler.layout import Layout
-from repro.obs.metrics import REGISTRY
+from repro.engine.cache import BoundedLRU
 from repro.topology.coupling import CouplingMap
 
 __all__ = [
@@ -304,18 +302,12 @@ class RoutingWeights:
         return pred
 
 
-_CACHE: OrderedDict[tuple, RoutingWeights] = OrderedDict()
-_CACHE_LOCK = threading.Lock()
-_CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
-
-#: Mirror of ``_CACHE_STATS`` on the process metrics registry — worker
-#: processes increment their local registry and the engine merges the
-#: shipped deltas, so ``/metrics`` sees routing traffic from every
-#: process, which the dict above (engine-process-only) cannot.
-_CACHE_EVENTS = REGISTRY.counter(
+#: Content-keyed weight structures; traffic counts into
+#: ``repro_routing_cache_events_total{event}``.
+_CACHE = BoundedLRU(
+    ROUTING_CACHE_MAXSIZE,
     "repro_routing_cache_events_total",
     "Routing weights cache traffic by outcome (hit, miss, eviction)",
-    labels=("event",),
 )
 
 
@@ -343,40 +335,23 @@ def routing_weights(coupling: CouplingMap, edge_errors) -> RoutingWeights:
     """
     edge_u, edge_v, costs = _edge_costs(coupling, edge_errors)
     key = _weights_key(coupling.num_qubits, edge_u, edge_v, costs)
-    with _CACHE_LOCK:
-        weights = _CACHE.get(key)
-        if weights is not None:
-            _CACHE.move_to_end(key)
-            _CACHE_STATS["hits"] += 1
-            _CACHE_EVENTS.inc(event="hit")
-            return weights
-        _CACHE_STATS["misses"] += 1
-        _CACHE_EVENTS.inc(event="miss")
-        weights = RoutingWeights(coupling.num_qubits, edge_u, edge_v, costs)
-        _CACHE[key] = weights
-        while len(_CACHE) > ROUTING_CACHE_MAXSIZE:
-            _CACHE.popitem(last=False)
-            _CACHE_STATS["evictions"] += 1
-            _CACHE_EVENTS.inc(event="eviction")
-    return weights
+    return _CACHE.get_or_build(
+        key, lambda: RoutingWeights(coupling.num_qubits, edge_u, edge_v, costs)
+    )
 
 
 def routing_cache_stats() -> dict:
     """Counters + occupancy of the process-wide routing cache."""
-    with _CACHE_LOCK:
-        return {
-            **_CACHE_STATS,
-            "entries": len(_CACHE),
-            "sources_computed": sum(w.sources_computed for w in _CACHE.values()),
-        }
+    stats = _CACHE.stats()
+    return {
+        **{key: stats[key] for key in ("hits", "misses", "evictions", "entries")},
+        "sources_computed": sum(w.sources_computed for w in _CACHE.values()),
+    }
 
 
 def clear_routing_cache() -> None:
     """Drop every cached weight structure and reset the counters."""
-    with _CACHE_LOCK:
-        _CACHE.clear()
-        for counter in _CACHE_STATS:
-            _CACHE_STATS[counter] = 0
+    _CACHE.clear()
 
 
 def _weighted_path(predecessors: np.ndarray, source: int, target: int) -> list[int]:

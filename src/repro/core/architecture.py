@@ -27,8 +27,6 @@ keys all pick it up without further changes.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,6 +38,7 @@ from repro.core.frequencies import (
     RingThreeFrequencyPlan,
     SquareFiveFrequencyPlan,
 )
+from repro.engine.cache import BoundedLRU
 from repro.topology.base import Lattice
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
 from repro.topology.ring import ring_by_qubit_count
@@ -64,7 +63,7 @@ DEFAULT_TOPOLOGY = "heavy-hex"
 #: every sweep in the repo with room to spare.
 ARCHITECTURE_CACHE_MAXSIZE = 32
 
-# Module-level memo for lattice builds and frequency allocations.  Both
+# Module-level memos for lattice builds and frequency allocations.  Both
 # are deterministic pure functions — a lattice of (factory, qubit count,
 # name) and an allocation of (plan, spec, lattice content) — and both
 # results are treated as immutable by every consumer, so sweep points
@@ -73,33 +72,23 @@ ARCHITECTURE_CACHE_MAXSIZE = 32
 # allocation keys the frozen plan dataclass, so the keys themselves pin
 # the referenced callables alive (no id-reuse hazard), and allocation
 # keys fingerprint the lattice by content (sites + edges tuples), so
-# pickled lattice copies inside engine workers still hit.
-_LATTICE_CACHE: OrderedDict[tuple, Lattice] = OrderedDict()
-_ALLOCATION_CACHE: OrderedDict[tuple, FrequencyAllocation] = OrderedDict()
-_MEMO_LOCK = threading.Lock()
-
-
-def _memo_get(cache: OrderedDict, key: tuple, build: Callable):
-    with _MEMO_LOCK:
-        value = cache.get(key)
-        if value is not None:
-            cache.move_to_end(key)
-            return value
-    # Build outside the lock: lattice/allocation construction is pure,
-    # so a rare duplicate build under contention is only wasted work.
-    value = build()
-    with _MEMO_LOCK:
-        cache[key] = value
-        while len(cache) > ARCHITECTURE_CACHE_MAXSIZE:
-            cache.popitem(last=False)
-    return value
+# pickled lattice copies inside engine workers still hit.  Both count
+# into one registry counter.
+_LATTICES, _ALLOCATIONS = (
+    BoundedLRU(
+        ARCHITECTURE_CACHE_MAXSIZE,
+        "repro_architecture_cache_events_total",
+        "Lattice and frequency-allocation memo traffic by outcome "
+        "(hit, miss, eviction)",
+    )
+    for _ in range(2)
+)
 
 
 def clear_architecture_caches() -> None:
     """Drop every memoised lattice and allocation (test isolation hook)."""
-    with _MEMO_LOCK:
-        _LATTICE_CACHE.clear()
-        _ALLOCATION_CACHE.clear()
+    _LATTICES.clear()
+    _ALLOCATIONS.clear()
 
 
 @dataclass(frozen=True)
@@ -135,8 +124,7 @@ class Architecture:
         (topology, qubit count, name) return one shared, never-mutated
         instance from the module memo.
         """
-        return _memo_get(
-            _LATTICE_CACHE,
+        return _LATTICES.get_or_build(
             (self.lattice_factory, num_qubits, name),
             lambda: self.lattice_factory(num_qubits, name=name),
         )
@@ -159,8 +147,8 @@ class Architecture:
         in engine workers hit too.
         """
         key = (self.plan, spec, lattice.name, tuple(lattice.sites), tuple(lattice.edges))
-        return _memo_get(
-            _ALLOCATION_CACHE, key, lambda: self.plan.allocate(lattice, spec=spec)
+        return _ALLOCATIONS.get_or_build(
+            key, lambda: self.plan.allocate(lattice, spec=spec)
         )
 
 

@@ -1,4 +1,9 @@
-"""On-disk content-addressed result cache for engine tasks.
+"""The package's two cache kinds: on-disk results and in-process memos.
+
+:class:`ResultCache` is the on-disk content-addressed result cache for
+engine tasks.  :class:`BoundedLRU` is the one in-process memo every
+other cache is built on (routing weights, lattices, frequency
+allocations, sample-bank draws).
 
 Results are keyed on ``(task name, parameters, code version)`` — the seed
 is one of the parameters, so the same experiment at a different seed is a
@@ -22,10 +27,11 @@ import pickle
 import sys
 import tempfile
 import threading
+from collections import OrderedDict
 from dataclasses import is_dataclass, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Hashable
 
 import numpy as np
 
@@ -33,7 +39,13 @@ import repro
 from repro.obs.logs import get_logger
 from repro.obs.metrics import REGISTRY
 
-__all__ = ["ResultCache", "stable_token", "code_version_token", "default_cache_dir"]
+__all__ = [
+    "BoundedLRU",
+    "ResultCache",
+    "stable_token",
+    "code_version_token",
+    "default_cache_dir",
+]
 
 _log = get_logger("engine.cache")
 
@@ -134,6 +146,9 @@ def code_version_token(fn: Callable[..., Any] | None = None) -> str:
 class ResultCache:
     """Pickle-backed result store addressed by content key.
 
+    Lookups are counted only in the metrics registry, as
+    ``repro_result_cache_events_total{event}``.
+
     Parameters
     ----------
     directory:
@@ -142,33 +157,6 @@ class ResultCache:
 
     def __init__(self, directory: str | Path | None = None):
         self.directory = Path(directory) if directory is not None else default_cache_dir()
-        self.hits = 0
-        self.misses = 0
-        self.unlinked = 0  # poisoned entries deleted by get() (a subset of misses)
-        # hits/misses are bare ints incremented from whichever thread runs
-        # get(); without the lock concurrent engines (the service's
-        # worker threads) lose increments and skew EngineStats.
-        self._stats_lock = threading.Lock()
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_stats_lock"]  # locks do not pickle
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__dict__.setdefault("unlinked", 0)  # pickles from older versions
-        self._stats_lock = threading.Lock()
-
-    def stats(self) -> dict[str, int]:
-        """Lookup counters as a plain dict (for ``--dump-json`` and the
-        service's per-job engine snapshots)."""
-        with self._stats_lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "poisoned_unlinks": self.unlinked,
-            }
 
     # ------------------------------------------------------------------ #
     # Keys
@@ -213,8 +201,6 @@ class ResultCache:
             with path.open("rb") as handle:
                 value = pickle.load(handle)
         except FileNotFoundError:
-            with self._stats_lock:
-                self.misses += 1
             _EVENTS.inc(event="miss")
             return default
         except Exception as exc:
@@ -227,10 +213,6 @@ class ResultCache:
                 poisoned = True
             except OSError:
                 pass
-            with self._stats_lock:
-                self.misses += 1
-                if poisoned:
-                    self.unlinked += 1
             _EVENTS.inc(event="miss")
             if poisoned:
                 _EVENTS.inc(event="poisoned_unlink")
@@ -241,8 +223,6 @@ class ResultCache:
                     exc,
                 )
             return default
-        with self._stats_lock:
-            self.hits += 1
         _EVENTS.inc(event="hit")
         return value
 
@@ -274,3 +254,102 @@ class ResultCache:
         if not self.directory.exists():
             return 0
         return sum(1 for _ in self.directory.glob("*.pkl"))
+
+
+#: The :meth:`BoundedLRU.stats` key each counted event is reported under.
+LRU_STAT_KEYS = {
+    "hit": "hits",
+    "miss": "misses",
+    "eviction": "evictions",
+    "oversize": "oversize",
+    "bypass": "bypasses",
+}
+
+
+class BoundedLRU:
+    """Thread-safe least-recently-used memo with a capacity in cost units.
+
+    Each entry costs ``cost(value)`` (1 when ``cost`` is None) and the
+    stored total never exceeds ``capacity``: an insert evicts the least
+    recently used entries until it fits, and a value costing more than
+    the whole capacity is returned but never stored (an ``oversize``
+    event).  Values are built outside the lock, so a slow build never
+    blocks other lookups; if two threads race to build one key, the
+    first value stored wins and is what both callers get.
+
+    Every event (``hit``, ``miss``, ``eviction``, ``oversize``, and
+    whatever the owner records through :meth:`count`) is counted in
+    :meth:`stats` for this process and in the registry counter
+    ``metric``, whose worker-process deltas the engine merges home.
+    """
+
+    def __init__(
+        self,
+        capacity: int,
+        metric: str,
+        help: str = "",
+        cost: Callable[[Any], int] | None = None,
+    ) -> None:
+        if capacity < 0:
+            raise ValueError("capacity must be non-negative")
+        self.capacity = capacity
+        self._cost = cost
+        self._entries: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
+        self._used = 0
+        self._lock = threading.Lock()
+        self._counts = dict.fromkeys(LRU_STAT_KEYS.values(), 0)
+        self._events = REGISTRY.counter(metric, help, labels=("event",))
+
+    def _bump(self, event: str) -> None:
+        # Caller holds self._lock.
+        self._counts[LRU_STAT_KEYS[event]] += 1
+        self._events.inc(event=event)
+
+    def count(self, event: str) -> None:
+        """Record an owner-specific event (one of :data:`LRU_STAT_KEYS`)."""
+        with self._lock:
+            self._bump(event)
+
+    def get_or_build(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The value stored under ``key``, built and stored on a miss."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self._bump("hit")
+                return entry[0]
+            self._bump("miss")
+        value = build()
+        cost = 1 if self._cost is None else self._cost(value)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:  # a concurrent build got there first
+                self._entries.move_to_end(key)
+                return entry[0]
+            if cost > self.capacity:
+                self._bump("oversize")
+                return value
+            self._entries[key] = (value, cost)
+            self._used += cost
+            while self._used > self.capacity:
+                _, (_, evicted) = self._entries.popitem(last=False)
+                self._used -= evicted
+                self._bump("eviction")
+        return value
+
+    def values(self) -> list[Any]:
+        """The stored values, least recently used first."""
+        with self._lock:
+            return [value for value, _ in self._entries.values()]
+
+    def stats(self) -> dict[str, int]:
+        """Event counters plus occupancy: ``entries`` and total ``cost``."""
+        with self._lock:
+            return {**self._counts, "entries": len(self._entries), "cost": self._used}
+
+    def clear(self) -> None:
+        """Drop every entry and zero the counters (the registry keeps its)."""
+        with self._lock:
+            self._entries.clear()
+            self._used = 0
+            self._counts = dict.fromkeys(self._counts, 0)

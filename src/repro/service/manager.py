@@ -402,7 +402,6 @@ class JobManager:
         self,
         engine: ExecutionEngine,
         marks: dict,
-        cache_base: dict[str, int] | None = None,
         trace_id: str | None = None,
     ) -> dict[str, Any]:
         """Per-job engine stats plus the cache traffic the job caused.
@@ -410,10 +409,9 @@ class JobManager:
         The routing cache, the sample bank and the result cache are
         shared process-wide (that sharing is the point), so their
         traffic is read as a delta from the metrics-registry checkpoint
-        ``marks`` and the result-cache ``cache_base`` taken at job
-        start.  Concurrent jobs overlap in those deltas — they measure
-        what happened *during* the job, which for capacity questions is
-        the honest number.  Occupancy fields (``entries``,
+        ``marks`` taken at job start.  Concurrent jobs overlap in those
+        deltas — they measure what happened *during* the job, which for
+        capacity questions is the honest number.  Occupancy fields (``entries``,
         ``sources_computed``, ``bytes``) stay absolute.
         """
         from repro.analysis.reporting import cache_traffic
@@ -429,13 +427,7 @@ class JobManager:
             "seconds_by_phase": dict(stats.seconds_by_phase),
             **cache_traffic(marks),
         }
-        if self._cache is not None:
-            cache_now = self._cache.stats()
-            snapshot["result_cache"] = {
-                key: value - (cache_base or {}).get(key, 0)
-                for key, value in cache_now.items()
-            }
-        else:
+        if self._cache is None:
             snapshot["result_cache"] = None
         if trace_id is not None:
             snapshot["trace_id"] = trace_id
@@ -448,7 +440,6 @@ class JobManager:
         # now so the job's snapshot reports its own delta (see
         # _engine_snapshot).
         marks = REGISTRY.checkpoint()
-        cache_base = self._cache.stats() if self._cache is not None else None
         attempt = 0
         while True:
             attempt += 1
@@ -465,14 +456,14 @@ class JobManager:
                 # mark the job and let the cancellation propagate.
                 job.cancel.cancel()
                 job.engine_stats = self._engine_snapshot(
-                    engine, marks, cache_base, trace_id=job.trace_id
+                    engine, marks, trace_id=job.trace_id
                 )
                 self._finish(job, JobState.CANCELLED)
                 raise
             except BaseException as exc:  # noqa: BLE001 - classified below
                 rule = self.classifier.classify(exc)
                 job.engine_stats = self._engine_snapshot(
-                    engine, marks, cache_base, trace_id=job.trace_id
+                    engine, marks, trace_id=job.trace_id
                 )
                 error = _error_record(exc, rule.name, rule.classification.value, attempt)
                 if (
@@ -515,7 +506,7 @@ class JobManager:
                 job.result = result
                 job.text = text
                 job.engine_stats = self._engine_snapshot(
-                    engine, marks, cache_base, trace_id=job.trace_id
+                    engine, marks, trace_id=job.trace_id
                 )
                 self._finish(job, JobState.SUCCEEDED)
                 return

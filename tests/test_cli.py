@@ -275,6 +275,22 @@ class TestCLIBackends:
         assert exc.value.code == 2
         assert f"must be at least 1, got {int(jobs)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--batch", "-5", "must be at least 1, got -5"),
+            ("--batch", "0", "must be at least 1, got 0"),
+            ("--batch", "abc", "not an integer: 'abc'"),
+            ("--seed", "-1", "must be at least 0, got -1"),
+            ("--seed", "1.5", "not an integer: '1.5'"),
+        ],
+    )
+    def test_bad_batch_or_seed_rejected(self, flag, value, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "fig6", flag, value])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("jobs", [pytest.param("2", id="processes")])
     def test_run_fig4_backend_matches_sequential(self, jobs, tmp_path, capsys):
         """``--jobs 2`` runs fig4 on the process pool, bit-identical to ``--jobs 1``."""
@@ -302,23 +318,43 @@ class TestCLIBackends:
         assert main(["list"]) == 0
         assert "backend" not in capsys.readouterr().out
 
-    def test_dump_json_cache_traffic_matches_across_jobs(self, tmp_path, capsys):
-        """Routing-cache traffic counted in pool workers reaches the dump."""
+    def test_dump_json_cache_traffic_matches_across_jobs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Cache traffic counted in pool workers reaches the dump.
+
+        Lookups (hits + misses + bypasses) of the routing cache, the
+        sample bank and the result cache are equal at ``--jobs 1`` and
+        ``--jobs 2``; occupancy is per process, so it is not compared.
+        Each run gets a cold result cache of its own.
+        """
         import json
 
-        counts = {}
-        for jobs in ("1", "2"):
-            path = tmp_path / f"appsweep-{jobs}.json"
-            args = [
-                "run", "appsweep", "--batch", "40", "--seed", "7", "--jobs",
-                jobs, "--no-cache", "--quiet", "--dump-json", str(path),
-            ]
-            assert main(args) == 0
-            routing = json.loads(path.read_text())["engine"]["routing_cache"]
-            counts[jobs] = routing["hits"] + routing["misses"]
+        lookups = {}
+        for experiment, batch in (("appsweep", "40"), ("fig4", "60")):
+            for jobs in ("1", "2"):
+                run = f"{experiment}-{jobs}"
+                monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / run))
+                path = tmp_path / f"{run}.json"
+                args = [
+                    "run", experiment, "--batch", batch, "--seed", "7",
+                    "--jobs", jobs, "--quiet", "--dump-json", str(path),
+                ]
+                assert main(args) == 0
+                engine = json.loads(path.read_text())["engine"]
+                lookups[run] = {
+                    block: sum(
+                        engine[block].get(key, 0)
+                        for key in ("hits", "misses", "bypasses")
+                    )
+                    for block in ("routing_cache", "sample_bank", "result_cache")
+                }
         capsys.readouterr()
-        assert counts["1"] > 0
-        assert counts["1"] == counts["2"]
+        assert lookups["appsweep-1"]["routing_cache"] > 0
+        assert lookups["fig4-1"]["sample_bank"] > 0
+        assert lookups["fig4-1"]["result_cache"] > 0
+        for experiment in ("appsweep", "fig4"):
+            assert lookups[f"{experiment}-1"] == lookups[f"{experiment}-2"]
 
     def test_dump_json_reports_engine_stats(self, tmp_path, capsys):
         import json

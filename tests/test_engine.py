@@ -30,6 +30,17 @@ from repro.engine import (
     stable_token,
 )
 from repro.engine.cache import code_version_token
+from repro.obs.metrics import REGISTRY
+
+
+def _result_cache_events(marks: dict) -> dict[str, int]:
+    """Result-cache lookups by event since the registry checkpoint ``marks``."""
+    delta = REGISTRY.delta_since(marks) or {"entries": []}
+    return {
+        entry["labels"][0]: int(entry["payload"])
+        for entry in delta["entries"]
+        if entry["name"] == "repro_result_cache_events_total"
+    }
 
 
 # Module-level task functions: picklable for the process pool.
@@ -135,10 +146,11 @@ class TestResultCache:
     def test_hit_after_put(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = cache.key_for("t", {"x": 1}, "v1")
+        marks = REGISTRY.checkpoint()
         assert cache.get(key) is None
         cache.put(key, {"answer": 42})
         assert cache.get(key) == {"answer": 42}
-        assert cache.hits == 1 and cache.misses == 1
+        assert _result_cache_events(marks) == {"hit": 1, "miss": 1}
 
     def test_key_sensitivity(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -387,8 +399,8 @@ class TestCollisionScalarBatchParity:
 
 
 class TestCacheRobustness:
-    """The service PR's cache fixes: poisoned entries heal themselves and
-    the hit/miss counters survive concurrent readers."""
+    """Poisoned entries heal themselves and the registry's hit/miss
+    counts survive concurrent readers."""
 
     def test_poisoned_entry_is_deleted_and_counted_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -396,13 +408,14 @@ class TestCacheRobustness:
         cache.put(key, {"value": 41})
         path = cache.directory / f"{key}.pkl"
         path.write_bytes(b"\x80\x04 this is not a pickle")
+        marks = REGISTRY.checkpoint()
         assert cache.get(key, default="fallback") == "fallback"
-        assert cache.misses == 1 and cache.hits == 0
+        assert _result_cache_events(marks) == {"miss": 1, "poisoned_unlink": 1}
         assert not path.exists(), "poisoned entry left in place"
         assert not cache.contains(key)  # the slot can heal now
         cache.put(key, {"value": 42})
         assert cache.get(key) == {"value": 42}
-        assert cache.hits == 1
+        assert _result_cache_events(marks)["hit"] == 1
 
     def test_truncated_entry_behaves_like_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -415,8 +428,9 @@ class TestCacheRobustness:
 
     def test_plain_miss_still_counts_without_a_file(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
+        marks = REGISTRY.checkpoint()
         assert cache.get("0" * 64) is None
-        assert cache.misses == 1
+        assert _result_cache_events(marks) == {"miss": 1}
 
     def test_engine_recomputes_after_poisoned_entry(self, tmp_path):
         first = ExecutionEngine(jobs=1, cache=ResultCache(tmp_path / "cache"))
@@ -440,6 +454,7 @@ class TestCacheRobustness:
         cache.put(key, 7)
         rounds = 200
         workers = 8
+        marks = REGISTRY.checkpoint()
 
         def hammer():
             for _ in range(rounds):
@@ -451,8 +466,10 @@ class TestCacheRobustness:
             thread.start()
         for thread in threads:
             thread.join()
-        assert cache.hits == rounds * workers
-        assert cache.misses == rounds * workers
+        assert _result_cache_events(marks) == {
+            "hit": rounds * workers,
+            "miss": rounds * workers,
+        }
 
     def test_cache_survives_pickling_without_its_lock(self, tmp_path):
         import pickle
@@ -461,5 +478,6 @@ class TestCacheRobustness:
         key = cache.key_for("t", {"x": 4}, "v1")
         cache.put(key, "value")
         clone = pickle.loads(pickle.dumps(cache))
-        assert clone.get(key) == "value"  # lock was recreated, get works
-        assert clone.hits == cache.hits + 1 or clone.hits == 1
+        marks = REGISTRY.checkpoint()
+        assert clone.get(key) == "value"
+        assert _result_cache_events(marks) == {"hit": 1}

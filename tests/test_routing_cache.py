@@ -1,10 +1,11 @@
-"""Parity, invalidation and LRU tests for the process-wide routing cache.
+"""Parity and invalidation tests for the process-wide routing cache.
 
 The cache contract (``repro.compiler.routing`` module docstring): cached
 and cold noise-aware routes are bit-identical, lazily computed Dijkstra
 rows equal the historical eager all-pairs rows, and any change to an
 edge-error map misses into a fresh entry rather than replaying stale
-trees.
+trees.  The LRU bound and eviction order are the shared helper's,
+tested in ``tests/test_lru_caches.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.layout import Layout
 from repro.compiler.routing import (
-    ROUTING_CACHE_MAXSIZE,
     RoutingWeights,
     clear_routing_cache,
     route_circuit_noise_aware,
@@ -172,28 +172,6 @@ class TestInvalidation:
             "entries": 0,
             "sources_computed": 0,
         }
-
-
-class TestLRU:
-    def test_eviction_bounds_entries(self):
-        coupling = line(4)
-        for i in range(ROUTING_CACHE_MAXSIZE + 3):
-            routing_weights(coupling, {(0, 1): 1e-4 * (i + 1)})
-        stats = routing_cache_stats()
-        assert stats["entries"] == ROUTING_CACHE_MAXSIZE
-        assert stats["evictions"] == 3
-
-    def test_recently_used_survives_eviction(self):
-        coupling = line(4)
-        hot = {(0, 1): 0.5}
-        routing_weights(coupling, hot)
-        for i in range(ROUTING_CACHE_MAXSIZE - 1):
-            routing_weights(coupling, {(0, 1): 1e-4 * (i + 1)})
-            routing_weights(coupling, hot)  # keep the hot entry fresh
-        routing_weights(coupling, {(0, 1): 0.25})  # evicts the coldest
-        before = routing_cache_stats()["misses"]
-        routing_weights(coupling, hot)
-        assert routing_cache_stats()["misses"] == before  # still cached
 
 
 class TestRoutingWeights:

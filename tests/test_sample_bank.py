@@ -10,13 +10,14 @@ Four layers of guarantees:
   normalises).  Property-tested so a NumPy internals change under us
   fails loudly; CI runs this suite on the oldest supported NumPy.
 * **Bank mechanics** — hits restore the post-draw generator state (the
-  downstream repair stream continues bit-identically), LRU eviction
-  respects the byte cap, oversize entries and contract violations fall
-  back to direct sampling.
+  downstream repair stream continues bit-identically), oversize entries
+  and contract violations fall back to direct sampling.  Eviction and
+  byte accounting are the shared LRU's, tested in
+  ``tests/test_lru_caches.py``.
 * **Pipeline parity** — banked runs equal unbanked runs equal engine
   runs at any ``--jobs``, tuned or untuned; every committed golden is
-  re-checked with the bank *disabled* (the default tier-1 suite covers
-  enabled).
+  re-checked with the bank *swapped for a zero-capacity one* (the
+  ``unbanked`` fixture; the default tier-1 suite covers the real bank).
 * **Shared-draw axes** — ``share_draws`` on the sweep helpers hands
   combinations the same child seed without disturbing the historical
   derivation when off.
@@ -25,7 +26,6 @@ Four layers of guarantees:
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -33,15 +33,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_golden_regression as golden
+from repro.core import sample_bank
 from repro.core.fabrication import FabricationModel
 from repro.core.sample_bank import (
-    SAMPLE_BANK_ENV,
     SampleBank,
     banked_standard_normal,
     clear_sample_bank,
-    sample_bank_enabled,
     sample_bank_stats,
-    set_sample_bank_enabled,
 )
 from repro.core.yield_model import (
     detuning_sweep,
@@ -58,12 +56,25 @@ COLS = st.integers(min_value=1, max_value=32)
 
 @pytest.fixture(autouse=True)
 def _fresh_bank():
-    """Every test starts (and leaves) a clean, env-controlled bank."""
+    """Every test starts (and leaves) a clean bank."""
     clear_sample_bank()
-    set_sample_bank_enabled(None)
     yield
     clear_sample_bank()
-    set_sample_bank_enabled(None)
+
+
+@pytest.fixture
+def unbanked(monkeypatch):
+    """Call it to turn banking off for the rest of the test: it swaps the
+    process bank for a zero-capacity one, on which every draw is
+    ``oversize`` and comes straight from the generator, and returns that
+    bank.  The real bank is restored at teardown."""
+
+    def swap() -> SampleBank:
+        bank = SampleBank(max_bytes=0)
+        monkeypatch.setattr(sample_bank, "_BANK", bank)
+        return bank
+
+    return swap
 
 
 # ---------------------------------------------------------------------- #
@@ -148,26 +159,6 @@ class TestBankMechanics:
         with pytest.raises(ValueError):
             z[0, 0] = 0.0
 
-    def test_lru_eviction_respects_byte_cap(self):
-        entry_bytes = 10 * 10 * 8
-        bank = SampleBank(max_bytes=3 * entry_bytes)
-        for seed in (1, 2, 3):
-            bank.standard_normal(seed, (10, 10), np.random.default_rng(seed))
-        # Touch seed 1 so seed 2 is the least recently used.
-        bank.standard_normal(1, (10, 10), np.random.default_rng(1))
-        bank.standard_normal(4, (10, 10), np.random.default_rng(4))
-        stats = bank.stats()
-        assert stats["evictions"] == 1
-        assert stats["entries"] == 3
-        assert stats["bytes"] == 3 * entry_bytes
-        # Seed 2 was evicted (miss again); seeds 1 and 4 are resident.
-        before = bank.stats()["misses"]
-        bank.standard_normal(2, (10, 10), np.random.default_rng(2))
-        assert bank.stats()["misses"] == before + 1
-        hits_before = bank.stats()["hits"]
-        bank.standard_normal(4, (10, 10), np.random.default_rng(4))
-        assert bank.stats()["hits"] == hits_before + 1
-
     def test_oversize_draws_are_served_but_not_stored(self):
         bank = SampleBank(max_bytes=100)
         z = bank.standard_normal(7, (10, 10), np.random.default_rng(7))
@@ -214,21 +205,6 @@ class TestBankMechanics:
         assert z.tobytes() == reference.tobytes()
         assert sample_bank_stats()["entries"] == 0
 
-    def test_env_var_disables_banking(self, monkeypatch):
-        monkeypatch.setenv(SAMPLE_BANK_ENV, "0")
-        assert not sample_bank_enabled()
-        banked_standard_normal(5, (3, 3), np.random.default_rng(5))
-        assert sample_bank_stats()["entries"] == 0
-        monkeypatch.setenv(SAMPLE_BANK_ENV, "1")
-        assert sample_bank_enabled()
-
-    def test_programmatic_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SAMPLE_BANK_ENV, "0")
-        set_sample_bank_enabled(True)
-        assert sample_bank_enabled()
-        set_sample_bank_enabled(None)
-        assert not sample_bank_enabled()
-
     def test_clear_resets_counters_and_entries(self):
         banked_standard_normal(11, (4, 4), np.random.default_rng(11))
         assert sample_bank_stats()["entries"] == 1
@@ -261,15 +237,13 @@ def _flatten(curves):
 
 class TestPipelineParity:
     @pytest.mark.parametrize("share_draws", [False, True])
-    def test_bank_on_off_results_identical(self, share_draws):
-        set_sample_bank_enabled(True)
+    def test_bank_on_off_results_identical(self, share_draws, unbanked):
         banked = detuning_sweep(**SMALL_SWEEP, share_draws=share_draws)
-        set_sample_bank_enabled(False)
-        unbanked = detuning_sweep(**SMALL_SWEEP, share_draws=share_draws)
-        assert _flatten(banked) == _flatten(unbanked)
+        unbanked()
+        reference = detuning_sweep(**SMALL_SWEEP, share_draws=share_draws)
+        assert _flatten(banked) == _flatten(reference)
 
     def test_share_draws_collapses_sampling_to_one_pass_per_size(self):
-        set_sample_bank_enabled(True)
         detuning_sweep(**SMALL_SWEEP, share_draws=True)
         stats = sample_bank_stats()
         num_combos = len(SMALL_SWEEP["steps_ghz"]) * len(SMALL_SWEEP["sigmas_ghz"])
@@ -282,13 +256,12 @@ class TestPipelineParity:
         """Engine runs at any --jobs reproduce the sequential banked sweep."""
         from repro.engine import ExecutionEngine
 
-        set_sample_bank_enabled(True)
         sequential = detuning_sweep(**SMALL_SWEEP, share_draws=True)
         engine = ExecutionEngine(jobs=jobs, use_cache=False)
         parallel = detuning_sweep(**SMALL_SWEEP, share_draws=True, executor=engine)
         assert _flatten(parallel) == _flatten(sequential)
 
-    def test_repair_stream_bit_identical_after_bank_hit(self):
+    def test_repair_stream_bit_identical_after_bank_hit(self, unbanked):
         """Tuned runs: the repair rng continues identically through a hit."""
         from repro.tuning import TuningOptions
 
@@ -300,14 +273,14 @@ class TestPipelineParity:
             seed=123,
             tuning=TuningOptions(),
         )
-        set_sample_bank_enabled(True)
         first = simulate_yield_point(**point)  # bank miss
         second = simulate_yield_point(**point)  # bank hit, repair continues
-        set_sample_bank_enabled(False)
-        unbanked = simulate_yield_point(**point)
-        assert first == second == unbanked
-        assert first.total_tunes == unbanked.total_tunes
-        assert first.num_repaired == unbanked.num_repaired
+        assert sample_bank_stats()["hits"] >= 1
+        unbanked()
+        reference = simulate_yield_point(**point)
+        assert first == second == reference
+        assert first.total_tunes == reference.total_tunes
+        assert first.num_repaired == reference.num_repaired
 
     def test_materialize_preallocated_matches_concatenated_chunks(
         self, allocation_27, fabrication
@@ -333,14 +306,14 @@ class TestPipelineParity:
         assert materialized.shape == (batch, allocation_27.num_qubits)
 
     @pytest.mark.parametrize("name", sorted(golden.GOLDEN_PARAMS))
-    def test_goldens_unchanged_with_bank_disabled(self, name):
+    def test_goldens_unchanged_with_bank_disabled(self, name, unbanked):
         """Every committed golden holds at 1e-9 with the bank OFF.
 
-        The regular golden suite runs with the bank at its default
-        (enabled), so together the two suites pin the acceptance
-        criterion: goldens unchanged with the bank on AND off.
+        The regular golden suite runs with the real bank, so together
+        the two suites pin the acceptance criterion: goldens unchanged
+        with the bank on AND off.
         """
-        set_sample_bank_enabled(False)
+        bank = unbanked()
         actual = golden._run_experiment(name)
         golden_path = golden.GOLDEN_DIR / f"{name}.json"
         assert golden_path.exists(), f"no committed golden for {name!r}"
@@ -349,6 +322,7 @@ class TestPipelineParity:
         assert not problems, (
             f"{name} drifted with the bank disabled:\n" + "\n".join(problems[:10])
         )
+        assert bank.stats()["entries"] == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -430,36 +404,6 @@ class TestSurfaces:
         assert by_event.get("miss", 0) >= 1
         assert by_event.get("hit", 0) >= 1
 
-    def test_cli_no_sample_bank_flag_and_dump_json_block(self, tmp_path):
-        from repro.__main__ import main
-
-        dump = tmp_path / "out.json"
-        try:
-            rc = main(
-                [
-                    "run",
-                    "fig6",
-                    "--batch",
-                    "2000",
-                    "--seed",
-                    "7",
-                    "--jobs",
-                    "1",
-                    "--no-cache",
-                    "--no-sample-bank",
-                    "--quiet",
-                    "--dump-json",
-                    str(dump),
-                ]
-            )
-            assert rc == 0
-            payload = json.loads(dump.read_text())
-            bank = payload["engine"]["sample_bank"]
-            assert bank["enabled"] is False
-            assert bank["entries"] == 0
-        finally:
-            os.environ.pop(SAMPLE_BANK_ENV, None)
-
     def test_dump_json_reports_bank_traffic_when_enabled(self, tmp_path):
         from repro.__main__ import main
 
@@ -483,5 +427,5 @@ class TestSurfaces:
         assert rc == 0
         payload = json.loads(dump.read_text())
         bank = payload["engine"]["sample_bank"]
-        assert bank["enabled"] is True
+        assert "enabled" not in bank
         assert bank["misses"] >= 1

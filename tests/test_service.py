@@ -130,6 +130,28 @@ class TestSubmitAndResult:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"batch_size": -5},
+            {"batch_size": 0},
+            {"batch_size": "abc"},
+            {"batch_size": True},
+            {"seed": 1.5},
+            {"seed": -1},
+        ],
+    )
+    def test_bad_int_params_rejected_before_queueing(self, params):
+        registry = make_registry(("toy", make_counting_runner({"runs": 0})))
+
+        async def scenario():
+            async with JobManager(registry, engine_options=FAST_ENGINE) as manager:
+                with pytest.raises(ValueError, match="must be an integer of at least"):
+                    await manager.submit("toy", params)
+                assert manager.stats()["jobs_known"] == 0
+
+        asyncio.run(scenario())
+
     def test_wait_timeout(self):
         started = threading.Event()
         release = threading.Event()
@@ -527,6 +549,12 @@ class TestHttpEndpoints:
                         {"experiment": "toy", "params": {"sed": 1}},
                     )
                     assert status == 400 and "sed" in body["error"]
+
+                    status, _, body = await request(
+                        host, port, "POST", "/jobs",
+                        {"experiment": "toy", "params": {"batch_size": -5}},
+                    )
+                    assert status == 400 and "batch_size" in body["error"]
 
                     status, _, body = await request(
                         host, port, "POST", "/jobs", {"params": {}}
