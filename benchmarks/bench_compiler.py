@@ -24,24 +24,39 @@ Three measurements, written to ``benchmarks/BENCH_compiler.json``:
   IS asserted — the cache exists to delete redundant Dijkstra work,
   which no core count or noise floor can excuse missing.
 * ``layout_search``: ``find_long_path`` vs. the historical iterator-stack
-  DFS (kept verbatim below) on the 160-qubit 2x2 MCM of Table II at
+  DFS (``tests/layout_reference.py``) on the 160-qubit 2x2 MCM of Table II at
   ``length=128``, where all 12 starts exhaust their step budget.
   Identical results and a >=2x speedup are asserted.
+* ``gate_ir``: route + SWAP expansion + gate metrics over the gate
+  columns (the shipped passes) vs. the historical Gate-per-gate passes
+  (``tests/compile_reference.py``) on Fig. 10's qaoa/adder compiles and
+  Table II's compiles.  Bit-identity and a >=3x speedup are asserted.
+
+The historical compile and layout-search references live in the test
+tree, shared with the parity tests.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from math import inf, log10
 from pathlib import Path
 
 from repro.analysis.figures.fig10_apps import run_fig10_applications
 from repro.analysis.study import ArchitectureStudy, StudyConfig
-from repro.circuits.benchmarks import build_benchmark
+from repro.circuits.benchmarks import BENCHMARK_NAMES, build_benchmark
 from repro.circuits.circuit import QuantumCircuit
-from repro.compiler.layout import Layout, find_long_path
+from repro.compiler.decompose import decompose_to_cx_basis
+from repro.compiler.layout import Layout, choose_layout, find_long_path
+from repro.compiler.pipeline import (
+    CompileContext,
+    MetricsPass,
+    RoutePass,
+    SwapExpandPass,
+)
 from repro.compiler.routing import route_circuit, route_circuit_noise_aware
 from repro.compiler.transpile import transpile
 from repro.core.chiplet import ChipletDesign
@@ -51,6 +66,16 @@ from repro.simulation.esp import fidelity_product
 from repro.topology.coupling import CouplingMap
 
 from conftest import bench_batch_size, bench_jobs
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from compile_reference import (  # noqa: E402
+    GateCircuit,
+    eager_predecessor_matrix,
+    reference_gate_metrics,
+    reference_route_circuit,
+    reference_swap_expand,
+)
+from layout_reference import reference_find_long_path  # noqa: E402
 
 RESULT_PATH = Path(__file__).parent / "BENCH_compiler.json"
 
@@ -72,42 +97,6 @@ def _loop_fidelity_product(two_qubit_edges, edge_errors):
             return -inf, count
         total += log10(fidelity)
     return total, count
-
-
-def _dfs_find_long_path(coupling, length, attempts=12, step_budget=200_000):
-    """The historical iterator-stack layout search, verbatim (the reference)."""
-    graph = coupling.graph()
-    if length <= 0:
-        return []
-    if length > graph.number_of_nodes():
-        return None
-    nodes = sorted(graph.nodes, key=lambda n: (graph.degree[n], n))
-    starts = nodes[:attempts]
-
-    for start in starts:
-        path = [start]
-        on_path = {start}
-        # Iterator stack: candidates still to try from each path position.
-        stack = [iter(sorted(graph.neighbors(start), key=lambda n: (graph.degree[n], n)))]
-        steps = 0
-        while stack and steps < step_budget:
-            steps += 1
-            try:
-                candidate = next(stack[-1])
-            except StopIteration:
-                stack.pop()
-                on_path.discard(path.pop())
-                continue
-            if candidate in on_path:
-                continue
-            path.append(candidate)
-            on_path.add(candidate)
-            if len(path) >= length:
-                return path
-            stack.append(
-                iter(sorted(graph.neighbors(candidate), key=lambda n: (graph.degree[n], n)))
-            )
-    return None
 
 
 def _flush():
@@ -295,7 +284,7 @@ def test_routing_cache_speedup_on_large_mcm():
     legacy = []
     for circuit in circuits:
         clear_routing_cache()
-        routing_weights(device.coupling, device).predecessor_matrix()
+        eager_predecessor_matrix(routing_weights(device.coupling, device))
         legacy.append(transpile(circuit, device, routing="noise-aware"))
     legacy_seconds = time.perf_counter() - started
 
@@ -365,12 +354,11 @@ def test_noise_aware_routing_fidelity_delta():
     aware = route_circuit_noise_aware(circuit, coupling, layout, errors)
 
     def trace_of(routed):
-        edges = []
-        for gate, edge in zip(
-            (g for g in routed.circuit if g.num_qubits == 2), routed.two_qubit_edges
-        ):
-            edges.extend([edge] * (3 if gate.name == "swap" else 1))
-        return edges
+        # The pipeline's own SWAP expansion, then the physical circuit's
+        # edge columns: the trace the fidelity product scores.
+        context = CompileContext(circuit=routed.circuit, coupling=coupling, routed=routed)
+        SwapExpandPass().run(context)
+        return context.circuit.edge_array()
 
     basic_score = fidelity_product(trace_of(basic), errors)
     aware_score = fidelity_product(trace_of(aware), errors)
@@ -437,7 +425,7 @@ def test_layout_search_speedup_on_table2_mcm():
     coupling.graph()  # build the cached graph outside both timed arms
 
     started = time.perf_counter()
-    reference = _dfs_find_long_path(coupling, length)
+    reference = reference_find_long_path(coupling, length)
     reference_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -470,6 +458,95 @@ def test_layout_search_speedup_on_table2_mcm():
     print(
         f"\n[compiler] layout search on {mcm.num_qubits}q MCM, length {length}: "
         f"reference {reference_seconds:.3f}s, kernel {kernel_seconds:.3f}s "
+        f"-> speedup {speedup:.2f}x"
+    )
+    _flush()
+
+
+def test_gate_ir_speedup_on_apps_compiles():
+    """Flat-column route + expand + metrics vs the Gate-per-gate passes.
+
+    The compile set is the ``apps`` workload's: Fig. 10's qaoa and adder
+    on the 2x2 and 3x3 MCMs of 20-qubit chiplets, and all seven
+    benchmarks on Table II's 2x2 MCMs of 10/20/40-qubit chiplets, at 80 %
+    utilisation with basic routing.  Decomposition, layout and the
+    reference arm's Gate-list input run once, outside both timed arms;
+    each arm then routes, expands SWAPs and measures every compile.
+    """
+    config = StudyConfig(
+        chiplet_batch_size=bench_batch_size(600),
+        monolithic_batch_size=bench_batch_size(600),
+        chiplet_sizes=(20,),
+        seed=2022,
+    )
+    study = ArchitectureStudy(config)
+    targets = []
+    for grid in ((2, 2), (3, 3)):
+        device = study.mcm_result(20, grid).best_device
+        if device is not None:
+            targets.extend((device, name) for name in ("qaoa", "adder"))
+    for size in (10, 20, 40):
+        coupling = MCMDesign.build(ChipletDesign.build(size), 2, 2).coupling_map()
+        targets.extend((coupling, name) for name in BENCHMARK_NAMES)
+
+    prepared = []
+    for target, name in targets:
+        num_qubits = target.num_qubits
+        circuit = build_benchmark(name, max(2, round(0.8 * num_qubits)), seed=5)
+        logical = decompose_to_cx_basis(circuit)
+        coupling = getattr(target, "coupling", target)
+        coupling.distance_rows()  # cached per coupling, outside both arms
+        layout = choose_layout(logical, coupling)
+        prepared.append((target, logical, GateCircuit.of(logical), layout))
+
+    started = time.perf_counter()
+    reference = []
+    for target, _, gate_list, layout in prepared:
+        routed = reference_route_circuit(gate_list, getattr(target, "coupling", target), layout)
+        physical, edges = reference_swap_expand(routed)
+        reference.append((physical, routed.num_swaps, edges, reference_gate_metrics(physical)))
+    reference_seconds = time.perf_counter() - started
+
+    started = time.perf_counter()
+    flat = []
+    for target, logical, _, layout in prepared:
+        context = CompileContext.for_target(logical, target)
+        context.layout = layout
+        for stage in (RoutePass(), SwapExpandPass(), MetricsPass()):
+            stage.run(context)
+        flat.append(context)
+    flat_seconds = time.perf_counter() - started
+
+    gates = 0
+    for (physical, swaps, edges, metrics), context in zip(reference, flat):
+        assert context.routed.num_swaps == swaps
+        assert context.metrics == metrics
+        assert context.circuit.edge_array().tolist() == [list(e) for e in edges]
+        assert context.circuit.gates == physical.gates, "flat IR diverged from Gate passes"
+        gates += len(physical.gates)
+
+    speedup = reference_seconds / flat_seconds if flat_seconds > 0 else float("inf")
+    # Both arms are sequential in one process over the same compiles:
+    # the speedup is per-gate interpreter work, not core count.
+    assert speedup >= 3.0, f"gate IR speedup {speedup:.2f}x fell below the 3x floor"
+
+    _RECORD["gate_ir"] = {
+        "compiles": len(prepared),
+        "gates_out": gates,
+        "cores": os.cpu_count() or 1,
+        "reference_seconds": round(reference_seconds, 4),
+        "flat_seconds": round(flat_seconds, 4),
+        "speedup": round(speedup, 2),
+        "speedup_regression": speedup < 3.0,
+        "speedup_context": (
+            "both arms sequential in one process over the same compiles: "
+            "the speedup is per-gate work, independent of core count"
+        ),
+        "bit_identical": True,
+    }
+    print(
+        f"\n[compiler] gate IR x{len(prepared)} compiles ({gates} gates): "
+        f"reference {reference_seconds:.3f}s, flat {flat_seconds:.3f}s "
         f"-> speedup {speedup:.2f}x"
     )
     _flush()

@@ -111,7 +111,7 @@ def compile_and_score(
     transpiled = transpile(
         circuit, device, layout_method=layout_method, routing=routing
     )
-    score = fidelity_product(transpiled.two_qubit_edges, device)
+    score = fidelity_product(transpiled.circuit.edge_array(), device)
     return {
         "benchmark": benchmark,
         "width": width,

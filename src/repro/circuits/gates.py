@@ -2,16 +2,18 @@
 
 The evaluation pipeline only needs gate *accounting* (how many one- and
 two-qubit operations run on which physical couplings), plus enough unitary
-semantics for the small statevector simulator used in the test suite.  A
-gate is therefore an immutable ``(name, qubits, params)`` record; the known
-gate names and their arities live in :data:`GATE_ARITY`.
+semantics for the small statevector simulator used in the test suite.
+Circuits store gates as columns (:mod:`repro.circuits.circuit`); a
+:class:`Gate` is the public ``(name, qubits, params)`` record built from
+them on demand.  The known gate names and their arities live in
+:data:`GATE_ARITY`, and :func:`check_gate` is the one per-gate check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["Gate", "GATE_ARITY", "ONE_QUBIT_GATES", "TWO_QUBIT_GATES", "THREE_QUBIT_GATES"]
+__all__ = ["Gate", "GATE_ARITY", "check_gate", "ONE_QUBIT_GATES", "TWO_QUBIT_GATES", "THREE_QUBIT_GATES"]
 
 #: Supported gate names mapped to the number of qubits they act on.
 GATE_ARITY: dict[str, int] = {
@@ -46,6 +48,23 @@ THREE_QUBIT_GATES = frozenset(name for name, arity in GATE_ARITY.items() if arit
 _PARAMETRIC_GATES = frozenset({"rx", "ry", "rz", "rzz"})
 
 
+def check_gate(name: str, qubits: tuple[int, ...], params: tuple[float, ...]) -> None:
+    """Raise ``ValueError`` unless ``(name, qubits, params)`` is a valid gate.
+
+    The one per-gate check: :class:`Gate` runs it on construction and the
+    circuit builders run it on every gate they append.
+    """
+    if name not in GATE_ARITY:
+        raise ValueError(f"unknown gate {name!r}")
+    expected = GATE_ARITY[name]
+    if len(qubits) != expected:
+        raise ValueError(f"gate {name!r} expects {expected} qubits, got {len(qubits)}")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"gate {name!r} applied to duplicate qubits {qubits}")
+    if name in _PARAMETRIC_GATES and len(params) != 1:
+        raise ValueError(f"gate {name!r} requires exactly one parameter")
+
+
 @dataclass(frozen=True)
 class Gate:
     """One quantum gate application.
@@ -66,17 +85,7 @@ class Gate:
     params: tuple[float, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.name not in GATE_ARITY:
-            raise ValueError(f"unknown gate {self.name!r}")
-        expected = GATE_ARITY[self.name]
-        if len(self.qubits) != expected:
-            raise ValueError(
-                f"gate {self.name!r} expects {expected} qubits, got {len(self.qubits)}"
-            )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"gate {self.name!r} applied to duplicate qubits {self.qubits}")
-        if self.name in _PARAMETRIC_GATES and len(self.params) != 1:
-            raise ValueError(f"gate {self.name!r} requires exactly one parameter")
+        check_gate(self.name, self.qubits, self.params)
 
     @property
     def num_qubits(self) -> int:

@@ -1,6 +1,6 @@
 """Compiler substrate: pass pipeline, decomposition, layout, routing."""
 
-from repro.compiler.decompose import decompose_swaps, decompose_to_cx_basis
+from repro.compiler.decompose import decompose_to_cx_basis
 from repro.compiler.layout import Layout, choose_layout, find_long_path, is_chain_circuit
 from repro.compiler.metrics import GateMetrics, gate_metrics
 from repro.compiler.pipeline import (
@@ -16,7 +16,6 @@ from repro.compiler.routing import RoutedCircuit, route_circuit, route_circuit_n
 from repro.compiler.transpile import TranspiledCircuit, transpile
 
 __all__ = [
-    "decompose_swaps",
     "decompose_to_cx_basis",
     "Layout",
     "choose_layout",

@@ -6,8 +6,8 @@ strategy.  This module turns that fixed sequence into data:
 
 * :class:`CompileContext` — the mutable state a circuit accumulates on
   its way to hardware: the working circuit, the target coupling map and
-  error map, the chosen layout, the routed intermediate, the two-qubit
-  edge trace and the final gate metrics.
+  error map, the chosen layout, the routed intermediate and the final
+  gate metrics.
 * :class:`Pass` — the (runtime-checkable) protocol every stage
   implements: a ``name`` and a ``run(context)`` that advances the
   context in place.
@@ -23,6 +23,12 @@ strategy.  This module turns that fixed sequence into data:
 ``transpile()`` is now a thin wrapper over
 :func:`default_pipeline` — bit-identical to the historical monolith at
 the default strategies (the ``fig10`` golden pins this).
+
+Every pass works on the gate columns of
+:class:`~repro.circuits.circuit.QuantumCircuit` (names, ``q0``, ``q1``,
+params); no pass builds a :class:`~repro.circuits.gates.Gate`.  The
+two-qubit edge trace the fidelity product consumes is read off the final
+physical circuit (:meth:`~repro.circuits.circuit.QuantumCircuit.edge_array`).
 
 Adding a routing strategy is one registration::
 
@@ -43,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.compiler.decompose import decompose_swaps, decompose_to_cx_basis
+from repro.compiler.decompose import decompose_to_cx_basis
 from repro.compiler.layout import Layout, choose_layout
 from repro.compiler.metrics import GateMetrics, gate_metrics
 from repro.compiler.routing import (
@@ -236,8 +242,9 @@ class CompileContext:
     Attributes
     ----------
     circuit:
-        The working circuit; passes rewrite it in place of themselves
-        (logical at first, physical after routing).
+        The working circuit as gate columns; each pass replaces it with
+        its output (logical at first, physical after routing, in the
+        {1-qubit, CX} basis after SWAP expansion).
     coupling:
         Target connectivity.
     edge_errors:
@@ -251,11 +258,8 @@ class CompileContext:
     layout:
         Virtual -> physical placement chosen by the layout pass.
     routed:
-        The routing pass's full result (final layout, SWAP count,
-        per-gate edge trace).
-    two_qubit_edges:
-        Physical coupling of every two-qubit gate in program order after
-        SWAP expansion (the fidelity-product input).
+        The routing pass's full result (the physical circuit with explicit
+        SWAPs, final layout, SWAP count).
     metrics:
         Table II-style gate metrics of the final physical circuit.
     properties:
@@ -269,7 +273,6 @@ class CompileContext:
     device: Any = None
     layout: Layout | None = None
     routed: RoutedCircuit | None = None
-    two_qubit_edges: list[tuple[int, int]] = field(default_factory=list)
     metrics: GateMetrics | None = None
     properties: dict[str, Any] = field(default_factory=dict)
 
@@ -349,7 +352,11 @@ class RoutePass:
 
 
 class SwapExpandPass:
-    """Expand SWAPs into 3 CX and record the per-gate edge trace."""
+    """Expand each SWAP into 3 CX on its coupling (an index expansion).
+
+    ``swap(a, b)`` becomes ``cx(a, b), cx(b, a), cx(a, b)``, so its edge
+    appears three times in the physical circuit's edge trace.
+    """
 
     name = "swap-expand"
 
@@ -357,15 +364,9 @@ class SwapExpandPass:
         routed = context.routed
         if routed is None:
             raise ValueError("SWAP expansion requires a routing pass to have run")
-        # Each SWAP decomposes into three CX on the same coupling, so its
-        # edge appears three times in the fidelity-product trace.
-        edges: list[tuple[int, int]] = []
-        for gate, edge in zip(
-            (g for g in routed.circuit if g.num_qubits == 2), routed.two_qubit_edges
-        ):
-            edges.extend([edge, edge, edge] if gate.name == "swap" else [edge])
-        context.two_qubit_edges = edges
-        context.circuit = decompose_swaps(routed.circuit)
+        # A routed circuit is in the CX basis plus SWAPs, so the basis
+        # rewrite expands exactly its SWAPs.
+        context.circuit = decompose_to_cx_basis(routed.circuit)
 
 
 class MetricsPass:
@@ -387,23 +388,27 @@ class TranspiledCircuit:
     Attributes
     ----------
     circuit:
-        Physical circuit in the {1-qubit, CX} basis.
+        Physical circuit in the {1-qubit, CX} basis, as gate columns;
+        ``circuit.edge_array()`` is its two-qubit edge trace, the
+        fidelity-product input.
     initial_layout:
         Virtual -> physical placement chosen by the layout pass.
     num_swaps:
         SWAPs inserted by routing (each contributes 3 CX to the counts).
     metrics:
         Table II-style gate metrics of the physical circuit.
-    two_qubit_edges:
-        Physical coupling used by each two-qubit gate, in program order,
-        with SWAP gates expanded to three entries.
     """
 
     circuit: QuantumCircuit
     initial_layout: Layout
     num_swaps: int
     metrics: GateMetrics
-    two_qubit_edges: list[tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def two_qubit_edges(self) -> list[tuple[int, int]]:
+        """Physical coupling used by each two-qubit gate, in program order,
+        with SWAP gates expanded to three entries (built on demand)."""
+        return list(map(tuple, self.circuit.edge_array().tolist()))
 
     @property
     def num_two_qubit_gates(self) -> int:
@@ -467,7 +472,6 @@ class PassPipeline:
             initial_layout=context.routed.initial_layout,
             num_swaps=context.routed.num_swaps,
             metrics=context.metrics,
-            two_qubit_edges=context.two_qubit_edges,
         )
 
 

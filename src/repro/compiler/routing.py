@@ -1,13 +1,14 @@
 """SWAP-insertion routing onto restricted connectivity.
 
-The router walks the circuit in program order.  Single-qubit gates are
+The router walks the circuit's gate columns in program order and emits
+integer columns (no per-gate ``Gate`` objects).  Single-qubit gates are
 emitted directly on the physical qubit currently hosting their virtual
 qubit.  For a two-qubit gate whose operands are not adjacent, SWAPs are
 inserted along a shortest path between the two hosts, moving from the
 cheaper end and stopping one hop short so the final CX executes on a real
-coupling.  SWAP selection uses the pre-computed all-pairs distance matrix,
-so routing a circuit with tens of thousands of gates onto a 500-qubit MCM
-stays fast.
+coupling.  SWAP selection uses the pre-computed all-pairs distance matrix
+(as nested lists, :meth:`CouplingMap.distance_rows`), so routing a
+circuit with tens of thousands of gates onto a 500-qubit MCM stays fast.
 
 This is intentionally a greedy router (in the spirit of the lookahead-free
 baseline of SABRE); the paper's conclusions depend on relative gate counts
@@ -49,14 +50,14 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gates import Gate
 from repro.compiler.layout import Layout
 from repro.engine.cache import BoundedLRU
 from repro.topology.coupling import CouplingMap
@@ -96,23 +97,91 @@ class RoutedCircuit:
     Attributes
     ----------
     circuit:
-        Physical circuit (gates address physical qubits; ``swap`` gates are
-        still explicit and can be decomposed later).
+        Physical circuit (gate columns address physical qubits; ``swap``
+        gates are still explicit and are expanded later).
     initial_layout, final_layout:
         Virtual -> physical assignment before and after execution.
     num_swaps:
         Number of SWAPs inserted.
-    two_qubit_edges:
-        The physical coupling used by every two-qubit gate, in emission
-        order (SWAPs contribute their edge once; after decomposition into
-        3 CX the edge is counted three times by the fidelity analysis).
     """
 
     circuit: QuantumCircuit
     initial_layout: Layout
     final_layout: Layout
     num_swaps: int = 0
-    two_qubit_edges: list[tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def two_qubit_edges(self) -> list[tuple[int, int]]:
+        """The ``(low, high)`` coupling of every two-qubit gate, in order.
+
+        SWAPs contribute their edge once here; after expansion into 3 CX
+        the fidelity analysis counts it three times.
+        """
+        return list(map(tuple, self.circuit.edge_array().tolist()))
+
+
+def _route(
+    circuit: QuantumCircuit,
+    coupling: CouplingMap,
+    layout: Layout,
+    swap_chain: Callable[[int, int], list[tuple[int, int]]],
+) -> RoutedCircuit:
+    """The routing loop both strategies share, over integer columns.
+
+    One-qubit gates follow their virtual qubit's host.  For a two-qubit
+    gate, ``swap_chain(p_a, p_b)`` names the SWAPs (``(mover, step)``
+    pairs) that bring the operands' hosts onto one coupling; they are
+    emitted and applied to the layout's two dicts before the gate itself.
+    """
+    if circuit.q2:
+        name = circuit.names[min(circuit.q2)]
+        raise ValueError(
+            f"gate {name!r} must be decomposed to the CX basis before routing"
+        )
+    working = layout.copy()
+    v2p, p2v = working._v2p, working._p2v
+    names: list[str] = []
+    q0: list[int] = []
+    q1: list[int] = []
+    params: list[tuple[float, ...]] = []
+    num_swaps = 0
+
+    for name, virtual_a, virtual_b, gate_params in zip(
+        circuit.names, circuit.q0, circuit.q1, circuit.params
+    ):
+        if virtual_b < 0:
+            names.append(name)
+            q0.append(v2p[virtual_a])
+            q1.append(-1)
+            params.append(gate_params)
+            continue
+        for mover, step in swap_chain(v2p[virtual_a], v2p[virtual_b]):
+            names.append("swap")
+            q0.append(mover)
+            q1.append(step)
+            params.append(())
+            num_swaps += 1
+            # Layout.swap_physical, inlined: ``mover`` always hosts an operand.
+            moved = p2v[mover]
+            other = p2v.get(step)
+            v2p[moved] = step
+            p2v[step] = moved
+            if other is None:
+                del p2v[mover]
+            else:
+                v2p[other] = mover
+                p2v[mover] = other
+        names.append(name)
+        q0.append(v2p[virtual_a])
+        q1.append(v2p[virtual_b])
+        params.append(gate_params)
+
+    return RoutedCircuit(
+        circuit=QuantumCircuit(coupling.num_qubits, circuit.name, names, q0, q1, params),
+        initial_layout=layout.copy(),
+        final_layout=working,
+        num_swaps=num_swaps,
+    )
 
 
 def route_circuit(
@@ -131,49 +200,42 @@ def route_circuit(
     layout:
         Initial virtual -> physical placement (will not be mutated).
     """
-    distance = coupling.distance_matrix()
-    working = layout.copy()
-    physical = QuantumCircuit(num_qubits=coupling.num_qubits, name=circuit.name)
-    routed = RoutedCircuit(
-        circuit=physical,
-        initial_layout=layout.copy(),
-        final_layout=working,
-    )
+    distance = coupling.distance_rows()
+    unreachable = coupling.num_qubits
+    neighbors = coupling.neighbors
 
-    for gate in circuit:
-        if gate.num_qubits == 1:
-            physical.append(
-                Gate(gate.name, (working.physical(gate.qubits[0]),), gate.params)
-            )
-            continue
-        if gate.num_qubits != 2:
-            raise ValueError(
-                f"gate {gate.name!r} must be decomposed to the CX basis before routing"
-            )
-        virtual_a, virtual_b = gate.qubits
-        p_a = working.physical(virtual_a)
-        p_b = working.physical(virtual_b)
-        # Bring the two operands adjacent by swapping along a shortest path.
-        # Both endpoints are considered as the "mover" and the swap that
-        # shrinks the remaining distance the most (ties broken towards the
-        # lower qubit index) is applied.
-        while distance[p_a, p_b] > 1:
-            best_a = min(coupling.neighbors(p_a), key=lambda n: (distance[n, p_b], n))
-            best_b = min(coupling.neighbors(p_b), key=lambda n: (distance[n, p_a], n))
-            if distance[best_a, p_b] <= distance[best_b, p_a]:
-                mover, step = p_a, best_a
+    def swap_chain(p_a: int, p_b: int) -> list[tuple[int, int]]:
+        # Bring the two operands adjacent by swapping along a shortest
+        # path.  Both endpoints are considered as the "mover" and the swap
+        # that shrinks the remaining distance the most (ties broken
+        # towards the lower qubit index: neighbour lists are ascending,
+        # and only a strictly closer neighbour replaces the best) is
+        # applied.
+        chain = []
+        while distance[p_a][p_b] > 1:
+            if distance[p_a][p_b] >= unreachable:
+                raise ValueError(
+                    f"qubits {p_a} and {p_b} are not connected in the coupling map"
+                )
+            row = distance[p_b]
+            best_a, gap_a = -1, unreachable
+            for candidate in neighbors(p_a):
+                if row[candidate] < gap_a:
+                    best_a, gap_a = candidate, row[candidate]
+            row = distance[p_a]
+            best_b, gap_b = -1, unreachable
+            for candidate in neighbors(p_b):
+                if row[candidate] < gap_b:
+                    best_b, gap_b = candidate, row[candidate]
+            if gap_a <= gap_b:
+                chain.append((p_a, best_a))
+                p_a = best_a
             else:
-                mover, step = p_b, best_b
-            physical.swap(mover, step)
-            routed.num_swaps += 1
-            routed.two_qubit_edges.append((min(mover, step), max(mover, step)))
-            working.swap_physical(mover, step)
-            p_a = working.physical(virtual_a)
-            p_b = working.physical(virtual_b)
-        physical.append(Gate(gate.name, (p_a, p_b), gate.params))
-        routed.two_qubit_edges.append((min(p_a, p_b), max(p_a, p_b)))
+                chain.append((p_b, best_b))
+                p_b = best_b
+        return chain
 
-    return routed
+    return _route(circuit, coupling, layout, swap_chain)
 
 
 def _edge_costs(coupling: CouplingMap, edge_errors):
@@ -228,8 +290,7 @@ class RoutingWeights:
     pair.  Dijkstra predecessor rows are computed on first query per
     source and memoised — scipy's Dijkstra treats sources independently,
     so a lazily-filled row is bit-identical to the same row of the
-    historical eager all-pairs run (:meth:`predecessor_matrix` pins
-    this in the parity suite).  Endpoint costs for the router's
+    historical eager all-pairs run (the parity suite pins this).  Endpoint costs for the router's
     mover tie-break come from a per-edge dict instead of the old dense
     ``(n, n)`` weight matrix, dropping the O(n^2) allocation entirely.
 
@@ -286,21 +347,6 @@ class RoutingWeights:
                     self._pred[source] = row
         return row
 
-    def predecessor_matrix(self) -> np.ndarray:
-        """Eagerly compute every source's tree in one batched call.
-
-        This is the historical all-pairs behaviour; the benchmark's
-        legacy-cost emulation and the lazy-vs-eager parity tests use it.
-        The rows replace (identically) any lazily computed ones.
-        """
-        _, pred = shortest_path(
-            self._matrix, method="D", directed=False, return_predecessors=True
-        )
-        with self._lock:
-            for source in range(self.num_qubits):
-                self._pred[source] = pred[source]
-        return pred
-
 
 #: Content-keyed weight structures; traffic counts into
 #: ``repro_routing_cache_events_total{event}``.
@@ -354,21 +400,6 @@ def clear_routing_cache() -> None:
     _CACHE.clear()
 
 
-def _weighted_path(predecessors: np.ndarray, source: int, target: int) -> list[int]:
-    """Reconstruct one weighted shortest path from a predecessor row."""
-    path = [target]
-    node = target
-    while node != source:
-        node = int(predecessors[node])
-        if node < 0:
-            raise ValueError(
-                f"qubits {source} and {target} are not connected in the coupling map"
-            )
-        path.append(node)
-    path.reverse()
-    return path
-
-
 def route_circuit_noise_aware(
     circuit: QuantumCircuit,
     coupling: CouplingMap,
@@ -410,47 +441,41 @@ def route_circuit_noise_aware(
         return route_circuit(circuit, coupling, layout)
 
     weights = routing_weights(coupling, edge_errors)
-    working = layout.copy()
-    physical = QuantumCircuit(num_qubits=coupling.num_qubits, name=circuit.name)
-    routed = RoutedCircuit(
-        circuit=physical,
-        initial_layout=layout.copy(),
-        final_layout=working,
-    )
+    cost = weights._cost
+    trees: dict[int, list[int]] = {}
 
-    for gate in circuit:
-        if gate.num_qubits == 1:
-            physical.append(
-                Gate(gate.name, (working.physical(gate.qubits[0]),), gate.params)
-            )
-            continue
-        if gate.num_qubits != 2:
-            raise ValueError(
-                f"gate {gate.name!r} must be decomposed to the CX basis before routing"
-            )
-        virtual_a, virtual_b = gate.qubits
-        p_a = working.physical(virtual_a)
-        p_b = working.physical(virtual_b)
-        # Walk the weighted shortest path inward from both ends until the
-        # operands sit on its final edge.  Each SWAP shortens the path by
-        # one hop (subpaths of shortest paths are shortest), so the loop
+    def swap_chain(p_a: int, p_b: int) -> list[tuple[int, int]]:
+        predecessors = trees.get(p_a)
+        if predecessors is None:
+            predecessors = trees[p_a] = weights.predecessor_row(p_a).tolist()
+        # The weighted shortest path p_a -> p_b, read off the Dijkstra tree.
+        path = [p_b]
+        node = p_b
+        while node != p_a:
+            node = predecessors[node]
+            if node < 0:
+                raise ValueError(
+                    f"qubits {p_a} and {p_b} are not connected in the coupling map"
+                )
+            path.append(node)
+        path.reverse()
+        # Walk the path inward from both ends until the operands sit on
+        # its final edge.  Each SWAP shortens the path by one hop
+        # (subpaths of shortest paths are shortest), so the loop
         # terminates after len(path) - 2 swaps.
-        path = _weighted_path(weights.predecessor_row(p_a), p_a, p_b)
-        while len(path) > 2:
-            cost_a = weights.edge_cost(path[0], path[1])
-            cost_b = weights.edge_cost(path[-1], path[-2])
-            if (cost_a, path[0]) <= (cost_b, path[-1]):
-                mover, step = path[0], path[1]
-                path = path[1:]
+        chain = []
+        first, last = 0, len(path) - 1
+        while last - first > 1:
+            head, head_next = path[first], path[first + 1]
+            tail, tail_next = path[last], path[last - 1]
+            cost_a = cost[(head, head_next) if head < head_next else (head_next, head)]
+            cost_b = cost[(tail, tail_next) if tail < tail_next else (tail_next, tail)]
+            if (cost_a, head) <= (cost_b, tail):
+                chain.append((head, head_next))
+                first += 1
             else:
-                mover, step = path[-1], path[-2]
-                path = path[:-1]
-            physical.swap(mover, step)
-            routed.num_swaps += 1
-            routed.two_qubit_edges.append((min(mover, step), max(mover, step)))
-            working.swap_physical(mover, step)
-        p_a, p_b = working.physical(virtual_a), working.physical(virtual_b)
-        physical.append(Gate(gate.name, (p_a, p_b), gate.params))
-        routed.two_qubit_edges.append((min(p_a, p_b), max(p_a, p_b)))
+                chain.append((tail, tail_next))
+                last -= 1
+        return chain
 
-    return routed
+    return _route(circuit, coupling, layout, swap_chain)

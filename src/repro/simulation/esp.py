@@ -57,7 +57,7 @@ class FidelityScore:
 
 
 def fidelity_product(
-    two_qubit_edges: Iterable[tuple[int, int]],
+    two_qubit_edges: np.ndarray | Iterable[tuple[int, int]],
     edge_errors: Device | Mapping[tuple[int, int], float],
 ) -> FidelityScore:
     """Fidelity product of a sequence of two-qubit gates.
@@ -65,8 +65,10 @@ def fidelity_product(
     Parameters
     ----------
     two_qubit_edges:
-        Physical coupling used by each two-qubit gate (as produced by
-        :class:`repro.compiler.transpile.TranspiledCircuit`).
+        Physical coupling used by each two-qubit gate: an iterable of
+        ``(u, v)`` pairs, or the ``(k, 2)`` integer edge columns of a
+        compiled circuit (``transpiled.circuit.edge_array()``), which are
+        used as they are.
     edge_errors:
         Device (or raw mapping) providing per-coupling infidelity.  The
         device path reuses the cached
@@ -78,10 +80,12 @@ def fidelity_product(
 
 
 def _fidelity_product_impl(
-    two_qubit_edges: Iterable[tuple[int, int]],
+    two_qubit_edges: np.ndarray | Iterable[tuple[int, int]],
     edge_errors: Device | Mapping[tuple[int, int], float],
 ) -> FidelityScore:
-    edges = np.asarray(list(two_qubit_edges), dtype=np.int64).reshape(-1, 2)
+    if not isinstance(two_qubit_edges, np.ndarray):
+        two_qubit_edges = list(two_qubit_edges)
+    edges = np.asarray(two_qubit_edges, dtype=np.int64).reshape(-1, 2)
     count = edges.shape[0]
     if count == 0:
         return FidelityScore(log10_fidelity=0.0, num_two_qubit_gates=0)

@@ -83,8 +83,8 @@ def adaptive_estimate(
     confidence, method:
         Interval parameters of the stopping criterion.
     """
-    if ci_target is not None and ci_target < 0.0:
-        raise ValueError("ci_target must be non-negative")
+    if ci_target is not None and not ci_target >= 0.0:
+        raise ValueError("ci_target must be a non-negative number")
     if max_samples <= 0:
         raise ValueError("max_samples must be positive")
 
@@ -136,8 +136,9 @@ class StatsOptions:
     def __post_init__(self) -> None:
         if self.chunk_size is not None and self.chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        if self.ci_target is not None and self.ci_target < 0.0:
-            raise ValueError("ci_target must be non-negative")
+        # ``not >=`` also rejects NaN, which every comparison fails.
+        if self.ci_target is not None and not self.ci_target >= 0.0:
+            raise ValueError("ci_target must be a non-negative number")
         if self.max_samples is not None and self.max_samples <= 0:
             raise ValueError("max_samples must be positive")
         if self.max_samples is not None and self.ci_target is None:

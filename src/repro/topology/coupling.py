@@ -40,6 +40,7 @@ class CouplingMap:
     _distance: np.ndarray | None = field(default=None, repr=False, compare=False)
     _graph: nx.Graph | None = field(default=None, repr=False, compare=False)
     _neighbors: list[list[int]] | None = field(default=None, repr=False, compare=False)
+    _distance_rows: list[list[int]] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         normalised = []
@@ -77,7 +78,7 @@ class CouplingMap:
         return self._graph
 
     def neighbors(self, qubit: int) -> list[int]:
-        """Neighbouring qubits of ``qubit``."""
+        """Neighbouring qubits of ``qubit``, in ascending order."""
         if self._neighbors is None:
             adjacency: list[list[int]] = [[] for _ in range(self.num_qubits)]
             for u, v in self.edges:
@@ -114,6 +115,22 @@ class CouplingMap:
             )
             self._distance = shortest_path(matrix, method="D", unweighted=True)
         return self._distance
+
+    def distance_rows(self) -> list[list[int]]:
+        """The hop distances as nested lists of ints, cached.
+
+        For scalar per-gate lookups (``rows[u][v]``) in the router.  An
+        unreachable pair reads ``num_qubits``, which exceeds every finite
+        hop count, so comparisons between distances keep their order.
+        """
+        if self._distance_rows is None:
+            matrix = self.distance_matrix()
+            self._distance_rows = (
+                np.where(np.isfinite(matrix), matrix, self.num_qubits)
+                .astype(np.int64)
+                .tolist()
+            )
+        return self._distance_rows
 
     def distance(self, u: int, v: int) -> int:
         """Shortest-path distance (hops) between two qubits."""

@@ -181,6 +181,11 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "invalid tuning options" in err and "max_shift_ghz" in err
 
+    def test_nan_ci_target_exits_2(self, capsys):
+        assert main(["run", "sec5c", "--ci-target", "nan"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid statistics options" in err and "ci_target" in err
+
     def test_repair_budget_zero_is_noop_baseline(self, capsys):
         args = [
             "run", "fig4", "--batch", "80", "--jobs", "1", "--seed", "3", "--quiet",

@@ -7,7 +7,7 @@ import pytest
 
 from repro.circuits.benchmarks import build_benchmark, ghz
 from repro.circuits.circuit import QuantumCircuit
-from repro.compiler.decompose import decompose_swaps, decompose_to_cx_basis
+from repro.compiler.decompose import decompose_to_cx_basis
 from repro.compiler.layout import Layout, choose_layout, find_long_path, is_chain_circuit
 from repro.compiler.metrics import gate_metrics
 from repro.compiler.routing import route_circuit
@@ -43,7 +43,7 @@ class TestDecompose:
     def test_swap_decomposition_preserves_unitary(self):
         circuit = QuantumCircuit(3)
         circuit.h(0).cx(0, 2).swap(0, 1)
-        decomposed = decompose_swaps(circuit)
+        decomposed = decompose_to_cx_basis(circuit)
         assert decomposed.count_ops().get("swap", 0) == 0
         overlap = abs(np.vdot(simulate(circuit).amplitudes, simulate(decomposed).amplitudes))
         assert overlap == pytest.approx(1.0, abs=1e-9)
@@ -150,6 +150,14 @@ class TestRouting:
         with pytest.raises(ValueError):
             route_circuit(circuit, line5, Layout({0: 0, 1: 1, 2: 2}))
 
+    def test_routing_between_disconnected_qubits_raises(self):
+        # The SWAP walk must fail on an unreachable pair, not spin forever.
+        coupling = CouplingMap(num_qubits=4, edges=[(0, 1), (2, 3)])
+        circuit = QuantumCircuit(4)
+        circuit.cx(0, 3)
+        with pytest.raises(ValueError, match="not connected"):
+            route_circuit(circuit, coupling, Layout({i: i for i in range(4)}))
+
     def test_routed_circuit_preserves_semantics(self):
         """Routing + SWAP decomposition implements the same state up to relabelling."""
         coupling = CouplingMap(num_qubits=4, edges=[(0, 1), (1, 2), (2, 3)])
@@ -157,7 +165,7 @@ class TestRouting:
         circuit.h(0).cx(0, 3).cx(1, 2).rz(0.5, 3).cx(0, 2)
         layout = Layout({i: i for i in range(4)})
         routed = route_circuit(circuit, coupling, layout)
-        physical = decompose_swaps(routed.circuit)
+        physical = decompose_to_cx_basis(routed.circuit)
 
         original = simulate(circuit)
         mapped = simulate(physical)

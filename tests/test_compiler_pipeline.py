@@ -6,9 +6,8 @@ import pytest
 
 from repro.circuits.benchmarks import build_benchmark, ghz
 from repro.circuits.circuit import QuantumCircuit
-from repro.compiler.decompose import decompose_swaps, decompose_to_cx_basis
+from repro.compiler.decompose import decompose_to_cx_basis
 from repro.compiler.layout import Layout, choose_layout
-from repro.compiler.metrics import gate_metrics
 from repro.compiler.pipeline import (
     CompileContext,
     CompilerStrategy,
@@ -28,23 +27,18 @@ from repro.compiler.transpile import transpile
 from repro.topology.coupling import CouplingMap
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
 
+from compile_reference import reference_transpile
+
 
 def legacy_transpile(circuit, target, layout_method="auto"):
-    """The seed-state transpile sequence, verbatim, as the reference."""
-    from repro.device.device import Device
-
-    coupling = target.coupling if isinstance(target, Device) else target
-    edge_errors = target.edge_errors if isinstance(target, Device) else None
-    logical = decompose_to_cx_basis(circuit)
-    layout = choose_layout(logical, coupling, method=layout_method, edge_errors=edge_errors)
-    routed = route_circuit(logical, coupling, layout)
-    physical = decompose_swaps(routed.circuit)
-    edges = []
-    for gate, edge in zip(
-        (g for g in routed.circuit if g.num_qubits == 2), routed.two_qubit_edges
-    ):
-        edges.extend([edge, edge, edge] if gate.name == "swap" else [edge])
-    return physical, routed, gate_metrics(physical), edges
+    """The seed-state transpile sequence (``compile_reference``)."""
+    reference = reference_transpile(circuit, target, layout_method=layout_method)
+    return (
+        reference.circuit,
+        reference.routed,
+        reference.metrics,
+        reference.two_qubit_edges,
+    )
 
 
 class TestRegistries:

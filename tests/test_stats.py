@@ -204,6 +204,11 @@ class TestAdaptiveEstimate:
         with pytest.raises(ValueError):
             adaptive_estimate(self._binomial_draw(0.5), ci_target=0.1, max_samples=0)
 
+    def test_nan_ci_target_raises(self):
+        # NaN fails every comparison, so it would never stop a run early.
+        with pytest.raises(ValueError, match="non-negative number"):
+            adaptive_estimate(self._binomial_draw(0.5), ci_target=float("nan"))
+
 
 class TestStatsOptions:
     def test_defaults_are_inert(self):
@@ -216,6 +221,8 @@ class TestStatsOptions:
             StatsOptions(chunk_size=0)
         with pytest.raises(ValueError):
             StatsOptions(ci_target=-1.0)
+        with pytest.raises(ValueError, match="non-negative number"):
+            StatsOptions(ci_target=float("nan"))
         with pytest.raises(ValueError):
             StatsOptions(max_samples=-5)
         with pytest.raises(ValueError):
