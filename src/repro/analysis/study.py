@@ -39,6 +39,7 @@ from repro.core.yield_model import YieldResult, simulate_yield_with_devices
 from repro.device.device import Device
 from repro.device.noise import EmpiricalCXModel
 from repro.device.calibration import washington_cx_model
+from repro.engine.phases import phase
 from repro.topology.coupling import CouplingMap
 
 __all__ = [
@@ -261,20 +262,16 @@ def compute_mcm_result(
         rng=_study_rng(config, 2, chiplet_size, grid[0], grid[1]),
     )
 
-    link_edges = design.link_edges()
-    on_chip_sums = []
-    link_sums = []
-    num_edges = design.coupling_map().num_edges
-    for mcm in assembly.mcms:
-        on_chip = 0.0
-        link = 0.0
-        for edge, error in mcm.edge_errors.items():
-            if edge in link_edges:
-                link += error
-            else:
-                on_chip += error
-        on_chip_sums.append(on_chip)
-        link_sums.append(link)
+    # Error rows put the on-chip couplings first and the links last
+    # (MCMDesign.edges()).  The last cumsum column is the left-to-right
+    # running total, the same float64 value a sequential ``+=`` loop
+    # gives; ``.sum()`` would sum pairwise and differ in the last bits.
+    on_chip_sums = link_sums = np.zeros(0)
+    if assembly.mcms:
+        errors = np.stack([mcm.errors for mcm in assembly.mcms])
+        split = errors.shape[1] - design.num_links
+        on_chip_sums = np.cumsum(errors[:, :split], axis=1)[:, -1]
+        link_sums = np.cumsum(errors[:, split:], axis=1)[:, -1]
 
     best_device = None
     if assembly.mcms:
@@ -288,9 +285,9 @@ def compute_mcm_result(
         post_assembly_yield_100x=post_assembly_yield(
             assembly, chiplet_bin.batch_size, failure_multiplier=100.0
         ),
-        on_chip_error_sums=np.asarray(on_chip_sums, dtype=float),
-        link_error_sums=np.asarray(link_sums, dtype=float),
-        num_edges=num_edges,
+        on_chip_error_sums=on_chip_sums,
+        link_error_sums=link_sums,
+        num_edges=design.coupling_map().num_edges,
         base_link_mean=base_scenario.link_model.mean,
         best_device=best_device,
     )
@@ -350,7 +347,8 @@ def compute_monolithic_result(
         edge_u = np.asarray([u for u, _ in edges])
         edge_v = np.asarray([v for _, v in edges])
         detunings = np.abs(survivors[:, edge_u] - survivors[:, edge_v])
-        errors = cx_model.sample_many(detunings, rng)
+        with phase("characterise"):
+            errors = cx_model.sample_many(detunings, rng)
         per_device = errors.mean(axis=1)
         eavg = float(per_device.mean())
         median_index = int(np.argsort(per_device)[len(per_device) // 2])

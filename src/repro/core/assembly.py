@@ -17,11 +17,19 @@ The assembly pipeline is:
    inter-chip links, and reshuffle the placement (up to 100 permutations,
    the paper's time-out) when a collision is found.  If no collision-free
    placement exists the leading chiplet is set aside and assembly continues
-   with the next subset.
+   with the next subset.  The in-order placements of every remaining
+   ``k*m`` block are screened in one batch (the in-order check draws no
+   randomness, so the verdicts stay valid until a set-aside shifts the
+   blocks), and a module's error row is its chiplets' rows in placement
+   order followed by one vector draw of link errors.
 4. *Account for assembly losses*: every linked qubit requires 25 C4 bump
    bonds, each succeeding with probability ``s_l`` (silicon interposer
    defect rates), so the post-assembly yield is the chiplet utilisation
    scaled by ``(s_l ** 25) ** L``.
+
+Chiplets and modules carry their two-qubit errors as one float row each,
+aligned to :meth:`ChipletDesign.edges` and :meth:`MCMDesign.edges`; the
+``edge_errors`` dicts are views built on demand.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from repro.core.fabrication import FabricationModel
 from repro.core.mcm import MCMDesign
 from repro.device.device import Device
 from repro.device.noise import EmpiricalCXModel, LinkErrorModel
+from repro.engine.phases import phase
 from repro.tuning import TuningOptions, repair_batch
 
 __all__ = [
@@ -71,9 +80,12 @@ class FabricatedChiplet:
     ----------
     frequencies_ghz:
         Actual qubit frequencies of this die.
-    edge_errors:
-        KGD-characterised two-qubit infidelity per on-chip coupling
-        (local qubit indices).
+    errors:
+        KGD-characterised two-qubit infidelity per on-chip coupling,
+        aligned to ``edges``.
+    edges:
+        The design's couplings (local qubit indices), shared by every die
+        of a bin.
     repaired:
         True when the die is collision-free only because the
         post-fabrication tuner repaired it (``compare=False`` so the
@@ -84,23 +96,20 @@ class FabricatedChiplet:
     """
 
     frequencies_ghz: np.ndarray
-    edge_errors: dict[tuple[int, int], float]
+    errors: np.ndarray
+    edges: list[tuple[int, int]] = field(compare=False, repr=False)
     repaired: bool = field(default=False, compare=False)
     tuned_qubits: tuple[int, ...] = field(default=(), compare=False)
-    average_error_ghz: float | None = field(default=None, compare=False)
+
+    @property
+    def edge_errors(self) -> dict[tuple[int, int], float]:
+        """``{coupling: infidelity}`` view of ``errors``."""
+        return dict(zip(self.edges, self.errors.tolist()))
 
     @property
     def average_error(self) -> float:
-        """Average on-chip two-qubit infidelity (used for binning).
-
-        ``fabricate_chiplet_bin`` precomputes this for the whole bin in
-        one contiguous ``mean(axis=1)`` (bit-identical to averaging the
-        dict values per die); directly-constructed chiplets fall back to
-        the per-die reduction.
-        """
-        if self.average_error_ghz is not None:
-            return self.average_error_ghz
-        return float(np.mean(list(self.edge_errors.values())))
+        """Average on-chip two-qubit infidelity (used for binning)."""
+        return float(self.errors.mean())
 
 
 @dataclass
@@ -152,8 +161,9 @@ class AssembledMCM:
         The MCM design (grid + links) the module implements.
     frequencies_ghz:
         Assembled per-qubit frequencies (global MCM indices).
-    edge_errors:
-        Two-qubit infidelity for every coupling, including links.
+    errors:
+        Two-qubit infidelity for every coupling, links included, aligned
+        to ``design.edges()``.
     num_repaired_chiplets:
         How many of the module's chiplets were post-fabrication repairs
         (0 for untuned pipelines; ``compare=False``, see
@@ -166,14 +176,19 @@ class AssembledMCM:
 
     design: MCMDesign
     frequencies_ghz: np.ndarray
-    edge_errors: dict[tuple[int, int], float]
+    errors: np.ndarray
     num_repaired_chiplets: int = field(default=0, compare=False)
     tuned_qubits: tuple[int, ...] = field(default=(), compare=False)
 
     @property
+    def edge_errors(self) -> dict[tuple[int, int], float]:
+        """``{coupling: infidelity}`` view of ``errors``, links included."""
+        return dict(zip(self.design.edges(), self.errors.tolist()))
+
+    @property
     def average_error(self) -> float:
         """Average two-qubit infidelity over all couplings (``E_avg``)."""
-        return float(np.mean(list(self.edge_errors.values())))
+        return float(self.errors.mean())
 
     def to_device(self, name: str | None = None) -> Device:
         """Convert the assembled module into a :class:`Device`."""
@@ -182,7 +197,7 @@ class AssembledMCM:
             coupling=self.design.coupling_map(),
             frequencies_ghz=self.frequencies_ghz,
             labels=self.design.allocation.labels.copy(),
-            edge_errors=dict(self.edge_errors),
+            edge_errors=self.edge_errors,
             metadata={
                 "chiplet_size": self.design.chiplet.num_qubits,
                 "grid": (self.design.grid_rows, self.design.grid_cols),
@@ -288,14 +303,15 @@ def fabricate_chiplet_bin(
         # whole bin is characterised from one contiguous (dies, edges)
         # array.
         detunings = np.abs(rows[:, edge_u] - rows[:, edge_v])
-        return cx_model.sample_many(detunings, sample_rng)
+        with phase("characterise"):
+            return cx_model.sample_many(detunings, sample_rng)
 
     # Characterise both survivor groups device-major, then build the bin
     # already speed-sorted: per-die averages come from one bulk
     # mean(axis=1) over the contiguous error array, and the stable
     # argsort reproduces exactly what sorting chiplet objects by their
-    # per-die dict average used to produce (same float64 values, same
-    # tie order: as-fabricated dies before repaired ones).
+    # per-die average used to produce (same float64 values, same tie
+    # order: as-fabricated dies before repaired ones).
     as_fab = frequencies[mask]
     parts: list[np.ndarray] = []
     part_errors: list[np.ndarray] = []
@@ -311,20 +327,20 @@ def fabricate_chiplet_bin(
         num_as_fab = as_fab.shape[0]
         all_rows = np.concatenate(parts, axis=0)
         all_errors = np.concatenate(part_errors, axis=0)
-        averages = all_errors.mean(axis=1)
-        error_lists = all_errors.tolist()  # one bulk ndarray -> float conversion
-        for position in np.argsort(averages, kind="stable"):
-            position = int(position)
+        order = np.argsort(all_errors.mean(axis=1), kind="stable")
+        sorted_rows = all_rows[order]
+        sorted_errors = all_errors[order]
+        for rank, position in enumerate(order.tolist()):
             is_repaired = position >= num_as_fab
             chiplets.append(
                 FabricatedChiplet(
-                    frequencies_ghz=all_rows[position].copy(),
-                    edge_errors=dict(zip(edges, error_lists[position])),
+                    frequencies_ghz=sorted_rows[rank],
+                    errors=sorted_errors[rank],
+                    edges=edges,
                     repaired=is_repaired,
                     tuned_qubits=tuple(repaired_tuned[position - num_as_fab])
                     if is_repaired
                     else (),
-                    average_error_ghz=float(averages[position]),
                 )
             )
     return ChipletBin(
@@ -336,57 +352,42 @@ def fabricate_chiplet_bin(
 
 
 def _try_placements(
-    subset: list[FabricatedChiplet],
+    chip_frequencies: np.ndarray,
     design: MCMDesign,
     rng: np.random.Generator,
     max_reshuffles: int,
     thresholds: CollisionThresholds | None,
-) -> tuple[list[int] | None, int]:
-    """Search for a collision-free placement of ``subset`` into the MCM grid.
+) -> tuple[np.ndarray | None, int]:
+    """Search the reshuffles of a block whose in-order placement collided.
 
-    Returns the placement (a permutation of subset indices) and the number
-    of reshuffles that were attempted.
+    ``chip_frequencies`` holds the block's chiplets, one row each.
+    Returns the first collision-free placement (an array of row indices,
+    in slot order) and the number of reshuffles the search consumed.
 
-    The in-order placement is tested first (one cheap call — the common
-    case when the bin is clean).  When it collides, every candidate
-    permutation is drawn up front and evaluated in a *single* batched
-    :func:`collision_free_mask` call instead of up to ``max_reshuffles``
-    batch-of-1 calls (see ``benchmarks/bench_assembly.py`` for the
-    measured speedup).  To keep the caller's random stream bit-identical
-    to the historical draw-one-test-one loop — the same generator later
-    samples link errors — the generator state is saved before the bulk
-    draw and then replayed for exactly as many permutations as the
-    sequential search would have consumed.
+    Every candidate is drawn up front by one ``permuted`` call over a
+    tiled ``arange``, which draws exactly what ``max_reshuffles`` stacked
+    ``rng.permutation`` calls draw, and all of them are screened in a
+    *single* :func:`collision_free_mask` call instead of up to
+    ``max_reshuffles`` batch-of-1 calls.  To keep the caller's random
+    stream bit-identical to the historical draw-one-test-one loop (the
+    same generator later samples link errors), the generator is rewound
+    and replays exactly as many candidates as that loop would have
+    consumed.
     """
-    num_chips = design.num_chips
-    identity = list(range(num_chips))
-    frequencies = design.assemble_frequencies(
-        [subset[i].frequencies_ghz for i in identity]
-    )
-    if bool(collision_free_mask(design.allocation, frequencies, thresholds)[0]):
-        return identity, 0
     if max_reshuffles <= 0:
         return None, 0
-
+    candidates = np.tile(np.arange(design.num_chips), (max_reshuffles, 1))
     state = rng.bit_generator.state
-    permutations = np.stack(
-        [rng.permutation(num_chips) for _ in range(max_reshuffles)]
-    )
-    chip_frequencies = np.stack([c.frequencies_ghz for c in subset])
+    permutations = rng.permuted(candidates, axis=1)
     # chip_frequencies[permutations] has shape (reshuffles, chips, qubits);
-    # flattening the chip axis reproduces assemble_frequencies row by row.
-    candidate_batch = chip_frequencies[permutations].reshape(max_reshuffles, -1)
-    mask = collision_free_mask(design.allocation, candidate_batch, thresholds)
-    hits = np.flatnonzero(mask)
-
+    # flattening the chip axis gives each candidate's module frequencies.
+    batch = chip_frequencies[permutations].reshape(max_reshuffles, -1)
+    hits = np.flatnonzero(collision_free_mask(design.allocation, batch, thresholds))
     attempts = int(hits[0]) + 1 if hits.size else max_reshuffles
-    rng.bit_generator.state = state
-    for _ in range(attempts):
-        rng.permutation(num_chips)
-
-    if hits.size:
-        return [int(chip) for chip in permutations[hits[0]]], attempts
-    return None, attempts
+    if attempts < max_reshuffles:
+        rng.bit_generator.state = state
+        rng.permuted(candidates[:attempts], axis=1)
+    return (permutations[hits[0]] if hits.size else None), attempts
 
 
 def assemble_mcms(
@@ -417,56 +418,84 @@ def assemble_mcms(
         the best module is needed for application analysis).
     thresholds:
         Collision windows.
+
+    The pool is consumed in ``num_chips``-aligned blocks from the best
+    chiplet on, and only a set-aside shifts that alignment.  The in-order
+    check draws no randomness, so the in-order placements of every
+    remaining block (at most ``max_mcms`` more when capped) are screened
+    in one :func:`collision_free_mask` call, and the verdicts are used
+    block by block until a set-aside moves the pool's start by one; the
+    screen then restarts from there.  Reshuffles and link draws consume
+    ``rng`` in the same order as a subset-by-subset loop, so the result
+    and the generator's end state are bit-identical to it.
     """
     if design.chiplet.num_qubits != chiplet_bin.design.num_qubits:
         raise ValueError("chiplet bin and MCM design use different chiplet sizes")
 
     result = AssemblyResult(design=design)
-    pool = list(chiplet_bin.chiplets)
+    chiplets = chiplet_bin.chiplets
     num_chips = design.num_chips
+    if len(chiplets) < num_chips:
+        return result
     qc = design.chiplet.num_qubits
+    num_links = len(design.links)
 
-    while len(pool) >= num_chips:
-        if max_mcms is not None and result.num_mcms >= max_mcms:
-            break
-        subset = pool[:num_chips]
-        placement, attempts = _try_placements(
-            subset, design, rng, max_reshuffles, thresholds
-        )
-        result.reshuffles += attempts
-        if placement is None:
-            # No collision-free arrangement: set the leading chiplet aside and
-            # retry with the next subset from the sorted bin.
-            pool.pop(0)
-            result.chiplets_set_aside += 1
-            continue
-
-        ordered = [subset[i] for i in placement]
-        frequencies = design.assemble_frequencies([c.frequencies_ghz for c in ordered])
-        edge_errors: dict[tuple[int, int], float] = {}
-        tuned_qubits: list[int] = []
-        for chip_index, chiplet in enumerate(ordered):
-            offset = chip_index * qc
-            for (u, v), error in chiplet.edge_errors.items():
-                edge_errors[(u + offset, v + offset)] = error
-            tuned_qubits.extend(q + offset for q in chiplet.tuned_qubits)
-        for link in design.links:
-            edge_errors[link.edge] = float(link_model.sample(rng))
-
-        repaired_chiplets = sum(1 for c in ordered if c.repaired)
-        result.mcms.append(
-            AssembledMCM(
-                design=design,
-                frequencies_ghz=frequencies,
-                edge_errors=edge_errors,
-                num_repaired_chiplets=repaired_chiplets,
-                tuned_qubits=tuple(tuned_qubits),
+    with phase("assemble"):
+        frequencies = np.stack([c.frequencies_ghz for c in chiplets])
+        errors = np.stack([c.errors for c in chiplets])
+        start = 0  # first chiplet still in the pool
+        while True:
+            blocks = (len(chiplets) - start) // num_chips
+            if max_mcms is not None:
+                blocks = min(blocks, max_mcms - result.num_mcms)
+            if blocks <= 0:
+                break
+            in_order = collision_free_mask(
+                design.allocation,
+                frequencies[start : start + blocks * num_chips].reshape(blocks, -1),
+                thresholds,
             )
-        )
-        result.chiplets_used += num_chips
-        result.repaired_chiplets_used += repaired_chiplets
-        pool = pool[num_chips:]
+            for block in range(blocks):
+                first = start + block * num_chips
+                members = np.arange(first, first + num_chips)
+                if not in_order[block]:
+                    placement, attempts = _try_placements(
+                        frequencies[members], design, rng, max_reshuffles, thresholds
+                    )
+                    result.reshuffles += attempts
+                    if placement is None:
+                        # No collision-free arrangement: set the leading
+                        # chiplet aside and re-screen from the next one.
+                        result.chiplets_set_aside += 1
+                        start = first + 1
+                        break
+                    members = members[placement]
 
+                ordered = [chiplets[i] for i in members.tolist()]
+                tuned_qubits = tuple(
+                    q + slot * qc
+                    for slot, chiplet in enumerate(ordered)
+                    for q in chiplet.tuned_qubits
+                )
+                repaired_chiplets = sum(1 for c in ordered if c.repaired)
+                result.mcms.append(
+                    AssembledMCM(
+                        design=design,
+                        frequencies_ghz=frequencies[members].reshape(-1),
+                        errors=np.concatenate(
+                            (
+                                errors[members].reshape(-1),
+                                link_model.sample(rng, size=num_links),
+                            )
+                        ),
+                        num_repaired_chiplets=repaired_chiplets,
+                        tuned_qubits=tuned_qubits,
+                    )
+                )
+                result.chiplets_used += num_chips
+                result.repaired_chiplets_used += repaired_chiplets
+            else:  # no set-aside: every screened block became a module
+                start += blocks * num_chips
     return result
 
 

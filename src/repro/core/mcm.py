@@ -115,14 +115,9 @@ class MCMDesign:
         builder = _LinkBuilder(chiplet, grid_rows, grid_cols)
         links = builder.build_links()
 
-        qc = chiplet.num_qubits
         num_chips = grid_rows * grid_cols
         labels = np.tile(chiplet.labels, num_chips)
-        edges: list[tuple[int, int]] = []
-        for chip in range(num_chips):
-            offset = chip * qc
-            edges.extend((u + offset, v + offset) for u, v in chiplet.edges())
-        edges.extend(link.edge for link in links)
+        edges = _module_edges(chiplet, num_chips, links)
 
         allocation = allocation_from_labels(labels, edges, spec=chiplet.allocation.spec)
         name = f"mcm-{grid_rows}x{grid_cols}-{chiplet.name}"
@@ -171,6 +166,16 @@ class MCMDesign:
             qubits.add(link.global_b)
         return len(qubits)
 
+    def edges(self) -> list[tuple[int, int]]:
+        """Every coupling of the module in its canonical order.
+
+        Chip-major on-chip couplings (each chiplet's ``edges()`` shifted
+        by its slot offset), then one entry per link in ``links`` order.
+        :class:`repro.core.assembly.AssembledMCM` aligns its error row
+        to this list.
+        """
+        return _module_edges(self.chiplet, self.num_chips, self.links)
+
     def link_edges(self) -> frozenset[tuple[int, int]]:
         """Global link couplings."""
         return frozenset(link.edge for link in self.links)
@@ -218,6 +223,19 @@ class MCMDesign:
             if np.shape(vector) != (qc,):
                 raise ValueError("per-chiplet frequency vector has the wrong shape")
         return np.concatenate([np.asarray(v, dtype=float) for v in per_chip_frequencies])
+
+
+def _module_edges(
+    chiplet: ChipletDesign, num_chips: int, links: list[InterChipLink]
+) -> list[tuple[int, int]]:
+    qc = chiplet.num_qubits
+    on_chip = chiplet.edges()
+    edges: list[tuple[int, int]] = []
+    for chip in range(num_chips):
+        offset = chip * qc
+        edges.extend((u + offset, v + offset) for u, v in on_chip)
+    edges.extend(link.edge for link in links)
+    return edges
 
 
 class _LinkBuilder:

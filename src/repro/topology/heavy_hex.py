@@ -197,15 +197,13 @@ def _candidate_shapes(target: int) -> Iterable[tuple[int, int, int]]:
             count = heavy_hex_qubit_count(rows, cols)
             if count < target:
                 continue
+            # Only the smallest adequate cols can serve this row count: the
+            # qubit count is non-decreasing in cols, so a wider lattice
+            # only trims more.  Past the trim limit this row count is out.
             excess = count - target
-            if excess > max(8, target // 4):
-                # Far too big: trimming this much would distort the lattice.
-                if cols > 2 and heavy_hex_qubit_count(rows, cols - 1) >= target:
-                    continue
-                if excess > max(12, target // 3):
-                    continue
-            yield excess, rows, cols
-            break  # Smallest adequate cols for this row count.
+            if excess <= max(12, target // 3):
+                yield excess, rows, cols
+            break
 
 
 def heavy_hex_by_qubit_count(

@@ -6,6 +6,7 @@ import threading
 import time
 
 import numpy as np
+import pytest
 
 from repro.circuits.benchmarks import build_benchmark
 from repro.compiler.transpile import transpile
@@ -140,3 +141,21 @@ class TestEngineAggregation:
         second.map_calls(count_collision_free, kwargs, name="mask-task")
         assert second.stats.cache_hits == len(kwargs)
         assert second.stats.seconds_by_phase == {}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fig8_books_assemble_and_characterise(self, jobs):
+        from repro.analysis.registry import EXPERIMENTS
+
+        engine = ExecutionEngine(jobs=jobs, use_cache=False)
+        started = time.perf_counter()
+        EXPERIMENTS.get("fig8").runner(engine, batch_size=60)
+        wall = time.perf_counter() - started
+        buckets = engine.stats.seconds_by_phase
+        assert {"assemble", "characterise", "mask", "sample"} <= set(buckets)
+        assert buckets["assemble"] > 0.0
+        # Exclusive accounting: the buckets never exceed the tasks'
+        # wall-clock, and in-process that is bounded by the run's.
+        total_phase = sum(buckets.values())
+        assert total_phase <= sum(engine.stats.seconds_by_family.values()) + 1e-6
+        if jobs == 1:
+            assert total_phase <= wall

@@ -65,6 +65,30 @@ class TestQubitCount:
             assert lattice.sites == reference.sites
             assert lattice.edges == reference.edges
 
+    def test_candidate_shapes_match_the_full_scan(self):
+        for n in range(2, 700):
+            assert list(heavy_hex._candidate_shapes(n)) == list(
+                _full_scan_candidate_shapes(n)
+            ), n
+
+
+def _full_scan_candidate_shapes(target: int):
+    """The historical candidate scan, which kept walking every wider
+    ``cols`` of a row after its first adequate one had too much excess."""
+    for rows in range(1, 40):
+        for cols in range(2, 80):
+            count = heavy_hex_qubit_count(rows, cols)
+            if count < target:
+                continue
+            excess = count - target
+            if excess > max(8, target // 4):
+                if cols > 2 and heavy_hex_qubit_count(rows, cols - 1) >= target:
+                    continue
+                if excess > max(12, target // 3):
+                    continue
+            yield excess, rows, cols
+            break
+
 
 @functools.cache
 def _loop_qubit_count(rows: int, cols: int) -> int:
