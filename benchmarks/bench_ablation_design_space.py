@@ -20,7 +20,7 @@ from repro.analysis.sweeps import sweep_parameter
 from repro.core.chiplet import ChipletDesign
 from repro.core.collisions import CollisionThresholds
 from repro.core.fabrication import FabricationModel
-from repro.core.frequencies import FrequencySpec, allocate_heavy_hex_frequencies
+from repro.core.frequencies import FrequencySpec, HeavyHexThreeFrequencyPlan
 from repro.core.yield_model import simulate_yield
 
 
@@ -59,7 +59,7 @@ def _yield_for_threshold_scale(scale: float, seed: int = 23) -> float:
         type6_ghz=0.025 * scale,
         type7_ghz=0.017 * scale,
     )
-    lattice_allocation = allocate_heavy_hex_frequencies(
+    lattice_allocation = HeavyHexThreeFrequencyPlan().allocate(
         ChipletDesign.build(60).lattice
     )
     rng = np.random.default_rng(seed)

@@ -38,7 +38,7 @@ from conftest import bench_batch_size, bench_jobs, reset_process_caches
 
 from repro.analysis.figures.fig4_yield import run_fig4_yield_sweep
 from repro.core.collisions import CollisionThresholds, collision_free_mask
-from repro.core.frequencies import FrequencySpec, allocate_heavy_hex_frequencies
+from repro.core.frequencies import FrequencySpec, HeavyHexThreeFrequencyPlan
 from repro.engine import ExecutionEngine
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
 
@@ -180,7 +180,7 @@ def _unstaged_mask(allocation, freqs, thresholds) -> np.ndarray:
 def test_staged_collision_mask_matches_unstaged_and_is_fast():
     """The staged kernel == the single-pass kernel, severalfold cheaper."""
     lattice = heavy_hex_by_qubit_count(500)
-    allocation = allocate_heavy_hex_frequencies(lattice, spec=FrequencySpec())
+    allocation = HeavyHexThreeFrequencyPlan().allocate(lattice, spec=FrequencySpec())
     thresholds = CollisionThresholds()
     batch = min(bench_batch_size(1000), 2000)
     # sigma at the laser-tuned phase transition: nearly every device dies

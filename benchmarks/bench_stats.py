@@ -24,7 +24,7 @@ from pathlib import Path
 
 from repro.core.collisions import collision_free_mask
 from repro.core.fabrication import FabricationModel
-from repro.core.frequencies import allocate_heavy_hex_frequencies
+from repro.core.frequencies import HeavyHexThreeFrequencyPlan
 from repro.core.yield_model import (
     materialize_seeded_batch,
     simulate_yield_adaptive,
@@ -52,7 +52,7 @@ MEMORY_SIZE = 100
 def _allocation(size: int):
     from repro.core.frequencies import FrequencySpec
 
-    return allocate_heavy_hex_frequencies(
+    return HeavyHexThreeFrequencyPlan().allocate(
         heavy_hex_by_qubit_count(size), spec=FrequencySpec(step_ghz=STEP_GHZ)
     )
 

@@ -11,7 +11,7 @@ import numpy as np
 from repro.analysis.figures.tables import run_table1_collision_criteria
 from repro.core.collisions import collision_free_mask
 from repro.core.fabrication import FabricationModel
-from repro.core.frequencies import allocate_heavy_hex_frequencies
+from repro.core.frequencies import HeavyHexThreeFrequencyPlan
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
 
 
@@ -26,7 +26,7 @@ def test_table1_criteria_demonstration(benchmark):
 def test_table1_vectorised_checker_throughput(benchmark):
     """Throughput of the batched collision check on a 127-qubit device."""
     lattice = heavy_hex_by_qubit_count(127)
-    allocation = allocate_heavy_hex_frequencies(lattice)
+    allocation = HeavyHexThreeFrequencyPlan().allocate(lattice)
     frequencies = FabricationModel(0.014).sample_batch(
         allocation, 1000, np.random.default_rng(0)
     )

@@ -10,6 +10,9 @@ Launches the real server as a subprocess, fires TWO identical small
 * the service result is identical to a plain CLI run
   (``python -m repro run fig4 --dump-json``) at the same seed/batch —
   the job API must not change any number the paper pipeline produces.
+* a submission with a bad param (``{"topology": "squre"}``) is refused
+  at submit with HTTP 400 and a did-you-mean suggestion, and creates no
+  job.
 
 Written as a plain script (not pytest) so CI can run it as its own step
 against the packaged entry point; ``--artifact PATH`` records a JSON
@@ -73,7 +76,20 @@ def launch_server(env: dict) -> tuple[subprocess.Popen, str, int]:
     raise SmokeFailure("server never reported its listening address")
 
 
+async def check_bad_params_refused(host: str, port: int) -> None:
+    payload = {"experiment": EXPERIMENT, "params": {"topology": "squre"}}
+    status, _, body = await request(host, port, "POST", "/jobs", payload)
+    check(status == 400, f"bad topology returned {status}: {body}")
+    check(
+        "did you mean 'square'" in json.dumps(body),
+        f"bad topology answer has no suggestion: {body}",
+    )
+    status, _, jobs = await request(host, port, "GET", "/jobs")
+    check(status == 200 and jobs == [], f"refused submission left jobs: {jobs}")
+
+
 async def exercise_service(host: str, port: int) -> dict:
+    await check_bad_params_refused(host, port)
     payload = {"experiment": EXPERIMENT, "params": PARAMS, "client": "smoke"}
     first, second = await asyncio.gather(
         request(host, port, "POST", "/jobs", payload),
@@ -193,8 +209,9 @@ def main() -> int:
         summary["cli_matches"] = True
         summary["elapsed_seconds"] = time.time() - started
         print(
-            f"[smoke] OK: one coalesced fig4 job, 2 submissions, "
-            f"service == CLI ({summary['elapsed_seconds']:.1f}s)"
+            f"[smoke] OK: bad params refused with 400, one coalesced fig4 "
+            f"job, 2 submissions, service == CLI "
+            f"({summary['elapsed_seconds']:.1f}s)"
         )
         return 0
     except SmokeFailure as failure:

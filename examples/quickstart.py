@@ -25,7 +25,7 @@ from repro.compiler.transpile import transpile
 from repro.core.assembly import assemble_mcms, fabricate_chiplet_bin, post_assembly_yield
 from repro.core.chiplet import ChipletDesign
 from repro.core.fabrication import FabricationModel
-from repro.core.frequencies import allocate_heavy_hex_frequencies
+from repro.core.frequencies import HeavyHexThreeFrequencyPlan
 from repro.core.mcm import MCMDesign
 from repro.core.yield_model import simulate_yield
 from repro.device.calibration import washington_cx_model
@@ -46,7 +46,7 @@ def main() -> None:
     chiplet_yield = simulate_yield(chiplet.allocation, fabrication, 2000, rng)
 
     monolith = heavy_hex_by_qubit_count(80)
-    mono_allocation = allocate_heavy_hex_frequencies(monolith)
+    mono_allocation = HeavyHexThreeFrequencyPlan().allocate(monolith)
     mono_yield = simulate_yield(mono_allocation, fabrication, 2000, rng)
 
     print("Collision-free yield (sigma_f = 0.014 GHz, batch of 2000):")

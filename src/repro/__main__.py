@@ -7,27 +7,31 @@ Subcommands
     experiment engine.  ``--jobs N`` sets the worker-process count:
     ``1`` runs everything in-process, above it batches with two or more
     pending tasks run on a process pool (results are bit-identical;
-    values below 1 exit with status 2),
-    ``--seed S`` overrides the experiment's master seed, ``--no-cache``
-    bypasses the on-disk result cache and ``--batch B`` scales the
-    Monte-Carlo batches (a negative seed or a batch below 1 exits with
-    status 2).  ``--topology T`` switches topology-aware
-    experiments to another registered architecture (heavy-hex, square,
-    ring); the selection is validated against the registry and becomes
-    part of every Monte-Carlo point's cache key.  The statistics flags
-    select the adaptive Monte-Carlo layer: ``--chunk-size C`` streams
-    every yield point in O(C) memory, ``--ci-target H`` keeps sampling
-    each point until its confidence-interval half-width is at most ``H``
-    (capped by ``--max-samples``, default: the batch size).  The tuning
-    flags enable the post-fabrication repair stage on tuning-aware
-    experiments: ``--tuning STRATEGY`` selects the repair strategy
-    (``greedy`` or ``anneal``), ``--max-shift-mhz`` bounds the tuner's
-    reach and ``--repair-budget`` caps the accepted shifts per qubit
-    (``0`` is a strict no-op baseline).  The compiler flags steer the
-    application experiments (``fig10``, ``appsweep``):
-    ``--benchmarks NAMES`` restricts the compiled benchmark subset
-    (comma-separated) and ``--routing NAME`` selects a registered
-    routing strategy (``basic`` or ``noise-aware``).  ``--dump-json
+    values below 1 exit with status 2), and ``--no-cache`` bypasses the
+    on-disk result cache.  Every other option is a row of
+    :data:`repro.analysis.registry.RUNNER_OPTIONS`, the table the
+    service's job parameters share: ``--seed S`` overrides the
+    experiment's master seed, ``--batch B`` scales the Monte-Carlo
+    batches, ``--full`` requests the paper-sized sweep and
+    ``--topology T`` switches to another registered architecture
+    (heavy-hex, square, ring).  The statistics flags select the
+    adaptive Monte-Carlo layer: ``--chunk-size C`` streams every yield
+    point in O(C) memory, ``--ci-target H`` keeps sampling each point
+    until its confidence-interval half-width is at most ``H`` (capped
+    by ``--max-samples``, default: the batch size).  The tuning flags
+    enable the post-fabrication repair stage: ``--tuning STRATEGY``
+    selects the repair strategy (``greedy`` or ``anneal``),
+    ``--max-shift-mhz`` bounds the tuner's reach and ``--repair-budget``
+    caps the accepted shifts per qubit (``0`` is a strict no-op
+    baseline).  The compiler flags steer the application experiments
+    (``fig10``, ``appsweep``): ``--benchmarks NAMES`` restricts the
+    compiled benchmark subset (comma-separated) and ``--routing NAME``
+    selects a registered routing strategy (``basic`` or
+    ``noise-aware``).  A bad value (a negative seed, a batch below 1,
+    an unknown name, ...) exits with status 2 and the message the
+    service answers with HTTP 400; an unknown name carries a
+    did-you-mean suggestion.  Options the experiment does not read draw
+    one warning on stderr naming them.  ``--dump-json
     PATH`` writes the experiment's full result — every numeric field,
     confidence intervals included — to a machine-readable JSON file,
     along with engine statistics and the routing-cache, sample-bank and
@@ -46,14 +50,16 @@ Subcommands
 ``list``
     Show every registered experiment, topology, repair strategy,
     benchmark and routing strategy.
-``cache clear``
-    Drop the on-disk result cache.
+``cache info|clear``
+    Show the on-disk result cache's directory and entry count, or drop
+    every entry.
 ``serve``
     Run the reproduction service: an asyncio HTTP job API over the
     engine (stdlib only, no extra dependencies).  ``--host``/``--port``
     bind the listener (``--port 0`` picks a free port and prints it),
     ``--workers`` sets the concurrent-job count, ``--queue-size`` the
-    bounded-queue capacity (submissions beyond it get HTTP 429),
+    bounded-queue capacity (submissions beyond it get HTTP 429; both,
+    like ``--max-attempts``, exit with status 2 below 1),
     ``--rate``/``--burst`` enable per-client token-bucket rate limiting,
     ``--max-attempts`` caps transient-failure retries and
     ``--jobs``/``--no-cache`` configure each job's
@@ -64,8 +70,9 @@ Subcommands
     registry in Prometheus text format.  See the README's "Reproduction
     as a service" section for the endpoint reference.
 
-Unknown experiment or topology names exit with status 2 and a
-did-you-mean suggestion from the corresponding registry.
+Unknown names (experiment, topology, routing or repair strategy,
+benchmark) exit with status 2 and a did-you-mean suggestion from the
+corresponding registry.
 
 Examples
 --------
@@ -98,37 +105,30 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis.registry import EXPERIMENTS, INT_OPTION_MINIMUMS
+from repro.analysis.registry import EXPERIMENTS, RUNNER_OPTIONS, parse_runner_options
 from repro.analysis.reporting import cache_traffic, jsonable
 from repro.circuits.benchmarks import BENCHMARK_NAMES
 from repro.compiler.pipeline import ROUTING_STRATEGIES
 from repro.core.architecture import ARCHITECTURES
-from repro.engine import ExecutionEngine, ResultCache, did_you_mean
+from repro.engine import ExecutionEngine, ResultCache
 from repro.obs import configure_logging
 from repro.obs import tracing as obs_tracing
 from repro.obs.export import format_summary, load_trace, summarize, write_trace
 from repro.obs.metrics import REGISTRY
-from repro.stats import StatsOptions
-from repro.tuning import STRATEGIES, TuningOptions
+from repro.tuning import STRATEGIES
 
 __all__ = ["main"]
 
 
-def _int_at_least(minimum: int):
-    """An argparse type: an integer of at least ``minimum`` (exit 2 otherwise)."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be at least {minimum}, got {value}"
-            )
-        return value
-
-    return parse
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1 (exit 2 otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -144,93 +144,23 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--jobs",
         "-j",
-        type=_int_at_least(1),
+        type=_positive_int,
         default=None,
         help="worker processes (default: all cores; 1 = in-process; "
         "results are bit-identical at any value)",
-    )
-    run.add_argument(
-        "--seed",
-        "-s",
-        type=_int_at_least(INT_OPTION_MINIMUMS["seed"]),
-        default=None,
-        help="master seed override",
     )
     run.add_argument(
         "--no-cache",
         action="store_true",
         help="bypass the on-disk result cache",
     )
-    run.add_argument(
-        "--batch",
-        "-b",
-        type=_int_at_least(INT_OPTION_MINIMUMS["batch_size"]),
-        default=None,
-        help="Monte-Carlo batch size override",
-    )
-    run.add_argument(
-        "--topology",
-        "-t",
-        default=None,
-        metavar="NAME",
-        help="registered device topology (default: heavy-hex; see `list`)",
-    )
-    run.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="stream yield Monte-Carlo in chunks of this many devices "
-        "(O(chunk) instead of O(batch) memory)",
-    )
-    run.add_argument(
-        "--ci-target",
-        type=float,
-        default=None,
-        help="adaptive sampling: draw chunks until the yield CI "
-        "half-width is at most this value",
-    )
-    run.add_argument(
-        "--max-samples",
-        type=int,
-        default=None,
-        help="hard per-point sample cap for --ci-target runs "
-        "(default: the batch size)",
-    )
-    run.add_argument(
-        "--tuning",
-        choices=sorted(STRATEGIES),
-        default=None,
-        help="enable post-fabrication frequency repair with this strategy",
-    )
-    run.add_argument(
-        "--max-shift-mhz",
-        type=float,
-        default=None,
-        help="tuner reach: largest intended per-qubit shift in MHz "
-        "(implies --tuning greedy when no strategy is given)",
-    )
-    run.add_argument(
-        "--repair-budget",
-        type=int,
-        default=None,
-        help="per-qubit tune-count budget (0 = strict no-op baseline; "
-        "implies --tuning greedy when no strategy is given)",
-    )
-    run.add_argument(
-        "--benchmarks",
-        default=None,
-        metavar="NAMES",
-        help="comma-separated benchmark subset for application "
-        "experiments (default: fig10 compiles every benchmark, "
-        "appsweep a three-benchmark core; see `list`)",
-    )
-    run.add_argument(
-        "--routing",
-        default=None,
-        metavar="NAME",
-        help="registered routing strategy for application experiments "
-        "(default: basic; see `list`)",
-    )
+    for option in RUNNER_OPTIONS.specs():
+        lexical = (
+            {"action": "store_true"} if option.type is bool else {"type": option.type}
+        )
+        run.add_argument(
+            *option.flags, dest=option.name, default=None, help=option.help, **lexical
+        )
     run.add_argument(
         "--dump-json",
         type=Path,
@@ -245,11 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="record a span trace of the run (.jsonl = one span per "
         "line, anything else = Chrome trace-event JSON for Perfetto)",
-    )
-    run.add_argument(
-        "--full",
-        action="store_true",
-        help="paper-sized configuration sweep (slow)",
     )
     run.add_argument(
         "--quiet", "-q", action="store_true", help="suppress the result table"
@@ -278,11 +203,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8151, help="bind port (0 picks a free one)"
     )
     serve.add_argument(
-        "--workers", type=int, default=2, help="concurrent jobs (warm pool size)"
+        "--workers",
+        type=_positive_int,
+        default=2,
+        help="concurrent jobs (warm pool size)",
     )
     serve.add_argument(
         "--queue-size",
-        type=int,
+        type=_positive_int,
         default=32,
         help="bounded job-queue capacity (submissions beyond it get 429)",
     )
@@ -300,14 +228,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-attempts",
-        type=int,
+        type=_positive_int,
         default=3,
         help="attempts per job for transient failures (1 disables retries)",
     )
     serve.add_argument(
         "--jobs",
         "-j",
-        type=_int_at_least(1),
+        type=_positive_int,
         default=None,
         help="engine worker processes per job (default: all cores; "
         "1 = in-process)",
@@ -336,27 +264,29 @@ def _add_logging_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _summary(item) -> str:
+    """An entry's description, else its docstring's first line."""
+    text = getattr(item, "description", None) or (item.__doc__ or "").strip()
+    return text.splitlines()[0] if text else ""
+
+
 def _cmd_list() -> int:
     print("experiments:")
     width = max((len(name) for name in EXPERIMENTS.names()), default=0)
     for spec in EXPERIMENTS.specs():
         aliases = f"  (aliases: {', '.join(spec.aliases)})" if spec.aliases else ""
         print(f"  {spec.name:<{width}}  {spec.description}{aliases}")
-    print("\ntopologies (for --topology):")
-    width = max((len(name) for name in ARCHITECTURES.names()), default=0)
-    for arch in ARCHITECTURES.specs():
-        print(f"  {arch.name:<{width}}  {arch.description}")
-    print("\nrepair strategies (for --tuning):")
-    width = max((len(name) for name in STRATEGIES), default=0)
-    for name in sorted(STRATEGIES):
-        doc = (STRATEGIES[name].__doc__ or "").strip().splitlines()[0]
-        print(f"  {name:<{width}}  {doc}")
+    for title, registry in (
+        ("topologies (for --topology)", ARCHITECTURES),
+        ("repair strategies (for --tuning)", STRATEGIES),
+        ("routing strategies (for --routing)", ROUTING_STRATEGIES),
+    ):
+        print(f"\n{title}:")
+        width = max((len(name) for name in registry.names()), default=0)
+        for name, item in zip(registry.names(), registry.specs()):
+            print(f"  {name:<{width}}  {_summary(item)}")
     print("\nbenchmarks (for --benchmarks):")
     print("  " + ", ".join(BENCHMARK_NAMES))
-    print("\nrouting strategies (for --routing):")
-    width = max((len(name) for name in ROUTING_STRATEGIES.names()), default=0)
-    for strategy in ROUTING_STRATEGIES.specs():
-        print(f"  {strategy.name:<{width}}  {strategy.description}")
     return 0
 
 
@@ -382,108 +312,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-
-    if args.topology is not None and args.topology not in ARCHITECTURES:
-        known = ", ".join(sorted(ARCHITECTURES.names()))
-        suggestion = did_you_mean(args.topology, ARCHITECTURES.names())
-        print(
-            f"unknown topology {args.topology!r}{suggestion} (known: {known})",
-            file=sys.stderr,
-        )
+    raw = {name: getattr(args, name) for name in RUNNER_OPTIONS.names()}
+    try:
+        kwargs, ignored = parse_runner_options(spec, raw)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-
-    benchmarks = None
-    if args.benchmarks is not None:
-        benchmarks = tuple(
-            name.strip() for name in args.benchmarks.split(",") if name.strip()
-        )
-        for name in benchmarks:
-            if name not in BENCHMARK_NAMES:
-                known = ", ".join(BENCHMARK_NAMES)
-                suggestion = did_you_mean(name, BENCHMARK_NAMES)
-                print(
-                    f"unknown benchmark {name!r}{suggestion} (known: {known})",
-                    file=sys.stderr,
-                )
-                return 2
-        if not benchmarks:
-            print("--benchmarks needs at least one name", file=sys.stderr)
-            return 2
-
-    if args.routing is not None and args.routing not in ROUTING_STRATEGIES:
-        known = ", ".join(ROUTING_STRATEGIES.names())
-        suggestion = did_you_mean(args.routing, ROUTING_STRATEGIES.names())
+    if ignored:
+        flags = ", ".join(RUNNER_OPTIONS.get(name).flags[0] for name in ignored)
         print(
-            f"unknown routing strategy {args.routing!r}{suggestion} "
-            f"(known: {known})",
+            f"warning: experiment {spec.name!r} does not read {flags}; "
+            "they have no effect on it",
             file=sys.stderr,
         )
-        return 2
-
-    if (args.benchmarks is not None or args.routing is not None) and not spec.compiler_aware:
-        print(
-            f"warning: experiment {spec.name!r} does not thread benchmark/"
-            "routing selections; --benchmarks/--routing have no effect on it",
-            file=sys.stderr,
-        )
-
-    stats = None
-    if (
-        args.chunk_size is not None
-        or args.ci_target is not None
-        or args.max_samples is not None
-    ):
-        try:
-            stats = StatsOptions(
-                chunk_size=args.chunk_size,
-                ci_target=args.ci_target,
-                max_samples=args.max_samples,
-            )
-        except ValueError as exc:
-            print(f"invalid statistics options: {exc}", file=sys.stderr)
-            return 2
-        if not spec.stats_aware:
-            print(
-                f"warning: experiment {spec.name!r} does not use the "
-                "statistics options; --chunk-size/--ci-target/--max-samples "
-                "have no effect on it",
-                file=sys.stderr,
-            )
-
-    if args.topology is not None and not spec.topology_aware:
-        print(
-            f"warning: experiment {spec.name!r} is heavy-hex only; "
-            "--topology has no effect on it",
-            file=sys.stderr,
-        )
-
-    tuning = None
-    tuning_requested = (
-        args.tuning is not None
-        or args.max_shift_mhz is not None
-        or args.repair_budget is not None
-    )
-    if tuning_requested:
-        try:
-            tuning = TuningOptions.build(
-                strategy=args.tuning if args.tuning is not None else "greedy",
-                max_shift_ghz=(
-                    args.max_shift_mhz / 1000.0
-                    if args.max_shift_mhz is not None
-                    else None
-                ),
-                max_tunes_per_qubit=args.repair_budget,
-            )
-        except (KeyError, ValueError) as exc:
-            print(f"invalid tuning options: {exc}", file=sys.stderr)
-            return 2
-        if not spec.tuning_aware:
-            print(
-                f"warning: experiment {spec.name!r} does not use the "
-                "post-fabrication repair stage; --tuning/--max-shift-mhz/"
-                "--repair-budget have no effect on it",
-                file=sys.stderr,
-            )
 
     tracer = obs_tracing.Tracer() if args.trace is not None else None
     engine = ExecutionEngine(
@@ -491,17 +332,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
 
     def _run() -> tuple:
-        return spec.runner(
-            engine,
-            seed=args.seed,
-            batch_size=args.batch,
-            full=args.full,
-            stats=stats,
-            topology=args.topology,
-            tuning=tuning,
-            benchmarks=benchmarks,
-            routing=args.routing,
-        )
+        return spec.runner(engine, **kwargs)
 
     marks = REGISTRY.checkpoint()
     started = time.perf_counter()
@@ -530,12 +361,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         payload = {
             "experiment": spec.name,
             "description": spec.description,
-            "seed": args.seed,
-            "batch_size": args.batch,
-            "topology": args.topology,
-            "benchmarks": list(benchmarks) if benchmarks else None,
-            "routing": args.routing,
-            "tuning": jsonable(tuning),
+            **{
+                name: jsonable(kwargs.get(name))
+                for name in ("seed", "batch_size", "topology", "benchmarks",
+                             "routing", "tuning")
+            },
             "elapsed_seconds": elapsed,
             "engine": {
                 "jobs": engine.stats.jobs,

@@ -242,10 +242,9 @@ def run_appsweep(
         for name in (topologies if topologies else ARCHITECTURES.names())
     )
     bench_names = tuple(benchmarks) if benchmarks else DEFAULT_APPSWEEP_BENCHMARKS
-    routing_names = tuple(
-        ROUTING_STRATEGIES.get(name).name
-        for name in (routings if routings else ROUTING_STRATEGIES.names())
-    )
+    routing_names = tuple(routings if routings else ROUTING_STRATEGIES.names())
+    for name in routing_names:
+        ROUTING_STRATEGIES.get(name)  # unknown names fail before any work
     # The ratio baseline is always the untuned default-routing axis; it
     # is compiled even when ``routings`` filters it out of the emitted
     # rows, so a filtered sweep's ratio column matches the full run's.

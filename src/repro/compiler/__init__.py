@@ -1,12 +1,16 @@
 """Compiler substrate: pass pipeline, decomposition, layout, routing."""
 
 from repro.compiler.decompose import decompose_to_cx_basis
-from repro.compiler.layout import Layout, choose_layout, find_long_path, is_chain_circuit
+from repro.compiler.layout import (
+    LAYOUT_METHODS,
+    Layout,
+    choose_layout,
+    find_long_path,
+    is_chain_circuit,
+)
 from repro.compiler.metrics import GateMetrics, gate_metrics
 from repro.compiler.pipeline import (
     CompileContext,
-    CompilerStrategy,
-    LAYOUT_STRATEGIES,
     Pass,
     PassPipeline,
     ROUTING_STRATEGIES,
@@ -17,6 +21,7 @@ from repro.compiler.transpile import TranspiledCircuit, transpile
 
 __all__ = [
     "decompose_to_cx_basis",
+    "LAYOUT_METHODS",
     "Layout",
     "choose_layout",
     "find_long_path",
@@ -24,8 +29,6 @@ __all__ = [
     "GateMetrics",
     "gate_metrics",
     "CompileContext",
-    "CompilerStrategy",
-    "LAYOUT_STRATEGIES",
     "Pass",
     "PassPipeline",
     "ROUTING_STRATEGIES",

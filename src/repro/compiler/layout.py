@@ -19,10 +19,27 @@ from __future__ import annotations
 import networkx as nx
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.engine.registry import unknown_name
 from repro.topology.coupling import CouplingMap
 from repro.topology.metrics import densest_connected_subgraph
 
-__all__ = ["Layout", "choose_layout", "find_long_path", "is_chain_circuit"]
+__all__ = [
+    "LAYOUT_METHODS",
+    "Layout",
+    "check_layout_method",
+    "choose_layout",
+    "find_long_path",
+    "is_chain_circuit",
+]
+
+#: The methods :func:`choose_layout` accepts.
+LAYOUT_METHODS = ("auto", "line", "dense", "noise")
+
+
+def check_layout_method(method: str) -> None:
+    """Raise the unknown-name ``KeyError`` unless ``method`` is a layout method."""
+    if method not in LAYOUT_METHODS:
+        raise unknown_name("layout method", method, LAYOUT_METHODS)
 
 
 class Layout:
@@ -212,11 +229,13 @@ def choose_layout(
     coupling:
         Device connectivity.
     method:
-        ``"auto"``, ``"line"``, ``"dense"`` or ``"noise"``.  ``"auto"``
-        selects ``"line"`` for chain circuits and ``"dense"`` otherwise.
+        One of :data:`LAYOUT_METHODS` (anything else raises ``KeyError``).
+        ``"auto"`` selects ``"line"`` for chain circuits and ``"dense"``
+        otherwise.
     edge_errors:
         Per-coupling error map used by the ``"noise"`` strategy.
     """
+    check_layout_method(method)
     width = circuit.num_qubits
     if width > coupling.num_qubits:
         raise ValueError(
@@ -245,9 +264,6 @@ def choose_layout(
                 incident,
                 key=lambda q: sum(incident[q]) / len(incident[q]) - 0.001 * len(incident[q]),
             )
-        method = "dense"
-    if method != "dense":
-        raise ValueError(f"unknown layout method {method!r}")
 
     region = densest_connected_subgraph(graph, width, seed=seed)
     sub = graph.subgraph(region)

@@ -14,11 +14,11 @@ strategy.  This module turns that fixed sequence into data:
 * :class:`PassPipeline` — an ordered pass list with a
   :meth:`~PassPipeline.run` entry point producing a
   :class:`TranspiledCircuit`.
-* :data:`LAYOUT_STRATEGIES` / :data:`ROUTING_STRATEGIES` — name-keyed
-  strategy registries mirroring
-  :data:`repro.core.architecture.ARCHITECTURES`, so layout and routing
-  choices travel the CLI / registry / cache-key plumbing as plain
-  strings.
+* :data:`ROUTING_STRATEGIES` — the routing-strategy
+  :class:`~repro.engine.registry.Registry`, so routing choices travel
+  the CLI / service / cache-key plumbing as plain strings.  Layout
+  methods are the fixed :data:`~repro.compiler.layout.LAYOUT_METHODS`
+  of :func:`~repro.compiler.layout.choose_layout`.
 
 ``transpile()`` is now a thin wrapper over
 :func:`default_pipeline` — bit-identical to the historical monolith at
@@ -30,13 +30,11 @@ params); no pass builds a :class:`~repro.circuits.gates.Gate`.  The
 two-qubit edge trace the fidelity product consumes is read off the final
 physical circuit (:meth:`~repro.circuits.circuit.QuantumCircuit.edge_array`).
 
-Adding a routing strategy is one registration::
+Adding a routing strategy is one registration of a callable
+``(circuit, coupling, layout, edge_errors=None) -> RoutedCircuit`` whose
+docstring's first line ``python -m repro list`` shows::
 
-    ROUTING_STRATEGIES.register(CompilerStrategy(
-        name="lookahead",
-        description="depth-2 lookahead SWAP selection",
-        build=my_lookahead_router,   # (circuit, coupling, layout, edge_errors=None) -> RoutedCircuit
-    ))
+    ROUTING_STRATEGIES.register("lookahead", my_lookahead_router)
 
 after which ``transpile(..., routing="lookahead")``,
 ``python -m repro run fig10 --routing lookahead`` and the appsweep
@@ -46,11 +44,11 @@ experiment all pick it up without further changes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Protocol, Sequence, runtime_checkable
+from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.decompose import decompose_to_cx_basis
-from repro.compiler.layout import Layout, choose_layout
+from repro.compiler.layout import Layout, check_layout_method, choose_layout
 from repro.compiler.metrics import GateMetrics, gate_metrics
 from repro.compiler.routing import (
     RoutedCircuit,
@@ -58,23 +56,20 @@ from repro.compiler.routing import (
     route_circuit_noise_aware,
 )
 from repro.engine.phases import phase
-from repro.engine.registry import did_you_mean
+from repro.engine.registry import Registry
 from repro.topology.coupling import CouplingMap
 
 __all__ = [
     "CompileContext",
-    "CompilerStrategy",
     "DEFAULT_LAYOUT",
     "DEFAULT_ROUTING",
     "DecomposePass",
     "LayoutPass",
-    "LAYOUT_STRATEGIES",
     "MetricsPass",
     "Pass",
     "PassPipeline",
     "ROUTING_STRATEGIES",
     "RoutePass",
-    "StrategyRegistry",
     "SwapExpandPass",
     "TranspiledCircuit",
     "default_pipeline",
@@ -86,150 +81,22 @@ DEFAULT_ROUTING = "basic"
 
 
 # ---------------------------------------------------------------------- #
-# Strategy registries
+# Routing strategies
 # ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class CompilerStrategy:
-    """One named layout or routing strategy.
-
-    Attributes
-    ----------
-    name:
-        Registry key (``"basic"``, ``"noise-aware"``, ``"dense"``, ...).
-    description:
-        One-line summary shown by ``python -m repro list``.
-    build:
-        The strategy callable.  Layout strategies take
-        ``(circuit, coupling, edge_errors=None) -> Layout``; routing
-        strategies take
-        ``(circuit, coupling, layout, edge_errors=None) -> RoutedCircuit``.
-    """
-
-    name: str
-    description: str
-    build: Callable[..., Any] = field(compare=False)
-
-
-class StrategyRegistry:
-    """Mutable name -> :class:`CompilerStrategy` mapping.
-
-    Mirrors :class:`repro.core.architecture.ArchitectureRegistry`:
-    registration order is preserved, duplicates raise, and lookups of
-    unknown names raise ``KeyError`` with a did-you-mean suggestion (the
-    CLI turns that into an exit-2 diagnostic).
-    """
-
-    def __init__(self, kind: str) -> None:
-        self._kind = kind
-        self._strategies: dict[str, CompilerStrategy] = {}
-
-    def register(self, strategy: CompilerStrategy) -> CompilerStrategy:
-        """Register a strategy; raises on duplicate names."""
-        if strategy.name in self._strategies:
-            raise ValueError(
-                f"{self._kind} strategy {strategy.name!r} already registered"
-            )
-        self._strategies[strategy.name] = strategy
-        return strategy
-
-    def get(self, name: str) -> CompilerStrategy:
-        """Resolve a strategy name; raises ``KeyError`` with suggestions."""
-        if name not in self._strategies:
-            known = ", ".join(self._strategies)
-            suggestion = did_you_mean(name, self._strategies)
-            raise KeyError(
-                f"unknown {self._kind} strategy {name!r}{suggestion} "
-                f"(known: {known})"
-            )
-        return self._strategies[name]
-
-    def names(self) -> list[str]:
-        """Registered strategy names, in registration order."""
-        return list(self._strategies)
-
-    def specs(self) -> list[CompilerStrategy]:
-        """Every registered strategy, in registration order."""
-        return list(self._strategies.values())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._strategies
-
-    def __len__(self) -> int:
-        return len(self._strategies)
-
-
-#: Initial-layout strategies (thin registry over ``choose_layout``).
-LAYOUT_STRATEGIES = StrategyRegistry("layout")
-
-#: SWAP-insertion routing strategies.
-ROUTING_STRATEGIES = StrategyRegistry("routing")
-
-
-def _layout_strategy(method: str):
-    def build(
-        circuit: QuantumCircuit,
-        coupling: CouplingMap,
-        edge_errors: dict[tuple[int, int], float] | None = None,
-    ) -> Layout:
-        return choose_layout(circuit, coupling, method=method, edge_errors=edge_errors)
-
-    build.__name__ = f"layout_{method}"
-    return build
-
-
-LAYOUT_STRATEGIES.register(
-    CompilerStrategy(
-        name="auto",
-        description="line for chain circuits, dense otherwise (the default)",
-        build=_layout_strategy("auto"),
-    )
-)
-LAYOUT_STRATEGIES.register(
-    CompilerStrategy(
-        name="line",
-        description="embed along a long simple path (zero-SWAP chains)",
-        build=_layout_strategy("line"),
-    )
-)
-LAYOUT_STRATEGIES.register(
-    CompilerStrategy(
-        name="dense",
-        description="densest connected region, interaction-BFS placement",
-        build=_layout_strategy("dense"),
-    )
-)
-LAYOUT_STRATEGIES.register(
-    CompilerStrategy(
-        name="noise",
-        description="dense, seeded at the lowest-error qubit of the device",
-        build=_layout_strategy("noise"),
-    )
-)
-
-
 def _basic_routing(
     circuit: QuantumCircuit,
     coupling: CouplingMap,
     layout: Layout,
     edge_errors: dict[tuple[int, int], float] | None = None,
 ) -> RoutedCircuit:
+    """Greedy hop-shortest SWAP chains (the paper's router)."""
     return route_circuit(circuit, coupling, layout)
 
 
-ROUTING_STRATEGIES.register(
-    CompilerStrategy(
-        name="basic",
-        description="greedy hop-shortest SWAP chains (the paper's router)",
-        build=_basic_routing,
-    )
-)
-ROUTING_STRATEGIES.register(
-    CompilerStrategy(
-        name="noise-aware",
-        description="SWAPs along -log10(1-e) error-weighted shortest paths",
-        build=route_circuit_noise_aware,
-    )
-)
+#: SWAP-insertion routing strategies.
+ROUTING_STRATEGIES: Registry = Registry("routing strategy")
+ROUTING_STRATEGIES.register("basic", _basic_routing)
+ROUTING_STRATEGIES.register("noise-aware", route_circuit_noise_aware)
 
 
 # ---------------------------------------------------------------------- #
@@ -312,7 +179,7 @@ class DecomposePass:
 
 
 class LayoutPass:
-    """Choose the initial layout with a registered layout strategy."""
+    """Choose the initial layout with :func:`choose_layout`."""
 
     name = "layout"
 
@@ -320,9 +187,11 @@ class LayoutPass:
         self.method = method
 
     def run(self, context: CompileContext) -> None:
-        strategy = LAYOUT_STRATEGIES.get(self.method)
-        context.layout = strategy.build(
-            context.circuit, context.coupling, edge_errors=context.edge_errors
+        context.layout = choose_layout(
+            context.circuit,
+            context.coupling,
+            method=self.method,
+            edge_errors=context.edge_errors,
         )
 
 
@@ -337,11 +206,11 @@ class RoutePass:
     def run(self, context: CompileContext) -> None:
         if context.layout is None:
             raise ValueError("routing requires a layout pass to have run")
-        strategy = ROUTING_STRATEGIES.get(self.strategy)
+        route = ROUTING_STRATEGIES.get(self.strategy)
         # Hand strategies the device itself when one is available so the
         # noise-aware router reuses its cached edge-error arrays.
         errors = context.device if context.device is not None else context.edge_errors
-        routed = strategy.build(
+        routed = route(
             context.circuit,
             context.coupling,
             context.layout,
@@ -485,17 +354,17 @@ def default_pipeline(
     Parameters
     ----------
     layout_method:
-        Registered layout strategy name (see :data:`LAYOUT_STRATEGIES`).
+        Layout method (see :data:`~repro.compiler.layout.LAYOUT_METHODS`).
     routing:
         Registered routing strategy name (see :data:`ROUTING_STRATEGIES`).
     extra_passes:
         Additional passes appended after the metrics stage (analysis /
         diagnostic hooks).
 
-    Unknown strategy names raise ``KeyError`` (with a did-you-mean
-    suggestion) here, before any compilation work starts.
+    Unknown layout or routing names raise ``KeyError`` (with a
+    did-you-mean suggestion) here, before any compilation work starts.
     """
-    LAYOUT_STRATEGIES.get(layout_method)
+    check_layout_method(layout_method)
     ROUTING_STRATEGIES.get(routing)
     return PassPipeline(
         [

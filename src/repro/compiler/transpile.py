@@ -41,8 +41,8 @@ def transpile(
     target:
         Device or coupling map to compile onto.
     layout_method:
-        Registered initial-layout strategy
-        (see :data:`repro.compiler.pipeline.LAYOUT_STRATEGIES`).
+        Initial-layout method
+        (see :data:`repro.compiler.layout.LAYOUT_METHODS`).
     routing:
         Registered routing strategy
         (see :data:`repro.compiler.pipeline.ROUTING_STRATEGIES`);

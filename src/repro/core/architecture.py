@@ -12,7 +12,7 @@ the default, so the paper's numbers are bit-for-bit unchanged.
 
 Adding a topology is one registration::
 
-    ARCHITECTURES.register(Architecture(
+    ARCHITECTURES.register("kagome", Architecture(
         name="kagome",
         description="corner-sharing triangles, degree 4",
         lattice_factory=kagome_by_qubit_count,
@@ -39,6 +39,7 @@ from repro.core.frequencies import (
     SquareFiveFrequencyPlan,
 )
 from repro.engine.cache import BoundedLRU
+from repro.engine.registry import Registry
 from repro.topology.base import Lattice
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
 from repro.topology.ring import ring_by_qubit_count
@@ -46,7 +47,6 @@ from repro.topology.square import square_by_qubit_count
 
 __all__ = [
     "Architecture",
-    "ArchitectureRegistry",
     "ARCHITECTURES",
     "ARCHITECTURE_CACHE_MAXSIZE",
     "DEFAULT_TOPOLOGY",
@@ -152,42 +152,7 @@ class Architecture:
         )
 
 
-class ArchitectureRegistry:
-    """Mutable name -> :class:`Architecture` mapping."""
-
-    def __init__(self) -> None:
-        self._architectures: dict[str, Architecture] = {}
-
-    def register(self, architecture: Architecture) -> Architecture:
-        """Register an architecture; raises on duplicate names."""
-        if architecture.name in self._architectures:
-            raise ValueError(f"topology {architecture.name!r} already registered")
-        self._architectures[architecture.name] = architecture
-        return architecture
-
-    def get(self, name: str) -> Architecture:
-        """Resolve a topology name; raises ``KeyError`` with the known set."""
-        if name not in self._architectures:
-            known = ", ".join(sorted(self._architectures))
-            raise KeyError(f"unknown topology {name!r}; known: {known}")
-        return self._architectures[name]
-
-    def names(self) -> list[str]:
-        """Registered topology names, in registration order."""
-        return list(self._architectures)
-
-    def specs(self) -> list[Architecture]:
-        """Every registered architecture, in registration order."""
-        return list(self._architectures.values())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._architectures
-
-    def __len__(self) -> int:
-        return len(self._architectures)
-
-
-ARCHITECTURES = ArchitectureRegistry()
+ARCHITECTURES: Registry[Architecture] = Registry("topology")
 
 
 def get_architecture(name: str | None = None) -> Architecture:
@@ -195,30 +160,27 @@ def get_architecture(name: str | None = None) -> Architecture:
     return ARCHITECTURES.get(name or DEFAULT_TOPOLOGY)
 
 
-ARCHITECTURES.register(
+for _architecture in (
     Architecture(
         name=DEFAULT_TOPOLOGY,
         description="heavy-hexagon lattice, 3-frequency plan (the paper's design)",
         lattice_factory=heavy_hex_by_qubit_count,
         plan=HeavyHexThreeFrequencyPlan(),
         max_degree=3,
-    )
-)
-ARCHITECTURES.register(
+    ),
     Architecture(
         name="square",
         description="square grid, 5-frequency distance-2 colouring (degree 4)",
         lattice_factory=square_by_qubit_count,
         plan=SquareFiveFrequencyPlan(),
         max_degree=4,
-    )
-)
-ARCHITECTURES.register(
+    ),
     Architecture(
         name="ring",
         description="linear chain, period-3 3-frequency plan (degree 2)",
         lattice_factory=ring_by_qubit_count,
         plan=RingThreeFrequencyPlan(),
         max_degree=2,
-    )
-)
+    ),
+):
+    ARCHITECTURES.register(_architecture.name, _architecture)

@@ -43,7 +43,6 @@ __all__ = [
     "HeavyHexThreeFrequencyPlan",
     "SquareFiveFrequencyPlan",
     "RingThreeFrequencyPlan",
-    "allocate_heavy_hex_frequencies",
     "allocation_from_labels",
     "heavy_hex_labels",
     "dense_label",
@@ -390,24 +389,3 @@ class RingThreeFrequencyPlan(FrequencyPlan):
             labels[site.index] = (site.col + self.phase) % 3
         return labels
 
-
-def allocate_heavy_hex_frequencies(
-    lattice: HeavyHexLattice,
-    spec: FrequencySpec | None = None,
-    phase: int = 0,
-) -> FrequencyAllocation:
-    """Allocate the three-frequency heavy-hex pattern onto a lattice.
-
-    Kept as the long-standing convenience entry point; equivalent to
-    ``HeavyHexThreeFrequencyPlan(phase=phase).allocate(lattice, spec)``.
-
-    Parameters
-    ----------
-    lattice:
-        The heavy-hex lattice to label.
-    spec:
-        Frequency targets; defaults to the paper's 5.0/5.06/5.12 GHz pattern.
-    phase:
-        Parity flip of the F0/F1 assignment (0 or 1).
-    """
-    return HeavyHexThreeFrequencyPlan(phase=phase).allocate(lattice, spec=spec)

@@ -26,7 +26,7 @@ from repro.engine.backends import CancelToken, ExecutionCancelled
 from repro.engine.cache import ResultCache, stable_token
 from repro.engine.dispatch import run_calls
 from repro.engine.phases import collecting, phase
-from repro.engine.registry import ExperimentRegistry, ExperimentSpec, did_you_mean
+from repro.engine.registry import ExperimentSpec, Registry, unknown_name
 from repro.engine.runner import EngineStats, ExecutionEngine
 from repro.engine.seeding import spawn_seed_at, spawn_seeds
 from repro.engine.task import Task, TaskGraph
@@ -38,9 +38,9 @@ __all__ = [
     "ExecutionCancelled",
     "ResultCache",
     "stable_token",
-    "ExperimentRegistry",
     "ExperimentSpec",
-    "did_you_mean",
+    "Registry",
+    "unknown_name",
     "Task",
     "TaskGraph",
     "phase",

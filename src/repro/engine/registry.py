@@ -1,27 +1,76 @@
-"""Experiment registry: name -> runnable experiment specification.
+"""Name registries: every user-typed name resolves through one class.
+
+Experiments, topologies, routing strategies, repair strategies and
+benchmarks are each a :class:`Registry` of one ``kind``.  An unknown
+name raises the same ``KeyError`` everywhere::
+
+    unknown topology 'squre'; did you mean 'square'? (known: heavy-hex, square, ring)
 
 The analysis layer registers one :class:`ExperimentSpec` per figure/table
-driver; the ``python -m repro`` CLI resolves experiments by name (or
-alias) and hands them an :class:`~repro.engine.runner.ExecutionEngine`.
+driver; the ``python -m repro`` CLI and the service resolve experiments
+by name (or alias) and hand them an
+:class:`~repro.engine.runner.ExecutionEngine`.
 """
 
 from __future__ import annotations
 
 import difflib
+import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Generic, Iterable, TypeVar
 
-__all__ = ["ExperimentSpec", "ExperimentRegistry", "did_you_mean"]
+__all__ = ["ExperimentSpec", "Registry", "unknown_name"]
+
+T = TypeVar("T")
 
 
-def did_you_mean(name: str, candidates) -> str:
-    """``"; did you mean 'x'?"`` when a close match exists, else ``""``.
+def unknown_name(
+    kind: str, name: Any, known: Iterable[str], aliases: Iterable[str] = ()
+) -> KeyError:
+    """The one unknown-name error: kind, the name, a close match, the known set."""
+    known = list(known)
+    matches = difflib.get_close_matches(str(name), [*known, *aliases], n=1, cutoff=0.5)
+    hint = f"; did you mean {matches[0]!r}?" if matches else ""
+    return KeyError(f"unknown {kind} {name!r}{hint} (known: {', '.join(known)})")
 
-    Shared by the experiment and topology lookups so every CLI typo gets
-    the same suggestion format.
-    """
-    matches = difflib.get_close_matches(name, list(candidates), n=1, cutoff=0.5)
-    return f"; did you mean {matches[0]!r}?" if matches else ""
+
+class Registry(Generic[T]):
+    """Mutable name -> item mapping with alias support, in registration order."""
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        self._items: dict[str, T] = {}
+        self._aliases: dict[str, str] = {}
+
+    def register(self, name: str, item: T, aliases: tuple[str, ...] = ()) -> T:
+        """Register ``item`` under ``name`` (and ``aliases``); duplicates raise."""
+        for key in (name, *aliases):
+            if key in self:
+                raise ValueError(f"{self.kind} {key!r} already registered")
+        self._items[name] = item
+        self._aliases.update(dict.fromkeys(aliases, name))
+        return item
+
+    def get(self, name: str) -> T:
+        """Resolve a name or alias; raises ``KeyError`` with a suggestion."""
+        item = self._items.get(self._aliases.get(name, name))
+        if item is None:
+            raise unknown_name(self.kind, name, self._items, self._aliases)
+        return item
+
+    def names(self) -> list[str]:
+        """Canonical names in registration order."""
+        return list(self._items)
+
+    def specs(self) -> list[T]:
+        """Every registered item in registration order."""
+        return list(self._items.values())
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._items or name in self._aliases
+
+    def __len__(self) -> int:
+        return len(self._items)
 
 
 @dataclass(frozen=True)
@@ -35,98 +84,19 @@ class ExperimentSpec:
     description:
         One-line summary shown by ``python -m repro list``.
     runner:
-        ``runner(engine, seed, **options) -> result``; the result must
-        expose ``format_table()`` or be printable.
+        ``runner(engine, **options) -> (result, text)``.  Its keyword
+        parameters are the options it reads, with their defaults.
     aliases:
-        Alternative CLI names.
-    stats_aware:
-        True when the runner threads statistics options (chunked /
-        adaptive Monte-Carlo) into its sampling; the CLI warns when
-        statistics flags are passed to an experiment that ignores them.
-    topology_aware:
-        True when the runner threads a ``--topology`` selection into its
-        models; the CLI warns when the flag is passed to an experiment
-        that ignores it.
-    tuning_aware:
-        True when the runner threads post-fabrication repair options
-        (the CLI's ``--tuning`` / ``--max-shift-mhz`` /
-        ``--repair-budget``) into its yield Monte-Carlo; the CLI warns
-        when the flags are passed to an experiment that ignores them.
-    compiler_aware:
-        True when the runner threads benchmark and routing-strategy
-        selections (the CLI's ``--benchmarks`` / ``--routing``) into
-        its application compilation; the CLI warns when the flags are
-        passed to an experiment that ignores them.
+        Alternative names.
     """
 
     name: str
     description: str
     runner: Callable[..., Any]
     aliases: tuple[str, ...] = field(default=())
-    stats_aware: bool = False
-    topology_aware: bool = False
-    tuning_aware: bool = False
-    compiler_aware: bool = False
 
-
-class ExperimentRegistry:
-    """Mutable name -> :class:`ExperimentSpec` mapping with alias support."""
-
-    def __init__(self) -> None:
-        self._specs: dict[str, ExperimentSpec] = {}
-        self._aliases: dict[str, str] = {}
-
-    def register(
-        self,
-        name: str,
-        description: str,
-        runner: Callable[..., Any],
-        aliases: tuple[str, ...] = (),
-        stats_aware: bool = False,
-        topology_aware: bool = False,
-        tuning_aware: bool = False,
-        compiler_aware: bool = False,
-    ) -> ExperimentSpec:
-        """Register an experiment; raises on duplicate names or aliases."""
-        spec = ExperimentSpec(
-            name=name,
-            description=description,
-            runner=runner,
-            aliases=aliases,
-            stats_aware=stats_aware,
-            topology_aware=topology_aware,
-            tuning_aware=tuning_aware,
-            compiler_aware=compiler_aware,
-        )
-        for key in (name, *aliases):
-            if key in self._specs or key in self._aliases:
-                raise ValueError(f"experiment name {key!r} already registered")
-        self._specs[name] = spec
-        for alias in aliases:
-            self._aliases[alias] = name
-        return spec
-
-    def get(self, name: str) -> ExperimentSpec:
-        """Resolve a name or alias; raises ``KeyError`` with suggestions."""
-        canonical = self._aliases.get(name, name)
-        if canonical not in self._specs:
-            known = ", ".join(sorted(self._specs))
-            suggestion = did_you_mean(name, [*self._specs, *self._aliases])
-            raise KeyError(
-                f"unknown experiment {name!r}{suggestion} (known: {known})"
-            )
-        return self._specs[canonical]
-
-    def names(self) -> list[str]:
-        """Canonical experiment names in registration order."""
-        return list(self._specs)
-
-    def specs(self) -> list[ExperimentSpec]:
-        """Every registered spec in registration order."""
-        return list(self._specs.values())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._specs or name in self._aliases
-
-    def __len__(self) -> int:
-        return len(self._specs)
+    @property
+    def options(self) -> dict[str, Any]:
+        """The options the runner reads, each with its default."""
+        parameters = list(inspect.signature(self.runner).parameters.values())[1:]
+        return {p.name: p.default for p in parameters}

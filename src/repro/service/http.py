@@ -230,8 +230,8 @@ class ServiceServer:
     async def _submit(self, body: Any) -> tuple[int, Any, dict]:
         if not isinstance(body, dict) or "experiment" not in body:
             raise _HttpError(400, 'body must be {"experiment": .., "params": {..}}')
-        params = body.get("params") or {}
-        if not isinstance(params, dict):
+        params = body.get("params")
+        if params is not None and not isinstance(params, dict):
             raise _HttpError(400, '"params" must be an object')
         try:
             handle = await self.manager.submit(

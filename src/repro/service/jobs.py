@@ -1,8 +1,8 @@
 """Job records for the reproduction service.
 
 A :class:`Job` is one experiment computation owned by the
-:class:`~repro.service.manager.JobManager`: it carries the normalized
-runner parameters, the coalescing key, the lifecycle state machine
+:class:`~repro.service.manager.JobManager`: it carries the parsed
+runner keyword arguments, the coalescing key, the lifecycle state machine
 (``QUEUED -> RUNNING [-> RETRYING -> RUNNING]* -> SUCCEEDED | FAILED |
 CANCELLED``), an append-only event log that the streaming endpoints
 replay, and the :class:`~repro.engine.backends.CancelToken` that

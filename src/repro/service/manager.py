@@ -8,11 +8,16 @@ and wrapped by the HTTP front-end (:mod:`repro.service.http`).  It owns:
 * a **warm, persistent worker pool**: N asyncio worker loops, each
   running jobs on a long-lived ``ThreadPoolExecutor`` thread so the
   event loop stays responsive while an experiment crunches;
+* **validation at submit**: params go through
+  :func:`repro.analysis.registry.parse_runner_options`, the schema the
+  CLI shares, so a bad value raises ``ValueError`` (HTTP 400) before
+  anything is queued, and options the runner does not read are dropped;
 * **request coalescing**: the coalescing key reuses the engine cache's
-  content-addressing recipe — ``(experiment name, normalized params,
-  code version)`` through :meth:`repro.engine.cache.ResultCache.key_for`
-  — so two submissions that would compute identical numbers share one
-  job and both observe its result;
+  content-addressing recipe — ``(experiment name, the runner's parsed
+  kwargs, code version)`` through
+  :meth:`repro.engine.cache.ResultCache.key_for` — so two submissions
+  that would compute identical numbers share one job and both observe
+  its result;
 * **failure classification + retry** with exponential backoff and jitter
   (:mod:`repro.service.failures`): transient infrastructure failures
   retry up to ``retry.max_attempts``, deterministic task exceptions fail
@@ -38,6 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Any, AsyncIterator, Callable
 
+from repro.analysis.registry import parse_runner_options
 from repro.core.sample_bank import sample_bank_stats
 from repro.engine.cache import ResultCache, code_version_token
 from repro.engine.runner import ExecutionEngine
@@ -142,10 +148,12 @@ class JobManager:
         Experiment registry (defaults to the analysis layer's
         ``EXPERIMENTS``); tests inject a private registry of fast fakes.
     workers:
-        Concurrent jobs; also the size of the warm thread pool.
+        Concurrent jobs; also the size of the warm thread pool (at
+        least 1, else ``ValueError``).
     queue_size:
         Bounded-queue capacity — queued jobs beyond the ones currently
-        running.  Submissions past it raise :class:`QueueFull`.
+        running (at least 1, else ``ValueError``).  Submissions past it
+        raise :class:`QueueFull`.
     retry:
         :class:`RetryPolicy` for transient failures.
     classifier:
@@ -157,9 +165,6 @@ class JobManager:
         Keyword arguments for each job's ``ExecutionEngine`` — ``jobs``
         and ``use_cache``.  Each attempt gets a fresh
         engine (per-job stats stay clean) sharing one ``ResultCache``.
-    normalize:
-        Params canonicaliser; defaults to
-        :func:`repro.analysis.registry.normalize_runner_params`.
     sleep:
         Backoff sleeper (defaults to ``asyncio.sleep``); tests inject a
         recorder to assert delays without waiting.
@@ -177,22 +182,21 @@ class JobManager:
         classifier: FailureClassifier | None = None,
         limiter: RateLimiter | None = None,
         engine_options: dict[str, Any] | None = None,
-        normalize: Callable[[dict | None], dict] | None = None,
         sleep: Callable[[float], Any] | None = None,
         retry_seed: int | None = None,
     ):
         if registry is None:
             from repro.analysis.registry import EXPERIMENTS as registry
-        if normalize is None:
-            from repro.analysis.registry import normalize_runner_params as normalize
+        for name, value in (("workers", workers), ("queue_size", queue_size)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         self.registry = registry
-        self.workers = max(1, workers)
-        self.queue_size = max(1, queue_size)
+        self.workers = workers
+        self.queue_size = queue_size
         self.retry = retry if retry is not None else RetryPolicy()
         self.classifier = classifier if classifier is not None else FailureClassifier()
         self.limiter = limiter
         self.engine_options = dict(engine_options or {})
-        self.normalize = normalize
         self._sleep = sleep if sleep is not None else asyncio.sleep
         self._retry_rng = random.Random(retry_seed)
         # One cache instance shared by every job's engine: its on-disk
@@ -267,18 +271,23 @@ class JobManager:
     # ------------------------------------------------------------------ #
     # Submission
     # ------------------------------------------------------------------ #
+    def _parse(self, experiment: str, params: dict | None):
+        """Resolve the experiment and parse its params: ``(spec, kwargs,
+        coalescing key)``.  ``KeyError`` for an unknown experiment,
+        ``ValueError`` for a bad param."""
+        spec = self.registry.get(experiment)
+        kwargs, _ignored = parse_runner_options(spec, params)
+        key = self._keyer.key_for(f"service.{spec.name}", kwargs, code_version_token())
+        return spec, kwargs, key
+
     def coalescing_key(self, experiment: str, params: dict | None = None) -> str:
         """The content-addressed identity of one submission.
 
-        Same recipe as the engine cache — name + normalized params +
-        code version — so the key changes exactly when the computed
-        numbers could.
+        Same recipe as the engine cache — name + the runner's parsed
+        kwargs + code version — so the key changes exactly when the
+        computed numbers could.
         """
-        spec = self.registry.get(experiment)  # KeyError carries did-you-mean
-        normalized = self.normalize(params)
-        return self._keyer.key_for(
-            f"service.{spec.name}", normalized, code_version_token()
-        )
+        return self._parse(experiment, params)[2]
 
     async def submit(
         self,
@@ -295,8 +304,7 @@ class JobManager:
         """
         if not self.started:
             raise RuntimeError("JobManager.start() has not been called")
-        spec = self.registry.get(experiment)
-        normalized = self.normalize(params)
+        spec, kwargs, key = self._parse(experiment, params)
         if self.limiter is not None:
             try:
                 self.limiter.acquire(client or "anonymous")
@@ -309,9 +317,6 @@ class JobManager:
                     client or "anonymous",
                 )
                 raise
-        key = self._keyer.key_for(
-            f"service.{spec.name}", normalized, code_version_token()
-        )
         self.metrics["submitted"] += 1
 
         existing = self._active.get(key)
@@ -326,7 +331,7 @@ class JobManager:
         job = Job(
             id=f"j{self._next_id:06d}",
             experiment=spec.name,
-            params=normalized,
+            params=kwargs,
             key=key,
             client=client,
             done=asyncio.Event(),

@@ -44,6 +44,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.engine.registry import Registry
 from repro.tuning.graph import CollisionGraph
 from repro.tuning.models import TunerModel
 
@@ -374,16 +375,12 @@ class AnnealingRepair:
         )
 
 
-#: Registered strategies by CLI name.
-STRATEGIES: dict[str, type] = {
-    GreedyLocalRepair.name: GreedyLocalRepair,
-    AnnealingRepair.name: AnnealingRepair,
-}
+#: Registered strategies by name (the ``tuning`` runner option).
+STRATEGIES: Registry = Registry("repair strategy")
+STRATEGIES.register(GreedyLocalRepair.name, GreedyLocalRepair)
+STRATEGIES.register(AnnealingRepair.name, AnnealingRepair)
 
 
 def get_strategy(name: str) -> RepairStrategy:
     """Instantiate a registered strategy by name (defaults applied)."""
-    if name not in STRATEGIES:
-        known = ", ".join(sorted(STRATEGIES))
-        raise KeyError(f"unknown repair strategy {name!r}; known: {known}")
-    return STRATEGIES[name]()
+    return STRATEGIES.get(name)()

@@ -64,7 +64,7 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 from repro.analysis.study import ArchitectureStudy, StudyConfig
 from repro.core.chiplet import ChipletDesign
 from repro.core.fabrication import FabricationModel
-from repro.core.frequencies import FrequencySpec, allocate_heavy_hex_frequencies
+from repro.core.frequencies import FrequencySpec, HeavyHexThreeFrequencyPlan
 from repro.core.mcm import MCMDesign
 from repro.device.calibration import washington_cx_model
 from repro.device.noise import LinkErrorModel
@@ -93,7 +93,7 @@ def lattice_27():
 @pytest.fixture(scope="session")
 def allocation_27(lattice_27, spec):
     """Frequency allocation for the 27-qubit lattice."""
-    return allocate_heavy_hex_frequencies(lattice_27, spec=spec)
+    return HeavyHexThreeFrequencyPlan().allocate(lattice_27, spec=spec)
 
 
 @pytest.fixture(scope="session")

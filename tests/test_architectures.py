@@ -32,7 +32,6 @@ from repro.analysis.figures.fig4_yield import run_fig4_yield_sweep
 from repro.core.architecture import (
     ARCHITECTURES,
     Architecture,
-    ArchitectureRegistry,
     DEFAULT_TOPOLOGY,
     get_architecture,
 )
@@ -41,11 +40,10 @@ from repro.core.collisions import collision_free_mask, find_collisions
 from repro.core.frequencies import (
     HeavyHexThreeFrequencyPlan,
     RingThreeFrequencyPlan,
-    allocate_heavy_hex_frequencies,
 )
 from repro.core.mcm import MCMDesign
 from repro.core.yield_model import simulate_yield_point, yield_vs_qubits
-from repro.engine import ExecutionEngine
+from repro.engine import ExecutionEngine, Registry
 from repro.topology.base import Lattice
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
 from repro.topology.ring import build_ring
@@ -75,16 +73,16 @@ class TestRegistry:
             get_architecture("kagome")
 
     def test_duplicate_registration_rejected(self):
-        registry = ArchitectureRegistry()
+        registry = Registry("topology")
         arch = Architecture(
             name="dup",
             description="",
             lattice_factory=heavy_hex_by_qubit_count,
             plan=HeavyHexThreeFrequencyPlan(),
         )
-        registry.register(arch)
+        registry.register(arch.name, arch)
         with pytest.raises(ValueError, match="already registered"):
-            registry.register(arch)
+            registry.register(arch.name, arch)
 
 
 # ---------------------------------------------------------------------- #
@@ -205,7 +203,7 @@ class TestChipletAndMCM:
 class TestYieldAcrossTopologies:
     def test_default_topology_matches_legacy_heavy_hex_path(self):
         lattice = heavy_hex_by_qubit_count(27)
-        legacy = allocate_heavy_hex_frequencies(lattice)
+        legacy = HeavyHexThreeFrequencyPlan().allocate(lattice)
         plugged = get_architecture(None).allocate(lattice)
         assert np.array_equal(legacy.labels, plugged.labels)
         assert np.array_equal(legacy.ideal_frequencies, plugged.ideal_frequencies)

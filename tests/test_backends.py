@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis.registry import EXPERIMENTS
+from repro.analysis.registry import EXPERIMENTS, parse_runner_options
 from repro.engine import (
     CancelToken,
     ExecutionCancelled,
@@ -147,12 +147,18 @@ _EXPERIMENT_CASES = {
 }
 
 
+def _run(engine, name, params):
+    spec = EXPERIMENTS.get(name)
+    kwargs, _ = parse_runner_options(spec, params)
+    return spec.runner(engine, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def sequential_experiment_texts():
     texts = {}
     for name, kwargs in _EXPERIMENT_CASES.items():
         engine = ExecutionEngine(jobs=1, use_cache=False)
-        _, texts[name] = EXPERIMENTS.get(name).runner(engine, **kwargs)
+        _, texts[name] = _run(engine, name, kwargs)
     return texts
 
 
@@ -163,8 +169,7 @@ class TestExperimentBackendParity:
         self, jobs, experiment, sequential_experiment_texts
     ):
         engine = ExecutionEngine(jobs=jobs, use_cache=False)
-        spec = EXPERIMENTS.get(experiment)
-        _, text = spec.runner(engine, **_EXPERIMENT_CASES[experiment])
+        _, text = _run(engine, experiment, _EXPERIMENT_CASES[experiment])
         assert text == sequential_experiment_texts[experiment]
 
     @pytest.mark.parametrize("jobs", POOL)
@@ -175,8 +180,8 @@ class TestExperimentBackendParity:
 
         seed, batch = GOLDEN_PARAMS["fig4"]
         engine = ExecutionEngine(jobs=jobs, use_cache=False)
-        result, _ = EXPERIMENTS.get("fig4").runner(
-            engine, seed=seed, batch_size=batch, full=False
+        result, _ = _run(
+            engine, "fig4", dict(seed=seed, batch_size=batch, full=False)
         )
         golden = json.loads((GOLDEN_DIR / "fig4.json").read_text())
         problems = _drift(golden["summary"], summarize(result))

@@ -23,7 +23,7 @@ from repro.simulation.statevector import simulate
 
 class TestRegistry:
     def test_all_paper_benchmarks_present(self):
-        assert set(BENCHMARK_NAMES) == set(BENCHMARKS)
+        assert set(BENCHMARK_NAMES) == set(BENCHMARKS.names())
         assert len(BENCHMARK_NAMES) == 7
 
     @pytest.mark.parametrize("name", BENCHMARK_NAMES)

@@ -33,21 +33,19 @@ class TestRegistryContents:
         assert EXPERIMENTS.get("appeval").name == "appsweep"
 
     def test_topology_awareness_flags(self):
-        assert EXPERIMENTS.get("fig4").topology_aware
-        assert EXPERIMENTS.get("topoyield").topology_aware
-        assert EXPERIMENTS.get("appsweep").topology_aware
-        assert not EXPERIMENTS.get("fig8").topology_aware
+        for name in ("fig4", "topoyield", "appsweep"):
+            assert "topology" in EXPERIMENTS.get(name).options
+        assert "topology" not in EXPERIMENTS.get("fig8").options
 
     def test_tuning_awareness_flags(self):
-        assert EXPERIMENTS.get("fig4").tuning_aware
-        assert EXPERIMENTS.get("tunedyield").tuning_aware
-        assert EXPERIMENTS.get("repairbudget").tuning_aware
-        assert not EXPERIMENTS.get("fig8").tuning_aware
+        for name in ("fig4", "tunedyield", "repairbudget"):
+            assert "tuning" in EXPERIMENTS.get(name).options
+        assert "tuning" not in EXPERIMENTS.get("fig8").options
 
     def test_compiler_awareness_flags(self):
-        assert EXPERIMENTS.get("fig10").compiler_aware
-        assert EXPERIMENTS.get("appsweep").compiler_aware
-        assert not EXPERIMENTS.get("fig4").compiler_aware
+        for name in ("fig10", "appsweep"):
+            assert {"benchmarks", "routing"} <= set(EXPERIMENTS.get(name).options)
+        assert "routing" not in EXPERIMENTS.get("fig4").options
 
     def test_unknown_experiment_suggestion(self):
         with pytest.raises(KeyError, match="did you mean 'fig9'"):
@@ -158,12 +156,12 @@ class TestCLI:
     def test_topology_warning_for_unaware_experiment(self, capsys):
         assert main(["run", "table1", "--topology", "square", "--jobs", "1"]) == 0
         err = capsys.readouterr().err
-        assert "heavy-hex only" in err
+        assert "experiment 'table1' does not read --topology;" in err
 
     def test_tuning_warning_for_unaware_experiment(self, capsys):
         assert main(["run", "table1", "--tuning", "greedy", "--jobs", "1"]) == 0
         err = capsys.readouterr().err
-        assert "post-fabrication repair" in err
+        assert "experiment 'table1' does not read --tuning;" in err
 
     def test_run_tunedyield_with_tuning_flags(self, capsys):
         args = [
@@ -249,8 +247,12 @@ class TestCLI:
         assert "did you mean 'noise-aware'" in err
 
     def test_compiler_flag_warning_for_unaware_experiment(self, capsys):
-        assert main(["run", "table1", "--routing", "basic", "--jobs", "1"]) == 0
-        assert "does not thread benchmark/routing" in capsys.readouterr().err
+        args = ["run", "table1", "--routing", "basic", "--benchmarks", "bv", "--jobs", "1"]
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        # One warning names every ignored option, in table order.
+        assert err.count("warning") == 1
+        assert "does not read --benchmarks, --routing;" in err
 
     def test_run_appsweep_with_compiler_flags(self, capsys):
         args = [
@@ -280,20 +282,46 @@ class TestCLIBackends:
         assert exc.value.code == 2
         assert f"must be at least 1, got {int(jobs)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--workers", "--queue-size", "--max-attempts"])
+    def test_serve_counts_below_one_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", flag, "0"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least 1, got 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--batch", "-5", "must be at least 1, got -5"),
-            ("--batch", "0", "must be at least 1, got 0"),
-            ("--batch", "abc", "not an integer: 'abc'"),
-            ("--seed", "-1", "must be at least 0, got -1"),
-            ("--seed", "1.5", "not an integer: '1.5'"),
+            pytest.param(
+                "--batch", "-5", "batch_size must be an integer of at least 1, got -5",
+                id="--batch--5-must be at least 1, got -5",
+            ),
+            pytest.param(
+                "--batch", "0", "batch_size must be an integer of at least 1, got 0",
+                id="--batch-0-must be at least 1, got 0",
+            ),
+            pytest.param(
+                "--batch", "abc", "invalid int value: 'abc'",
+                id="--batch-abc-not an integer: 'abc'",
+            ),
+            pytest.param(
+                "--seed", "-1", "seed must be an integer of at least 0, got -1",
+                id="--seed--1-must be at least 0, got -1",
+            ),
+            pytest.param(
+                "--seed", "1.5", "invalid int value: '1.5'",
+                id="--seed-1.5-not an integer: '1.5'",
+            ),
         ],
     )
     def test_bad_batch_or_seed_rejected(self, flag, value, message, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "fig6", flag, value])
-        assert exc.value.code == 2
+        # Lexical errors are argparse's (SystemExit); range errors come
+        # from the options table and exit 2 like the service's HTTP 400.
+        try:
+            code = main(["run", "fig6", flag, value])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", [pytest.param("2", id="processes")])

@@ -29,7 +29,7 @@ from repro.core.collisions import (
 )
 from repro.core.frequencies import (
     FrequencySpec,
-    allocate_heavy_hex_frequencies,
+    HeavyHexThreeFrequencyPlan,
     allocation_from_labels,
 )
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
@@ -37,7 +37,7 @@ from repro.topology.heavy_hex import heavy_hex_by_qubit_count
 # Built once at import: hypothesis re-runs test bodies hundreds of times,
 # and the lattice search is not free.
 _LATTICE_10 = heavy_hex_by_qubit_count(10)
-_ALLOCATION_10 = allocate_heavy_hex_frequencies(_LATTICE_10)
+_ALLOCATION_10 = HeavyHexThreeFrequencyPlan().allocate(_LATTICE_10)
 
 # The Table I demonstration device: control Q1 coupled to targets Q0, Q2.
 _TRIPLE_EDGES = [(1, 0), (1, 2)]
@@ -136,7 +136,7 @@ class TestIdealDeviceProperties:
         (the regime where 3-step and 4-step sums stay clear of the type-7
         anharmonicity window)."""
         lattice = heavy_hex_by_qubit_count(size)
-        allocation = allocate_heavy_hex_frequencies(
+        allocation = HeavyHexThreeFrequencyPlan().allocate(
             lattice, spec=FrequencySpec(step_ghz=step)
         )
         frequencies = np.tile(allocation.ideal_frequencies, (batch, 1))

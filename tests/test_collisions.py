@@ -17,7 +17,7 @@ from repro.core.collisions import (
 )
 from repro.core.frequencies import (
     FrequencySpec,
-    allocate_heavy_hex_frequencies,
+    HeavyHexThreeFrequencyPlan,
     allocation_from_labels,
 )
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
@@ -42,13 +42,13 @@ class TestIdealPattern:
     @pytest.mark.parametrize("step", [0.04, 0.05, 0.06, 0.07])
     def test_ideal_pattern_collision_free_across_steps(self, step):
         lattice = heavy_hex_by_qubit_count(40)
-        allocation = allocate_heavy_hex_frequencies(lattice, spec=FrequencySpec(step_ghz=step))
+        allocation = HeavyHexThreeFrequencyPlan().allocate(lattice, spec=FrequencySpec(step_ghz=step))
         assert not has_collision(allocation, allocation.ideal_frequencies)
 
     def test_large_step_triggers_type7(self):
         """A 0.11 GHz step makes 2f_i + a = f_j + f_k hold exactly."""
         lattice = heavy_hex_by_qubit_count(40)
-        allocation = allocate_heavy_hex_frequencies(lattice, spec=FrequencySpec(step_ghz=0.11))
+        allocation = HeavyHexThreeFrequencyPlan().allocate(lattice, spec=FrequencySpec(step_ghz=0.11))
         counts = count_collisions(allocation, allocation.ideal_frequencies)
         assert counts[7] > 0
 

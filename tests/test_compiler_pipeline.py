@@ -7,13 +7,11 @@ import pytest
 from repro.circuits.benchmarks import build_benchmark, ghz
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.decompose import decompose_to_cx_basis
-from repro.compiler.layout import Layout, choose_layout
+from repro.compiler.layout import LAYOUT_METHODS, Layout, choose_layout
 from repro.compiler.pipeline import (
     CompileContext,
-    CompilerStrategy,
     DecomposePass,
     LayoutPass,
-    LAYOUT_STRATEGIES,
     MetricsPass,
     Pass,
     PassPipeline,
@@ -43,20 +41,27 @@ def legacy_transpile(circuit, target, layout_method="auto"):
 
 class TestRegistries:
     def test_registered_strategies(self):
-        assert LAYOUT_STRATEGIES.names() == ["auto", "line", "dense", "noise"]
+        assert LAYOUT_METHODS == ("auto", "line", "dense", "noise")
         assert ROUTING_STRATEGIES.names() == ["basic", "noise-aware"]
 
     def test_unknown_strategy_gets_suggestion(self):
         with pytest.raises(KeyError, match="did you mean 'noise-aware'"):
             ROUTING_STRATEGIES.get("noise_aware")
         with pytest.raises(KeyError, match="did you mean 'dense'"):
-            LAYOUT_STRATEGIES.get("dens")
+            default_pipeline(layout_method="dens")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
-            ROUTING_STRATEGIES.register(
-                CompilerStrategy(name="basic", description="dup", build=lambda: None)
-            )
+            ROUTING_STRATEGIES.register("basic", lambda: None)
+
+    def test_choose_layout_rejects_unknown_method(self):
+        coupling = CouplingMap(num_qubits=3, edges=[(0, 1), (1, 2)])
+        with pytest.raises(
+            KeyError,
+            match=r"unknown layout method 'densest'; did you mean 'dense'\? "
+            r"\(known: auto, line, dense, noise\)",
+        ):
+            choose_layout(ghz(3), coupling, method="densest")
 
     def test_membership_and_len(self):
         assert "basic" in ROUTING_STRATEGIES

@@ -23,8 +23,8 @@ from hypothesis import given, settings, strategies as st
 from repro.circuits.benchmarks import BENCHMARK_NAMES, build_benchmark
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.decompose import decompose_to_cx_basis
-from repro.compiler.layout import choose_layout
-from repro.compiler.pipeline import LAYOUT_STRATEGIES, ROUTING_STRATEGIES
+from repro.compiler.layout import LAYOUT_METHODS, choose_layout
+from repro.compiler.pipeline import ROUTING_STRATEGIES
 from repro.compiler.transpile import transpile
 from repro.core.architecture import ARCHITECTURES, get_architecture
 from repro.topology.coupling import CouplingMap
@@ -104,7 +104,7 @@ def test_routed_two_qubit_gates_lie_on_coupling_edges(circuit, topology, routing
 @given(
     circuit=benchmark_circuits(),
     topology=st.sampled_from(tuple(ARCHITECTURES.names())),
-    method=st.sampled_from(tuple(LAYOUT_STRATEGIES.names())),
+    method=st.sampled_from(LAYOUT_METHODS),
 )
 @settings(deadline=None)
 def test_layouts_are_injective(circuit, topology, method):

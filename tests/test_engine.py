@@ -22,7 +22,8 @@ from repro.core.fabrication import FabricationModel
 from repro.core.yield_model import detuning_sweep, simulate_yield_point, yield_vs_qubits
 from repro.engine import (
     ExecutionEngine,
-    ExperimentRegistry,
+    ExperimentSpec,
+    Registry,
     ResultCache,
     Task,
     TaskGraph,
@@ -229,14 +230,15 @@ class TestTaskGraph:
 
 class TestRegistry:
     def test_register_resolve_alias(self):
-        registry = ExperimentRegistry()
-        registry.register("fig0", "demo", _square, aliases=("zero",))
+        registry = Registry("experiment")
+        spec = ExperimentSpec("fig0", "demo", _square, aliases=("zero",))
+        registry.register("fig0", spec, aliases=("zero",))
         assert registry.get("zero").name == "fig0"
         assert "fig0" in registry and "zero" in registry
         with pytest.raises(ValueError):
-            registry.register("fig0", "again", _square)
-        with pytest.raises(KeyError):
-            registry.get("nope")
+            registry.register("fig0", ExperimentSpec("fig0", "again", _square))
+        with pytest.raises(KeyError, match=r"unknown experiment 'zer0'; did you mean 'zero'\? \(known: fig0\)"):
+            registry.get("zer0")
 
 
 class TestEngineStats:

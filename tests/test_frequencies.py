@@ -8,7 +8,7 @@ import pytest
 from repro.core.frequencies import (
     DEFAULT_STEP_GHZ,
     FrequencySpec,
-    allocate_heavy_hex_frequencies,
+    HeavyHexThreeFrequencyPlan,
     allocation_from_labels,
     dense_label,
     heavy_hex_labels,
@@ -74,7 +74,7 @@ class TestHeavyHexLabels:
 
 class TestAllocation:
     def test_ideal_frequencies_follow_labels(self, lattice_27, spec):
-        allocation = allocate_heavy_hex_frequencies(lattice_27, spec=spec)
+        allocation = HeavyHexThreeFrequencyPlan().allocate(lattice_27, spec=spec)
         for index, label in enumerate(allocation.labels):
             assert allocation.ideal_frequencies[index] == pytest.approx(
                 spec.frequency_for_label(int(label))

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis.registry import EXPERIMENTS
+from repro.analysis.registry import EXPERIMENTS, parse_runner_options
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -152,7 +152,10 @@ def _drift(golden, actual, path: str = "$") -> list[str]:
 def _run_experiment(name: str):
     seed, batch = GOLDEN_PARAMS[name]
     spec = EXPERIMENTS.get(name)
-    result, text = spec.runner(None, seed=seed, batch_size=batch, full=False)
+    kwargs, _ = parse_runner_options(
+        spec, {"seed": seed, "batch_size": batch, "full": False}
+    )
+    result, text = spec.runner(None, **kwargs)
     return {
         "experiment": name,
         "seed": seed,

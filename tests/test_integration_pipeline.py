@@ -18,7 +18,7 @@ from repro.core.chiplet import ChipletDesign
 from repro.core.fabrication import FabricationModel
 from repro.core.mcm import MCMDesign
 from repro.core.yield_model import simulate_yield
-from repro.core.frequencies import allocate_heavy_hex_frequencies
+from repro.core.frequencies import HeavyHexThreeFrequencyPlan
 from repro.simulation.esp import fidelity_product, fidelity_ratio
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
 
@@ -32,7 +32,7 @@ class TestYieldStory:
         ).collision_free_yield
 
         mono_lattice = heavy_hex_by_qubit_count(180)
-        mono_allocation = allocate_heavy_hex_frequencies(mono_lattice)
+        mono_allocation = HeavyHexThreeFrequencyPlan().allocate(mono_lattice)
         mono_yield = simulate_yield(
             mono_allocation, fabrication, 800, rng
         ).collision_free_yield

@@ -19,7 +19,7 @@ import logging
 
 import pytest
 
-from repro.analysis.registry import EXPERIMENTS
+from repro.analysis.registry import EXPERIMENTS, parse_runner_options
 from repro.engine import ExecutionEngine
 from repro.obs import tracing
 from repro.obs.export import (
@@ -106,12 +106,19 @@ def _span_shape(spans):
     )
 
 
+def _run_appsweep(engine):
+    spec = EXPERIMENTS.get("appsweep")
+    kwargs, _ = parse_runner_options(
+        spec, {"seed": 3, "batch_size": 40, "benchmarks": ["bv"]}
+    )
+    return spec.runner(engine, **kwargs)
+
+
 class TestCrossBackendParity:
     def _trace_appsweep(self, jobs):
         tracer = tracing.Tracer()
         engine = ExecutionEngine(jobs=jobs, use_cache=False, tracer=tracer)
-        spec = EXPERIMENTS.get("appsweep")
-        spec.runner(engine, seed=3, batch_size=40, benchmarks=("bv",))
+        _run_appsweep(engine)
         return tracer.spans
 
     def test_same_span_tree_shape_sequential_vs_processes(self):
@@ -130,13 +137,9 @@ class TestCrossBackendParity:
         assert {s["name"] for s in roots} == {"engine.batch"}
 
     def test_tracing_does_not_change_results(self):
-        spec = EXPERIMENTS.get("appsweep")
-
         def run(tracer):
             engine = ExecutionEngine(jobs=1, use_cache=False, tracer=tracer)
-            result, _ = spec.runner(
-                engine, seed=3, batch_size=40, benchmarks=("bv",)
-            )
+            result, _ = _run_appsweep(engine)
             return result
 
         assert run(None) == run(tracing.Tracer())

@@ -22,7 +22,7 @@ import time
 
 import pytest
 
-from repro.engine import ExperimentRegistry
+from repro.engine import ExperimentSpec, Registry
 from repro.service import (
     JobCancelled,
     JobManager,
@@ -72,9 +72,9 @@ def make_counting_runner(record, started=None, release=None, tasks=5):
 
 
 def make_registry(*entries):
-    registry = ExperimentRegistry()
+    registry = Registry("experiment")
     for name, runner in entries:
-        registry.register(name, f"{name} (service test)", runner)
+        registry.register(name, ExperimentSpec(name, f"{name} (service test)", runner))
     return registry
 
 
@@ -556,6 +556,13 @@ class TestHttpEndpoints:
                     )
                     assert status == 400 and "batch_size" in body["error"]
 
+                    for params in ([], 0, "", False):
+                        status, _, body = await request(
+                            host, port, "POST", "/jobs",
+                            {"experiment": "toy", "params": params},
+                        )
+                        assert status == 400 and "must be an object" in body["error"]
+
                     status, _, body = await request(
                         host, port, "POST", "/jobs", {"params": {}}
                     )
@@ -781,3 +788,128 @@ class TestMetricsEndpoint:
         assert result["engine"]["trace_id"] == job_status["trace_id"]
         assert "routing_cache" in result["engine"]
         assert "result_cache" in result["engine"]
+
+
+class TestManagerSizing:
+    @pytest.mark.parametrize("field", ["workers", "queue_size"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_sizes_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1, got {value}"):
+            JobManager(engine_options=FAST_ENGINE, **{field: value})
+
+
+# ---------------------------------------------------------------------- #
+# Params are validated at submit by the table the CLI shares
+# ---------------------------------------------------------------------- #
+#: Submissions the service used to accept and then fail (or silently
+#: ignore): (experiment, params, the equivalent ``run`` flags or None
+#: when the value has no CLI spelling, a fragment of the message).
+_REFUSED = [
+    ("fig4", {"topology": "squre"}, ["--topology", "squre"], "did you mean 'square'"),
+    ("sec5c", {"topology": "squre"}, ["--topology", "squre"], "did you mean 'square'"),
+    ("fig10", {"routing": "noise_aware"}, ["--routing", "noise_aware"],
+     "did you mean 'noise-aware'"),
+    ("fig10", {"benchmarks": ["qaoaa"]}, ["--benchmarks", "qaoaa"],
+     "did you mean 'qaoa'"),
+    ("fig4", {"tuning": "gredy"}, ["--tuning", "gredy"], "did you mean 'greedy'"),
+    ("fig4", {"stats": {"chunk_size": 10}}, None,
+     "unknown experiment parameter 'stats'"),
+    ("fig4", {"tuning": {"strategy": "greedy"}}, None, "tuning must be a name"),
+    ("fig4", {"full": "yes"}, None, "full must be true or false, got 'yes'"),
+]
+
+
+def _submit_error(experiment, params):
+    async def scenario():
+        async with JobManager(engine_options=FAST_ENGINE) as manager:
+            with pytest.raises(ValueError) as excinfo:
+                await manager.submit(experiment, params)
+            assert manager.stats()["jobs_known"] == 0
+            return str(excinfo.value)
+
+    return asyncio.run(scenario())
+
+
+class TestParamsAtSubmit:
+    @pytest.mark.parametrize(
+        "experiment, params, flags, fragment",
+        _REFUSED,
+        ids=[f"{e}-{'-'.join(p)}-{type(next(iter(p.values()))).__name__}" for e, p, _, _ in _REFUSED],
+    )
+    def test_refused_at_submit_and_by_the_cli(
+        self, experiment, params, flags, fragment, capsys, tmp_path, monkeypatch
+    ):
+        from repro.__main__ import main
+
+        message = _submit_error(experiment, params)
+        assert fragment in message
+        if flags is not None:
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+            assert main(["run", experiment, *flags, "--jobs", "1"]) == 2
+            assert capsys.readouterr().err.strip() == message
+
+    def test_ignored_options_are_dropped_from_the_key(self):
+        async def scenario():
+            async with JobManager(engine_options=FAST_ENGINE) as manager:
+                return (
+                    manager.coalescing_key("sec5c", {"batch_size": 50}),
+                    manager.coalescing_key(
+                        "sec5c", {"batch_size": 50, "topology": "square", "full": True}
+                    ),
+                    manager.coalescing_key("fig4", {}),
+                    manager.coalescing_key("fig4", {"seed": 7}),
+                    manager.coalescing_key("fig4", {"seed": 8}),
+                )
+
+        sec5c, sec5c_ignored, fig4_default, fig4_seed7, fig4_seed8 = asyncio.run(
+            scenario()
+        )
+        assert sec5c == sec5c_ignored
+        # Defaults come from the runner's signature: fig4's seed is 7.
+        assert fig4_default == fig4_seed7 != fig4_seed8
+
+    def test_json_stats_job_matches_cli_dump(self, tmp_path, monkeypatch, capsys):
+        import json
+
+        from repro.__main__ import main
+        from repro.analysis.reporting import jsonable
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        params = {"chunk_size": 50, "ci_target": 0.05, "batch_size": 60, "seed": 3}
+
+        async def scenario():
+            async with JobManager(engine_options=FAST_ENGINE) as manager:
+                handle = await manager.submit("fig4", params)
+                return await handle.result(timeout=300)
+
+        result, text = asyncio.run(scenario())
+        dump = tmp_path / "fig4.json"
+        argv = [
+            "run", "fig4", "--chunk-size", "50", "--ci-target", "0.05",
+            "--batch", "60", "--seed", "3", "--jobs", "1", "--no-cache",
+            "--quiet", "--dump-json", str(dump),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        payload = json.loads(dump.read_text())
+        assert jsonable(result) == payload["result"]
+        assert text == payload["text"]
+        assert "total Monte-Carlo samples" in text
+
+    def test_json_tuning_job_runs(self):
+        params = {
+            "tuning": "greedy", "max_shift_mhz": 100, "repair_budget": 2,
+            "batch_size": 30, "seed": 3,
+        }
+
+        async def scenario():
+            async with JobManager(engine_options=FAST_ENGINE) as manager:
+                handle = await manager.submit("tunedyield", params)
+                result = await handle.result(timeout=300)
+                return result, manager.status(handle.id)
+
+        (_, text), status = asyncio.run(scenario())
+        assert status["state"] == "succeeded"
+        assert status["params"]["tuning"]["tuner"]["max_shift_ghz"] == pytest.approx(0.1)
+        assert status["params"]["tuning"]["tuner"]["max_tunes_per_qubit"] == 2
+        assert "repaired" in text

@@ -18,7 +18,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.engine import ExecutionCancelled, ExperimentRegistry
+from repro.engine import ExecutionCancelled, ExperimentSpec, Registry
 from repro.service import (
     FailureClass,
     FailureClassifier,
@@ -33,8 +33,8 @@ FAST_ENGINE = {"use_cache": False, "jobs": 1}
 
 
 def make_registry(name, runner):
-    registry = ExperimentRegistry()
-    registry.register(name, f"{name} (failure test)", runner)
+    registry = Registry("experiment")
+    registry.register(name, ExperimentSpec(name, f"{name} (failure test)", runner))
     return registry
 
 

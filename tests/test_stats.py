@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.collisions import collision_free_mask
 from repro.core.fabrication import FabricationModel
-from repro.core.frequencies import allocate_heavy_hex_frequencies
+from repro.core.frequencies import HeavyHexThreeFrequencyPlan
 from repro.core.yield_model import (
     YieldResult,
     materialize_seeded_batch,
@@ -44,7 +44,7 @@ from repro.topology.heavy_hex import heavy_hex_by_qubit_count
 # Module-level device shared by the parity tests (built once; hypothesis
 # dislikes function-scoped fixtures, and the lattice search is not free).
 _LATTICE_20 = heavy_hex_by_qubit_count(20)
-_ALLOCATION_20 = allocate_heavy_hex_frequencies(_LATTICE_20)
+_ALLOCATION_20 = HeavyHexThreeFrequencyPlan().allocate(_LATTICE_20)
 _FABRICATION = FabricationModel(0.014)
 
 
@@ -297,7 +297,7 @@ class TestChunkedParity:
 
     def test_adaptive_stops_early_in_the_tail(self):
         lattice = heavy_hex_by_qubit_count(300)
-        allocation = allocate_heavy_hex_frequencies(lattice)
+        allocation = HeavyHexThreeFrequencyPlan().allocate(lattice)
         result = simulate_yield_adaptive(
             allocation, _FABRICATION, ci_target=0.02,
             max_samples=4000, chunk_size=250, seed=7,
@@ -314,7 +314,7 @@ class TestChunkedParity:
     def test_streaming_parity_property(self, batch_size, chunk_size, seed):
         """For any (batch, chunk, seed): streaming == monolithic reduce."""
         lattice = heavy_hex_by_qubit_count(5)
-        allocation = allocate_heavy_hex_frequencies(lattice)
+        allocation = HeavyHexThreeFrequencyPlan().allocate(lattice)
         fabrication = FabricationModel(0.05)
         batch = materialize_seeded_batch(
             allocation, fabrication, batch_size, chunk_size, seed

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.fabrication import FabricationModel
-from repro.core.frequencies import allocate_heavy_hex_frequencies
+from repro.core.frequencies import HeavyHexThreeFrequencyPlan
 from repro.core.yield_model import (
     YieldCurve,
     detuning_sweep,
@@ -45,7 +45,7 @@ class TestSimulateYield:
     def test_paper_scale_yields(self, rng):
         """At sigma_f = 0.014 GHz the 20-qubit chiplet yields roughly 70 %."""
         lattice = heavy_hex_by_qubit_count(20)
-        allocation = allocate_heavy_hex_frequencies(lattice)
+        allocation = HeavyHexThreeFrequencyPlan().allocate(lattice)
         result = simulate_yield(allocation, FabricationModel(0.014), 2000, rng)
         assert 0.55 < result.collision_free_yield < 0.85
 
@@ -54,7 +54,7 @@ class TestSimulateYield:
         yields = []
         for size in (10, 40, 100):
             lattice = heavy_hex_by_qubit_count(size)
-            allocation = allocate_heavy_hex_frequencies(lattice)
+            allocation = HeavyHexThreeFrequencyPlan().allocate(lattice)
             yields.append(
                 simulate_yield(allocation, fabrication, 600, rng).collision_free_yield
             )
