@@ -376,6 +376,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "wall_seconds": engine.stats.wall_seconds,
                 "seconds_by_family": jsonable(dict(engine.stats.seconds_by_family)),
                 "seconds_by_phase": jsonable(dict(engine.stats.seconds_by_phase)),
+                "unattributed_seconds": engine.stats.unattributed_seconds,
                 **traffic,
             },
             "result": jsonable(result),

@@ -6,8 +6,8 @@ keep that output aligned and readable.  :func:`jsonable` is the
 machine-readable counterpart: it flattens any experiment's result object
 (dataclasses, numpy arrays, nested containers) into plain JSON types for
 the CLI's ``--dump-json``.  :func:`cache_traffic` is the routing-cache,
-sample-bank and result-cache block of that dump and of the service's
-per-job snapshots.
+layout-memo, sample-bank and result-cache block of that dump and of the
+service's per-job snapshots.
 """
 
 from __future__ import annotations
@@ -76,6 +76,10 @@ _TRAFFIC = {
         "repro_routing_cache_events_total",
         {"hit": "hits", "miss": "misses", "eviction": "evictions"},
     ),
+    "layout_cache": (
+        "repro_layout_cache_events_total",
+        {"hit": "hits", "miss": "misses", "eviction": "evictions"},
+    ),
     "sample_bank": (
         "repro_sample_bank_events_total",
         {
@@ -94,7 +98,7 @@ _TRAFFIC = {
 
 
 def cache_traffic(marks: dict) -> dict[str, dict[str, Any]]:
-    """Routing-cache, sample-bank and result-cache traffic since ``marks``.
+    """Routing-cache, layout-memo, sample-bank and result-cache traffic since ``marks``.
 
     ``marks`` is a ``REGISTRY.checkpoint()`` taken before the run.  The
     traffic counts come from the metrics registry, which also holds the
@@ -110,6 +114,7 @@ def cache_traffic(marks: dict) -> dict[str, dict[str, Any]]:
     }
     views = {
         "routing_cache": routing_cache_stats(),
+        "layout_cache": {},
         "sample_bank": sample_bank_stats(),
         "result_cache": {},
     }

@@ -12,28 +12,57 @@ qubits onto it.  Three strategies are provided:
   interacting qubits land close together.
 * ``"noise"`` — like ``"dense"`` but seeded at the physical qubit whose
   incident couplings have the lowest error (requires a device error map).
+
+Placement memo
+--------------
+A layout is two independent halves: the *physical placement* (the qubits
+the circuit occupies, in placement order) depends only on the device and
+the circuit's width, while the *virtual order* depends only on the
+circuit.  Application sweeps compile many circuits of one width onto one
+device, and the placement half, above all a failing path search, is the
+expensive one.  It is therefore memoised process-wide in a
+:class:`repro.engine.cache.BoundedLRU` keyed on content, like the
+routing cache: the coupling's qubit count and an edge digest, the width,
+the branch (``"line"`` or ``"dense"``) and, for the dense branch, the
+start qubit the ``"noise"`` strategy resolved from the error map
+(``None`` for plain ``"dense"``), never the error map itself.  The
+``"line"`` entry holds the path, or, when the search failed, the dense
+placement the branch falls back to, so a failed search is not repeated
+either.  Entries are immutable tuples and every call builds a fresh
+:class:`Layout`, so results are bit-identical to a cold search.  Traffic
+counts into ``repro_layout_cache_events_total{event}``, and
+:func:`repro.compiler.routing.clear_routing_cache` empties the memo with
+the routing cache.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+import hashlib
+
+import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.engine.cache import BoundedLRU
 from repro.engine.registry import unknown_name
 from repro.topology.coupling import CouplingMap
-from repro.topology.metrics import densest_connected_subgraph
 
 __all__ = [
+    "LAYOUT_CACHE_MAXSIZE",
     "LAYOUT_METHODS",
     "Layout",
     "check_layout_method",
     "choose_layout",
+    "clear_layout_cache",
+    "densest_connected_subgraph",
     "find_long_path",
     "is_chain_circuit",
 ]
 
 #: The methods :func:`choose_layout` accepts.
 LAYOUT_METHODS = ("auto", "line", "dense", "noise")
+
+#: Placements kept by the memo (each a tuple of at most a device's qubits).
+LAYOUT_CACHE_MAXSIZE = 256
 
 
 def check_layout_method(method: str) -> None:
@@ -106,10 +135,15 @@ def is_chain_circuit(circuit: QuantumCircuit) -> bool:
     endpoints = sum(1 for d in degrees if d == 1)
     if endpoints != 2:
         return False
-    graph = nx.Graph(
-        (a, b) for a, neighbours in adjacency.items() for b in neighbours if a < b
-    )
-    return nx.is_connected(graph)
+    start = next(iter(active))
+    reached = {start}
+    stack = [start]
+    while stack:
+        for neighbour in adjacency[stack.pop()]:
+            if neighbour not in reached:
+                reached.add(neighbour)
+                stack.append(neighbour)
+    return len(reached) == len(active)
 
 
 def find_long_path(
@@ -193,8 +227,121 @@ def find_long_path(
     return None
 
 
+def densest_connected_subgraph(
+    coupling: CouplingMap, size: int, seed: int | None = None
+) -> list[int]:
+    """Greedy connected region of ``size`` qubits with many internal couplings.
+
+    Starting from the highest-degree qubit (lowest index on ties) or
+    ``seed``, repeatedly add the frontier qubit with the most neighbours
+    already inside the region, breaking ties by higher degree and then
+    lower index.  When the frontier empties (the region filled its
+    connected component), jump to the highest-degree qubit outside it,
+    lowest index on ties.  Each frontier qubit's in-region neighbour count
+    is kept up to date as the region grows.  Returns the region sorted.
+
+    Raises :class:`ValueError` when ``size`` exceeds the qubit count.
+    """
+    n = coupling.num_qubits
+    if size > n:
+        raise ValueError("requested subgraph is larger than the graph")
+    if size <= 0:
+        return []
+    rows = [coupling.neighbors(q) for q in range(n)]
+    degree = [len(row) for row in rows]
+    if seed is None:
+        seed = max(range(n), key=lambda q: (degree[q], -q))
+    chosen = bytearray(n)
+    # Frontier qubit -> number of its neighbours inside the region.
+    inside: dict[int, int] = {}
+    best = seed
+    for added in range(1, size + 1):
+        chosen[best] = 1
+        inside.pop(best, None)
+        for m in rows[best]:
+            if not chosen[m]:
+                inside[m] = inside.get(m, 0) + 1
+        if added == size:
+            break
+        if inside:
+            best = max(inside, key=lambda q: (inside[q], degree[q], -q))
+        else:
+            best = max((q for q in range(n) if not chosen[q]), key=degree.__getitem__)
+    return [q for q in range(n) if chosen[q]]
+
+
+def _region_order(coupling: CouplingMap, region: list[int]) -> list[int]:
+    """Placement order of a sorted region: BFS from its best-connected qubit.
+
+    The BFS starts at the qubit with the most neighbours inside the region
+    (lowest index on ties) and visits neighbours in ascending index.
+    Qubits the BFS cannot reach follow in ascending index.
+    """
+    in_region = bytearray(coupling.num_qubits)
+    for q in region:
+        in_region[q] = 1
+    start = max(
+        region, key=lambda q: sum(in_region[m] for m in coupling.neighbors(q))
+    )
+    order = [start]
+    in_region[start] = 0
+    for q in order:
+        for m in coupling.neighbors(q):
+            if in_region[m]:
+                in_region[m] = 0
+                order.append(m)
+    order += [q for q in region if in_region[q]]
+    return order
+
+
+def _dense_placement(coupling: CouplingMap, width: int, seed: int | None) -> tuple[int, ...]:
+    return tuple(_region_order(coupling, densest_connected_subgraph(coupling, width, seed)))
+
+
+def _line_placement(coupling: CouplingMap, width: int) -> tuple[int, ...]:
+    path = find_long_path(coupling, width)
+    if path is None:
+        return _dense_placement(coupling, width, None)
+    return tuple(path)
+
+
+#: Content-keyed physical placements; traffic counts into
+#: ``repro_layout_cache_events_total{event}``.
+_CACHE = BoundedLRU(
+    LAYOUT_CACHE_MAXSIZE,
+    "repro_layout_cache_events_total",
+    "Layout placement memo traffic by outcome (hit, miss, eviction)",
+)
+
+
+def _coupling_digest(coupling: CouplingMap) -> str:
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(np.int64(coupling.num_qubits).tobytes())
+    digest.update(np.asarray(coupling.edges, dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
+
+def clear_layout_cache() -> None:
+    """Drop every memoised placement and reset the memo's counters."""
+    _CACHE.clear()
+
+
+def _noise_seed(edge_errors: dict[tuple[int, int], float] | None) -> int | None:
+    """The qubit whose incident couplings have the lowest mean error."""
+    if not edge_errors:
+        return None
+    incident: dict[int, list[float]] = {}
+    for (u, v), error in edge_errors.items():
+        incident.setdefault(u, []).append(error)
+        incident.setdefault(v, []).append(error)
+    return min(
+        incident,
+        key=lambda q: sum(incident[q]) / len(incident[q]) - 0.001 * len(incident[q]),
+    )
+
+
 def _interaction_order(circuit: QuantumCircuit) -> list[int]:
-    """Virtual qubits ordered by a BFS over the interaction graph."""
+    """Every virtual qubit, ordered by a BFS over the interaction graph."""
     adjacency = circuit.interaction_graph()
     order: list[int] = []
     seen: set[int] = set()
@@ -204,8 +351,7 @@ def _interaction_order(circuit: QuantumCircuit) -> list[int]:
             continue
         queue = [root]
         seen.add(root)
-        while queue:
-            node = queue.pop(0)
+        for node in queue:
             order.append(node)
             for neighbour in sorted(adjacency[node]):
                 if neighbour not in seen:
@@ -221,6 +367,10 @@ def choose_layout(
     edge_errors: dict[tuple[int, int], float] | None = None,
 ) -> Layout:
     """Pick an initial layout for a circuit on a coupling map.
+
+    The physical placement comes from the process-wide memo (see the
+    module docstring); the circuit's virtual qubits are laid onto it in
+    :func:`_interaction_order`.
 
     Parameters
     ----------
@@ -244,35 +394,14 @@ def choose_layout(
     if method == "auto":
         method = "line" if is_chain_circuit(circuit) else "dense"
 
+    device = (coupling.num_qubits, _coupling_digest(coupling), width)
     if method == "line":
-        path = find_long_path(coupling, width)
-        if path is not None:
-            order = _interaction_order(circuit)
-            order += [q for q in range(width) if q not in set(order)]
-            return Layout({virtual: path[i] for i, virtual in enumerate(order)})
-        method = "dense"
-
-    graph = coupling.graph()
-    seed = None
-    if method == "noise":
-        if edge_errors:
-            incident: dict[int, list[float]] = {}
-            for (u, v), error in edge_errors.items():
-                incident.setdefault(u, []).append(error)
-                incident.setdefault(v, []).append(error)
-            seed = min(
-                incident,
-                key=lambda q: sum(incident[q]) / len(incident[q]) - 0.001 * len(incident[q]),
-            )
-
-    region = densest_connected_subgraph(graph, width, seed=seed)
-    sub = graph.subgraph(region)
-    # Physical placement order: BFS from the highest-degree node of the region.
-    start = max(region, key=lambda n: sub.degree[n])
-    physical_order = list(nx.bfs_tree(sub, start))
-    physical_order += [n for n in region if n not in set(physical_order)]
-    virtual_order = _interaction_order(circuit)
-    virtual_order += [q for q in range(width) if q not in set(virtual_order)]
-    return Layout(
-        {virtual: physical_order[i] for i, virtual in enumerate(virtual_order)}
-    )
+        placement = _CACHE.get_or_build(
+            (*device, "line"), lambda: _line_placement(coupling, width)
+        )
+    else:
+        seed = _noise_seed(edge_errors) if method == "noise" else None
+        placement = _CACHE.get_or_build(
+            (*device, "dense", seed), lambda: _dense_placement(coupling, width, seed)
+        )
+    return Layout(dict(zip(_interaction_order(circuit), placement)))

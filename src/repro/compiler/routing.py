@@ -58,7 +58,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.compiler.layout import Layout
+from repro.compiler.layout import Layout, clear_layout_cache
 from repro.engine.cache import BoundedLRU
 from repro.topology.coupling import CouplingMap
 
@@ -396,8 +396,14 @@ def routing_cache_stats() -> dict:
 
 
 def clear_routing_cache() -> None:
-    """Drop every cached weight structure and reset the counters."""
+    """Drop every cached weight structure and reset the counters.
+
+    Also empties the layout placement memo
+    (:func:`repro.compiler.layout.clear_layout_cache`), so one call resets
+    every compile-path cache.
+    """
     _CACHE.clear()
+    clear_layout_cache()
 
 
 def route_circuit_noise_aware(

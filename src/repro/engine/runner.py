@@ -117,6 +117,16 @@ class EngineStats:
     seconds_by_phase: dict[str, float] = field(default_factory=lambda: defaultdict(float))
 
     @property
+    def unattributed_seconds(self) -> float:
+        """``wall_seconds`` not booked to any phase.
+
+        Engine overhead, un-instrumented task code and result-cache
+        lookups.  At ``jobs > 1`` the phases are summed across workers
+        running in parallel, so the residual can be negative there.
+        """
+        return self.wall_seconds - sum(self.seconds_by_phase.values())
+
+    @property
     def tasks_per_second(self) -> float:
         """Answered-task throughput (cache hits included) over the
         engine's lifetime — a fully cached run is fast, not idle."""

@@ -411,8 +411,8 @@ class JobManager:
     ) -> dict[str, Any]:
         """Per-job engine stats plus the cache traffic the job caused.
 
-        The routing cache, the sample bank and the result cache are
-        shared process-wide (that sharing is the point), so their
+        The routing cache, the layout memo, the sample bank and the
+        result cache are shared process-wide (that sharing is the point), so their
         traffic is read as a delta from the metrics-registry checkpoint
         ``marks`` taken at job start.  Concurrent jobs overlap in those
         deltas — they measure what happened *during* the job, which for
@@ -430,6 +430,7 @@ class JobManager:
             "cache_hits": stats.cache_hits,
             "wall_seconds": stats.wall_seconds,
             "seconds_by_phase": dict(stats.seconds_by_phase),
+            "unattributed_seconds": stats.unattributed_seconds,
             **cache_traffic(marks),
         }
         if self._cache is None:

@@ -1,4 +1,4 @@
-"""Qubit-topology substrate: pluggable lattices, coupling maps, metrics.
+"""Qubit-topology substrate: pluggable lattices and coupling maps.
 
 The :class:`~repro.topology.base.Lattice` protocol is the plugin
 contract; :mod:`~repro.topology.heavy_hex` (the paper's default),
@@ -15,12 +15,6 @@ from repro.topology.heavy_hex import (
     build_heavy_hex,
     heavy_hex_by_qubit_count,
     heavy_hex_qubit_count,
-)
-from repro.topology.metrics import (
-    average_degree,
-    degree_histogram,
-    densest_connected_subgraph,
-    graph_diameter,
 )
 from repro.topology.ring import RingLattice, build_ring, ring_by_qubit_count
 from repro.topology.square import SquareLattice, build_square, square_by_qubit_count
@@ -40,8 +34,4 @@ __all__ = [
     "heavy_hex_qubit_count",
     "ring_by_qubit_count",
     "square_by_qubit_count",
-    "average_degree",
-    "degree_histogram",
-    "densest_connected_subgraph",
-    "graph_diameter",
 ]

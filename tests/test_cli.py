@@ -408,6 +408,25 @@ class TestCLIBackends:
             engine
         )
 
+    def test_dump_json_reports_unattributed_seconds(self, tmp_path, capsys):
+        """At ``--jobs 1`` the phases run inside the engine's wall, so the
+        residual ``wall_seconds - sum(seconds_by_phase)`` is not negative."""
+        import json
+
+        path = tmp_path / "table2.json"
+        args = [
+            "run", "table2", "--jobs", "1", "--no-cache", "--quiet",
+            "--dump-json", str(path),
+        ]
+        assert main(args) == 0
+        capsys.readouterr()
+        engine = json.loads(path.read_text())["engine"]
+        assert engine["seconds_by_phase"]["compile.layout"] > 0
+        assert engine["unattributed_seconds"] == pytest.approx(
+            engine["wall_seconds"] - sum(engine["seconds_by_phase"].values())
+        )
+        assert engine["unattributed_seconds"] >= 0
+
 
 class TestObservabilityCLI:
     """``run --trace``, the ``trace`` summarizer and the logging flags."""

@@ -1,12 +1,13 @@
 """The one bounded-LRU helper behind every in-process cache.
 
-Each check runs against the four live instances — the routing-weights
-cache, the lattice and allocation memos, and the sample bank's draw
-store — through their shared :class:`repro.engine.cache.BoundedLRU`
-interface, with synthetic keys and values of a known cost.  What each
+Each check runs against the five live instances — the routing-weights
+cache, the layout placement memo, the lattice and allocation memos, and
+the sample bank's draw store — through their shared
+:class:`repro.engine.cache.BoundedLRU` interface, with synthetic keys
+and values of a known cost.  What each
 cache keys and stores is tested beside its owner
-(``test_routing_cache.py``, ``test_architecture_cache.py``,
-``test_sample_bank.py``).
+(``test_routing_cache.py``, ``test_layout_cache.py``,
+``test_architecture_cache.py``, ``test_sample_bank.py``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.compiler import routing
+from repro.compiler import layout, routing
 from repro.core import architecture, sample_bank
 from repro.engine.cache import LRU_STAT_KEYS
 from repro.obs.metrics import REGISTRY
@@ -49,6 +50,7 @@ def _bank() -> SimpleNamespace:
 
 CACHES = {
     "routing": lambda: _counted(routing._CACHE, "repro_routing_cache_events_total"),
+    "layout": lambda: _counted(layout._CACHE, "repro_layout_cache_events_total"),
     "lattice": lambda: _counted(
         architecture._LATTICES, "repro_architecture_cache_events_total"
     ),

@@ -109,6 +109,23 @@ class TestSubmitAndResult:
         assert status["finished"] >= status["started"] >= status["created"]
         assert stats["submitted"] == 1 and stats["succeeded"] == 1
 
+    def test_engine_snapshot_reports_residual_and_layout_memo(self):
+        registry = make_registry(("toy", make_counting_runner({"runs": 0})))
+
+        async def scenario():
+            async with JobManager(
+                registry, workers=1, engine_options=FAST_ENGINE
+            ) as manager:
+                handle = await manager.submit("toy", {"seed": 1})
+                await handle.result(timeout=30)
+                return manager.status(handle.id)["engine"]
+
+        engine = asyncio.run(scenario())
+        assert engine["unattributed_seconds"] == pytest.approx(
+            engine["wall_seconds"] - sum(engine["seconds_by_phase"].values())
+        )
+        assert set(engine["layout_cache"]) == {"hits", "misses", "evictions"}
+
     def test_unknown_experiment_has_did_you_mean(self):
         registry = make_registry(("toy", make_counting_runner({"runs": 0})))
 

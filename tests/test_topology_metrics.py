@@ -1,69 +1,42 @@
-"""Tests for graph-metric helpers."""
+"""Tests for the dense-region helper of the layout pass."""
 
 from __future__ import annotations
 
 import networkx as nx
 import pytest
 
+from repro.compiler.layout import densest_connected_subgraph
+from repro.topology.coupling import CouplingMap
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
-from repro.topology.metrics import (
-    average_degree,
-    degree_histogram,
-    densest_connected_subgraph,
-    graph_diameter,
-)
 
 
-class TestDegreeMetrics:
-    def test_degree_histogram_path(self):
-        graph = nx.path_graph(5)
-        assert degree_histogram(graph) == {1: 2, 2: 3}
-
-    def test_average_degree_cycle(self):
-        graph = nx.cycle_graph(6)
-        assert average_degree(graph) == pytest.approx(2.0)
-
-    def test_average_degree_empty_graph(self):
-        assert average_degree(nx.Graph()) == 0.0
-
-    def test_heavy_hex_average_degree_below_three(self):
-        lattice = heavy_hex_by_qubit_count(127)
-        assert 1.5 < average_degree(lattice.graph()) < 3.0
-
-
-class TestDiameter:
-    def test_path_diameter(self):
-        assert graph_diameter(nx.path_graph(7)) == 6
-
-    def test_complete_graph_diameter(self):
-        assert graph_diameter(nx.complete_graph(5)) == 1
+def path(n: int) -> CouplingMap:
+    return CouplingMap(num_qubits=n, edges=[(i, i + 1) for i in range(n - 1)])
 
 
 class TestDensestConnectedSubgraph:
     def test_returns_requested_size(self):
-        lattice = heavy_hex_by_qubit_count(65)
-        nodes = densest_connected_subgraph(lattice.graph(), 40)
+        coupling = CouplingMap.from_lattice(heavy_hex_by_qubit_count(65))
+        nodes = densest_connected_subgraph(coupling, 40)
         assert len(nodes) == 40
 
     def test_subgraph_is_connected(self):
-        lattice = heavy_hex_by_qubit_count(65)
-        graph = lattice.graph()
-        nodes = densest_connected_subgraph(graph, 52)
-        assert nx.is_connected(graph.subgraph(nodes))
+        coupling = CouplingMap.from_lattice(heavy_hex_by_qubit_count(65))
+        nodes = densest_connected_subgraph(coupling, 52)
+        assert nx.is_connected(coupling.graph().subgraph(nodes))
 
     def test_zero_size(self):
-        assert densest_connected_subgraph(nx.path_graph(4), 0) == []
+        assert densest_connected_subgraph(path(4), 0) == []
 
     def test_full_graph(self):
-        graph = nx.path_graph(6)
-        assert densest_connected_subgraph(graph, 6) == list(range(6))
+        assert densest_connected_subgraph(path(6), 6) == list(range(6))
 
     def test_rejects_oversized_request(self):
         with pytest.raises(ValueError):
-            densest_connected_subgraph(nx.path_graph(3), 5)
+            densest_connected_subgraph(path(3), 5)
 
     def test_respects_seed(self):
-        graph = nx.path_graph(8)
-        nodes = densest_connected_subgraph(graph, 3, seed=0)
+        coupling = path(8)
+        nodes = densest_connected_subgraph(coupling, 3, seed=0)
         assert 0 in nodes
-        assert nx.is_connected(graph.subgraph(nodes))
+        assert nx.is_connected(coupling.graph().subgraph(nodes))
