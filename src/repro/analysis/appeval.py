@@ -76,6 +76,7 @@ from repro.circuits.benchmarks import BENCHMARK_NAMES, build_benchmark
 from repro.compiler.transpile import transpile
 from repro.device.device import Device
 from repro.engine.dispatch import run_calls
+from repro.engine.phases import phase
 from repro.engine.seeding import spawn_seeds
 from repro.simulation.esp import FidelityScore, fidelity_product, fidelity_ratio
 from repro.stats import ConfidenceInterval, median_interval, midpoint_median
@@ -107,7 +108,8 @@ def compile_and_score(
     objects so the engine's cache stores exactly the numbers the
     drivers consume.
     """
-    circuit = build_benchmark(benchmark, width, seed=circuit_seed)
+    with phase("circuit"):
+        circuit = build_benchmark(benchmark, width, seed=circuit_seed)
     transpiled = transpile(
         circuit, device, layout_method=layout_method, routing=routing
     )

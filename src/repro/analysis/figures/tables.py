@@ -13,6 +13,7 @@ from repro.core.chiplet import ChipletDesign
 from repro.core.collisions import find_collisions
 from repro.core.frequencies import FrequencySpec, allocation_from_labels
 from repro.engine.dispatch import run_calls
+from repro.engine.phases import phase
 
 __all__ = [
     "Table1Result",
@@ -115,7 +116,8 @@ def compile_benchmark_row(
     mcm = MCMDesign.build(design, *grid)
     coupling = mcm.coupling_map()
     width = max(2, int(round(utilisation * mcm.num_qubits)))
-    circuit = build_benchmark(benchmark, width, seed=seed)
+    with phase("circuit"):
+        circuit = build_benchmark(benchmark, width, seed=seed)
     transpiled = transpile(circuit, coupling)
     return {
         "chiplet_size": chiplet_size,

@@ -39,6 +39,7 @@ from repro.core.frequencies import (
     SquareFiveFrequencyPlan,
 )
 from repro.engine.cache import BoundedLRU
+from repro.engine.phases import phase
 from repro.engine.registry import Registry
 from repro.topology.base import Lattice
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
@@ -71,9 +72,12 @@ ARCHITECTURE_CACHE_MAXSIZE = 32
 # share one instance.  Lattice keys hold the factory *object* and
 # allocation keys the frozen plan dataclass, so the keys themselves pin
 # the referenced callables alive (no id-reuse hazard), and allocation
-# keys fingerprint the lattice by content (sites + edges tuples), so
+# keys fingerprint the lattice by content (``Lattice.fingerprint()``, a
+# digest of name, sites and edges computed once per lattice), so
 # pickled lattice copies inside engine workers still hit.  Both count
-# into one registry counter.
+# into one registry counter.  Lookups book to the ``design`` phase,
+# hits included, so a run's phases (and its trace's span tree) do not
+# depend on what an earlier run left in the memo.
 _LATTICES, _ALLOCATIONS = (
     BoundedLRU(
         ARCHITECTURE_CACHE_MAXSIZE,
@@ -124,10 +128,11 @@ class Architecture:
         (topology, qubit count, name) return one shared, never-mutated
         instance from the module memo.
         """
-        return _LATTICES.get_or_build(
-            (self.lattice_factory, num_qubits, name),
-            lambda: self.lattice_factory(num_qubits, name=name),
-        )
+        with phase("design"):
+            return _LATTICES.get_or_build(
+                (self.lattice_factory, num_qubits, name),
+                lambda: self.lattice_factory(num_qubits, name=name),
+            )
 
     def spec(self, step_ghz: float | None = None) -> FrequencySpec:
         """A :class:`FrequencySpec` sized for this architecture's plan."""
@@ -143,13 +148,14 @@ class Architecture:
         every consumer treats :class:`FrequencyAllocation` arrays as
         read-only — so yield points that would re-allocate an
         identical lattice per task share one instance.  Keying
-        by content (not lattice identity) lets pickled lattice copies
-        in engine workers hit too.
+        by content (the lattice's cached ``fingerprint()``, not its
+        identity) lets pickled lattice copies in engine workers hit too.
         """
-        key = (self.plan, spec, lattice.name, tuple(lattice.sites), tuple(lattice.edges))
-        return _ALLOCATIONS.get_or_build(
-            key, lambda: self.plan.allocate(lattice, spec=spec)
-        )
+        with phase("design"):
+            return _ALLOCATIONS.get_or_build(
+                (self.plan, spec, lattice.fingerprint()),
+                lambda: self.plan.allocate(lattice, spec=spec),
+            )
 
 
 ARCHITECTURES: Registry[Architecture] = Registry("topology")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.architecture import DEFAULT_TOPOLOGY, get_architecture
-from repro.core.collisions import find_collisions
+from repro.core.collisions import check_ideal_plan
 from repro.core.frequencies import FrequencyAllocation, FrequencySpec
 from repro.topology.base import Lattice
 
@@ -75,14 +75,8 @@ class ChipletDesign:
             label = f"chiplet-{arch.name}-{num_qubits}"
         lattice = arch.lattice(num_qubits, name=label)
         allocation = arch.allocate(lattice, spec=spec)
-        design = cls(lattice=lattice, allocation=allocation, name=label)
-        report = find_collisions(allocation, allocation.ideal_frequencies)
-        if not report.is_collision_free:
-            raise ValueError(
-                f"chiplet design {label} has ideal-frequency collisions: "
-                f"{report.counts_by_type()}"
-            )
-        return design
+        check_ideal_plan(allocation, f"chiplet design {label}")
+        return cls(lattice=lattice, allocation=allocation, name=label)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -113,9 +107,12 @@ class ChipletDesign:
         a boundary qubit never gives a control two targets of the same label
         (which would be a guaranteed near-null, Type 5 collision).
         """
+        directed = self.allocation.directed_edges
         targets: dict[int, list[int]] = {}
-        for control, target in self.allocation.directed_edges:
-            targets.setdefault(int(control), []).append(int(self.labels[target]))
+        for control, label in zip(
+            directed[:, 0].tolist(), self.labels[directed[:, 1]].tolist()
+        ):
+            targets.setdefault(control, []).append(label)
         return targets
 
     # ------------------------------------------------------------------ #

@@ -35,6 +35,7 @@ from repro.engine.phases import phase
 __all__ = [
     "CollisionThresholds",
     "CollisionReport",
+    "check_ideal_plan",
     "count_collisions",
     "find_collisions",
     "has_collision",
@@ -291,6 +292,22 @@ def _collision_free_mask_impl(
     free = np.zeros(batch, dtype=bool)
     free[alive] = True
     return free
+
+
+def check_ideal_plan(allocation: FrequencyAllocation, design: str) -> None:
+    """Raise :class:`ValueError` when the ideal plan of ``design`` collides.
+
+    The one design-time check of chiplets and MCMs.  It runs the staged
+    mask kernel on the ideal frequency vector directly, so a design
+    check books no ``mask`` phase and is not a screened die; the
+    per-collision report is built only to word the error.
+    """
+    ideal = allocation.ideal_frequencies
+    if not _collision_free_mask_impl(allocation, ideal)[0]:
+        report = find_collisions(allocation, ideal)
+        raise ValueError(
+            f"{design} has ideal-frequency collisions: {report.counts_by_type()}"
+        )
 
 
 def count_collision_free(

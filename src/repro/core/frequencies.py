@@ -146,40 +146,53 @@ class FrequencyAllocation:
         return {int(v): int(c) for v, c in zip(values, counts)}
 
 
-def _orient_edges(
-    edges: list[tuple[int, int]], labels: np.ndarray, ideal: np.ndarray
-) -> np.ndarray:
+def _orient_edges(edges, labels: np.ndarray, ideal: np.ndarray) -> np.ndarray:
     """Orient undirected couplings into (control, target) pairs.
 
     The control is the endpoint with the higher ideal frequency; ties (which
     only occur for inter-chip links joining same-label qubits) are broken by
-    qubit index so the orientation is deterministic.
+    label, then by the lower qubit index, so the orientation is
+    deterministic: ``u`` controls when ``(ideal[u], labels[u], -u)`` is
+    the larger key.
     """
-    directed = []
-    for u, v in edges:
-        key_u = (ideal[u], labels[u], -u)
-        key_v = (ideal[v], labels[v], -v)
-        control, target = (u, v) if key_u > key_v else (v, u)
-        directed.append((control, target))
-    if not directed:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.asarray(directed, dtype=np.int64)
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    u, v = pairs[:, 0], pairs[:, 1]
+    iu, iv, lu, lv = ideal[u], ideal[v], labels[u], labels[v]
+    u_controls = (iu > iv) | (
+        (iu == iv) & ((lu > lv) | ((lu == lv) & (u < v)))
+    )
+    return np.where(u_controls[:, np.newaxis], pairs, pairs[:, ::-1])
 
 
 def _control_triples(directed_edges: np.ndarray) -> np.ndarray:
-    """Enumerate (control, target_a, target_b) triples for shared controls."""
-    triples: list[tuple[int, int, int]] = []
-    by_control: dict[int, list[int]] = {}
-    for control, target in directed_edges:
-        by_control.setdefault(int(control), []).append(int(target))
-    for control, targets in by_control.items():
-        targets = sorted(targets)
-        for i in range(len(targets)):
-            for j in range(i + 1, len(targets)):
-                triples.append((control, targets[i], targets[j]))
-    if not triples:
+    """Enumerate (control, target_a, target_b) triples for shared controls.
+
+    Controls appear in the order of their first directed edge; each
+    control's targets are sorted and paired ``i < j`` row-major.
+    """
+    controls, targets = directed_edges[:, 0], directed_edges[:, 1]
+    _, first, group = np.unique(controls, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    group_rank = rank[group.reshape(-1)]
+    # Edges sorted by control (first-appearance order), then by target.
+    order = np.lexsort((targets, group_rank))
+    sizes = np.bincount(group_rank, minlength=first.size)
+    starts = np.cumsum(sizes) - sizes
+    blocks, block_ranks = [], []
+    for size in np.unique(sizes[sizes > 1]).tolist():
+        ranks = np.flatnonzero(sizes == size)
+        i, j = np.triu_indices(size, 1)
+        a = order[starts[ranks][:, np.newaxis] + i]
+        b = order[starts[ranks][:, np.newaxis] + j]
+        block = np.empty(a.shape + (3,), dtype=np.int64)
+        block[..., 0], block[..., 1], block[..., 2] = controls[a], targets[a], targets[b]
+        blocks.append(block.reshape(-1, 3))
+        block_ranks.append(np.repeat(ranks, i.size))
+    if not blocks:
         return np.zeros((0, 3), dtype=np.int64)
-    return np.asarray(triples, dtype=np.int64)
+    triples = np.concatenate(blocks)
+    return triples[np.argsort(np.concatenate(block_ranks), kind="stable")]
 
 
 #: Period-4 label pattern along dense rows: F1, F2, F0, F2, F1, F2, F0, ...
@@ -210,13 +223,22 @@ def heavy_hex_labels(lattice: HeavyHexLattice, phase: int = 0) -> np.ndarray:
     two columns on odd rows); bridge qubits always receive F2.  See
     :func:`dense_label` for the role of ``phase``.
     """
+    index, row, col, bridge = _site_arrays(lattice)
+    dense = np.asarray(_DENSE_ROW_PATTERN)[(col + 2 * (row % 2) + phase) % 4]
     labels = np.empty(lattice.num_qubits, dtype=np.int64)
-    for site in lattice.sites:
-        if site.is_bridge:
-            labels[site.index] = 2
-        else:
-            labels[site.index] = dense_label(site.row, site.col, phase)
+    labels[index] = np.where(bridge, 2, dense)
     return labels
+
+
+def _site_arrays(lattice: Lattice) -> tuple[np.ndarray, ...]:
+    """``(index, row, col, is_bridge)`` of every site, as arrays."""
+    sites = lattice.sites
+    return (
+        np.fromiter((s.index for s in sites), np.int64, len(sites)),
+        np.fromiter((s.row for s in sites), np.int64, len(sites)),
+        np.fromiter((s.col for s in sites), np.int64, len(sites)),
+        np.fromiter((s.kind == "bridge" for s in sites), bool, len(sites)),
+    )
 
 
 def allocation_from_labels(
@@ -234,7 +256,7 @@ def allocation_from_labels(
             f"labels must lie in [0, {spec.num_frequencies - 1}] "
             f"for a {spec.num_frequencies}-frequency spec"
         )
-    ideal = np.asarray([spec.frequency_for_label(int(l)) for l in labels], dtype=float)
+    ideal = np.asarray(spec.frequencies, dtype=float)[labels]
     anharmonicity = np.full(labels.shape[0], spec.anharmonicity_ghz, dtype=float)
     directed = _orient_edges(edges, labels, ideal)
     triples = _control_triples(directed)
@@ -360,9 +382,9 @@ class SquareFiveFrequencyPlan(FrequencyPlan):
     num_frequencies = 5
 
     def labels(self, lattice: Lattice) -> np.ndarray:
+        index, row, col, _ = _site_arrays(lattice)
         labels = np.empty(lattice.num_qubits, dtype=np.int64)
-        for site in lattice.sites:
-            labels[site.index] = (site.row + 2 * site.col + self.phase) % 5
+        labels[index] = (row + 2 * col + self.phase) % 5
         return labels
 
 
@@ -384,8 +406,8 @@ class RingThreeFrequencyPlan(FrequencyPlan):
     num_frequencies = 3
 
     def labels(self, lattice: Lattice) -> np.ndarray:
+        index, _, col, _ = _site_arrays(lattice)
         labels = np.empty(lattice.num_qubits, dtype=np.int64)
-        for site in lattice.sites:
-            labels[site.index] = (site.col + self.phase) % 3
+        labels[index] = (col + self.phase) % 3
         return labels
 

@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.chiplet import ChipletDesign
-from repro.core.collisions import find_collisions
+from repro.core.collisions import check_ideal_plan
 from repro.core.frequencies import FrequencyAllocation, allocation_from_labels
+from repro.engine.phases import phase
 from repro.topology.coupling import CouplingMap
 
 __all__ = [
@@ -106,37 +107,34 @@ class MCMDesign:
     # ------------------------------------------------------------------ #
     @classmethod
     def build(cls, chiplet: ChipletDesign, grid_rows: int, grid_cols: int) -> "MCMDesign":
-        """Arrange ``grid_rows x grid_cols`` chiplets and wire their links."""
+        """Arrange ``grid_rows x grid_cols`` chiplets and wire their links.
+
+        The build, both design checks included, books to the ``design``
+        phase.
+        """
         if grid_rows < 1 or grid_cols < 1:
             raise ValueError("MCM dimensions must be positive")
         if grid_rows * grid_cols < 2:
             raise ValueError("an MCM needs at least two chiplets")
 
-        builder = _LinkBuilder(chiplet, grid_rows, grid_cols)
-        links = builder.build_links()
-
-        num_chips = grid_rows * grid_cols
-        labels = np.tile(chiplet.labels, num_chips)
-        edges = _module_edges(chiplet, num_chips, links)
-
-        allocation = allocation_from_labels(labels, edges, spec=chiplet.allocation.spec)
-        name = f"mcm-{grid_rows}x{grid_cols}-{chiplet.name}"
-        design = cls(
-            chiplet=chiplet,
-            grid_rows=grid_rows,
-            grid_cols=grid_cols,
-            links=links,
-            allocation=allocation,
-            name=name,
-        )
-        report = find_collisions(allocation, allocation.ideal_frequencies)
-        if not report.is_collision_free:
-            raise ValueError(
-                f"MCM design {name} has ideal-frequency collisions: "
-                f"{report.counts_by_type()}"
+        with phase("design"):
+            links = _LinkBuilder(chiplet, grid_rows, grid_cols).build_links()
+            num_chips = grid_rows * grid_cols
+            labels = np.tile(chiplet.labels, num_chips)
+            edges = _module_edges(chiplet, num_chips, links)
+            allocation = allocation_from_labels(labels, edges, spec=chiplet.allocation.spec)
+            name = f"mcm-{grid_rows}x{grid_cols}-{chiplet.name}"
+            design = cls(
+                chiplet=chiplet,
+                grid_rows=grid_rows,
+                grid_cols=grid_cols,
+                links=links,
+                allocation=allocation,
+                name=name,
             )
-        if not design.coupling_map().is_connected():
-            raise ValueError(f"MCM design {name} is not connected")
+            check_ideal_plan(allocation, f"MCM design {name}")
+            if not design.coupling_map().is_connected():
+                raise ValueError(f"MCM design {name} is not connected")
         return design
 
     # ------------------------------------------------------------------ #
@@ -194,13 +192,9 @@ class MCMDesign:
     def coupling_map(self) -> CouplingMap:
         """Coupling map of the full MCM, with links flagged."""
         if self._coupling is None:
-            edges = [
-                (int(min(c, t)), int(max(c, t)))
-                for c, t in self.allocation.directed_edges
-            ]
             self._coupling = CouplingMap(
                 num_qubits=self.num_qubits,
-                edges=edges,
+                edges=self.allocation.directed_edges,
                 link_edges=self.link_edges(),
             )
         return self._coupling

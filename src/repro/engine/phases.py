@@ -5,8 +5,10 @@ regression when the engine says *where* task time went.  This module is
 that channel: hot-path kernels mark themselves with :func:`phase` —
 ``sample`` (fabrication draws), ``mask`` (collision screening), ``repair``
 (frequency repair), ``characterise`` (KGD two-qubit error draws),
-``assemble`` (MCM stitching, its screens booked to ``mask``), ``compile``
-(transpilation), ``score`` (fidelity products).  Inside ``compile`` each compiler pass books its own
+``assemble`` (MCM stitching, its screens booked to ``mask``), ``design``
+(lattice, frequency-plan and MCM construction),
+``circuit`` (benchmark circuit builds), ``compile`` (transpilation),
+``score`` (fidelity products).  Inside ``compile`` each compiler pass books its own
 ``compile.<pass>`` phase — ``compile.decompose``, ``compile.layout``,
 ``compile.route``, ``compile.swap-expand``, ``compile.metrics`` — so
 ``compile`` itself keeps only the time outside the passes.  The engine's

@@ -25,12 +25,42 @@ site in row 0.
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import networkx as nx
 
-__all__ = ["QubitSite", "Lattice", "LatticeOps"]
+__all__ = ["QubitSite", "Lattice", "LatticeOps", "adjacency_rows", "rows_connected"]
+
+
+def adjacency_rows(num_nodes: int, edges) -> list[list[int]]:
+    """Neighbour lists of an undirected graph, in edge order."""
+    rows: list[list[int]] = [[] for _ in range(num_nodes)]
+    for u, v in edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    return rows
+
+
+def rows_connected(rows: list[list[int]]) -> bool:
+    """True when a BFS from node 0 over adjacency rows reaches every node.
+
+    Like ``networkx.is_connected``, a graph without nodes has no
+    connectivity to speak of and raises :class:`ValueError`.
+    """
+    if not rows:
+        raise ValueError("connectivity is undefined for the null graph")
+    seen = bytearray(len(rows))
+    seen[0] = 1
+    order = [0]
+    for node in order:  # the queue grows while it is read
+        for neighbour in rows[node]:
+            if not seen[neighbour]:
+                seen[neighbour] = 1
+                order.append(neighbour)
+    return len(order) == len(rows)
 
 
 @dataclass(frozen=True)
@@ -85,6 +115,8 @@ class Lattice(Protocol):
 
     def site(self, index: int) -> QubitSite: ...
 
+    def fingerprint(self) -> str: ...
+
     def graph(self) -> nx.Graph: ...
 
     def degree(self, index: int) -> int: ...
@@ -106,9 +138,16 @@ class LatticeOps:
     """Shared :class:`Lattice` operations derived from ``sites``/``edges``.
 
     Mixed into each topology dataclass (which declares the ``sites``,
-    ``edges``, ``name`` and ``_graph`` fields itself, keeping its
-    constructor signature explicit).  All methods are pure functions of
-    the declared fields, so every topology gets identical semantics.
+    ``edges``, ``name``, ``_graph`` and ``_fingerprint`` fields itself,
+    keeping its constructor signature explicit).  All methods are pure
+    functions of the declared fields, so every topology gets identical
+    semantics.
+
+    Connectivity is a BFS over adjacency rows built from ``edges``
+    (:func:`rows_connected`, shared with
+    :class:`repro.topology.coupling.CouplingMap`); :meth:`graph` remains
+    a cached networkx view for callers that want one, and nothing on the
+    design path builds it.
     """
 
     @property
@@ -124,6 +163,23 @@ class LatticeOps:
     def site(self, index: int) -> QubitSite:
         """Return the :class:`QubitSite` for a qubit index."""
         return self.sites[index]
+
+    def fingerprint(self) -> str:
+        """A digest of ``name``, ``sites`` and ``edges``, computed once.
+
+        Lattices are never mutated after construction, so the digest is
+        cached; a pickled copy carries the same content and digest.
+        """
+        if self._fingerprint is None:
+            sites = self.sites
+            content = pickle.dumps((
+                self.name,
+                [(s.index, s.row, s.col) for s in sites],
+                "\0".join([s.kind for s in sites]),
+                list(self.edges),
+            ))
+            self._fingerprint = hashlib.blake2b(content, digest_size=16).hexdigest()
+        return self._fingerprint
 
     def graph(self) -> nx.Graph:
         """Return (and cache) the lattice as a :class:`networkx.Graph`."""
@@ -144,7 +200,7 @@ class LatticeOps:
 
     def is_connected(self) -> bool:
         """True when every qubit can reach every other qubit."""
-        return nx.is_connected(self.graph())
+        return rows_connected(adjacency_rows(len(self.sites), self.edges))
 
     def dense_qubits(self) -> list[int]:
         """Indices of the link-capable (non-bridge) qubits."""

@@ -16,6 +16,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
+from repro.topology.base import adjacency_rows, rows_connected
+
 __all__ = ["CouplingMap"]
 
 
@@ -43,14 +45,24 @@ class CouplingMap:
     _distance_rows: list[list[int]] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        normalised = []
-        for u, v in self.edges:
+        edges = self.edges if isinstance(self.edges, np.ndarray) else list(self.edges)
+        pairs = np.asarray(edges, dtype=np.int64)
+        if not pairs.size:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs")
+        low, high = pairs.min(axis=1), pairs.max(axis=1)
+        bad = (low == high) | (low < 0) | (high >= self.num_qubits)
+        if bad.any():
+            u, v = pairs[int(bad.argmax())]
             if u == v:
                 raise ValueError("self-coupling is not allowed")
-            if not (0 <= u < self.num_qubits and 0 <= v < self.num_qubits):
-                raise ValueError(f"edge ({u}, {v}) references an unknown qubit")
-            normalised.append((min(u, v), max(u, v)))
-        self.edges = sorted(set(normalised))
+            raise ValueError(f"edge ({u}, {v}) references an unknown qubit")
+        # (low, high) in lexicographic order is the sort order of one
+        # integer key per edge, which ``np.unique`` also deduplicates.
+        keys = np.unique(low * self.num_qubits + high)
+        low, high = np.divmod(keys, max(self.num_qubits, 1))
+        self.edges = list(zip(low.tolist(), high.tolist()))
         self.link_edges = frozenset(
             (min(u, v), max(u, v)) for u, v in self.link_edges
         )
@@ -79,17 +91,16 @@ class CouplingMap:
 
     def neighbors(self, qubit: int) -> list[int]:
         """Neighbouring qubits of ``qubit``, in ascending order."""
+        return self._rows()[qubit]
+
+    def _rows(self) -> list[list[int]]:
         if self._neighbors is None:
-            adjacency: list[list[int]] = [[] for _ in range(self.num_qubits)]
-            for u, v in self.edges:
-                adjacency[u].append(v)
-                adjacency[v].append(u)
-            self._neighbors = adjacency
-        return self._neighbors[qubit]
+            self._neighbors = adjacency_rows(self.num_qubits, self.edges)
+        return self._neighbors
 
     def is_connected(self) -> bool:
-        """True when the coupling graph is connected."""
-        return nx.is_connected(self.graph())
+        """True when the coupling graph is connected (a BFS over its rows)."""
+        return rows_connected(self._rows())
 
     def has_edge(self, u: int, v: int) -> bool:
         """True when qubits ``u`` and ``v`` are directly coupled."""

@@ -20,19 +20,25 @@ The construction used here mirrors the IBM layout:
 ``HeavyHexLattice`` is an immutable description of one such lattice,
 implementing the :class:`repro.topology.base.Lattice` protocol.  The
 factory :func:`heavy_hex_by_qubit_count` searches the (rows, columns) space
-and, when necessary, trims non-articulation qubits so that the returned
-lattice contains *exactly* the requested number of qubits while remaining
-connected.
+and, when necessary, trims qubits so that the returned lattice contains
+*exactly* the requested number of qubits while remaining connected.
+
+Trimming removes, one step at a time, the highest-index qubit whose
+removal leaves the rest connected, tested by a BFS over adjacency rows
+(see :func:`_trim_to_count`).  On a connected lattice that qubit is the
+highest-index non-articulation point, so this is the articulation-point
+rule without a graph library.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import networkx as nx
 
-from repro.topology.base import LatticeOps, QubitSite
+from repro.topology.base import LatticeOps, QubitSite, adjacency_rows
 
 __all__ = [
     "QubitSite",
@@ -103,6 +109,7 @@ class HeavyHexLattice(LatticeOps):
     edges: list[tuple[int, int]]
     name: str = "heavy-hex"
     _graph: nx.Graph | None = field(default=None, repr=False, compare=False)
+    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def relabelled(self, name: str) -> "HeavyHexLattice":
         """Return a copy of the lattice under a different name."""
@@ -132,54 +139,65 @@ def build_heavy_hex(rows: int, cols: int, name: str = "heavy-hex") -> HeavyHexLa
 
     sites: list[QubitSite] = []
     edges: list[tuple[int, int]] = []
-    dense_index: dict[tuple[int, int], int] = {}
-
-    counter = 0
+    above = 0  # index of the previous dense row's first qubit
     for row in range(rows):
         # Dense row qubits and their horizontal couplings.
-        for col in range(cols):
-            sites.append(QubitSite(counter, "dense", row, col))
-            dense_index[(row, col)] = counter
-            if col > 0:
-                edges.append((counter - 1, counter))
-            counter += 1
+        first = len(sites)
+        sites.extend(QubitSite(first + col, "dense", row, col) for col in range(cols))
+        edges.extend((first + col - 1, first + col) for col in range(1, cols))
         # Bridge qubits between this dense row and the previous one.
         if row > 0:
             for col in bridge_columns(cols, row - 1):
-                sites.append(QubitSite(counter, "bridge", row - 1, col))
-                edges.append((dense_index[(row - 1, col)], counter))
-                edges.append((counter, dense_index[(row, col)]))
-                counter += 1
+                bridge = len(sites)
+                sites.append(QubitSite(bridge, "bridge", row - 1, col))
+                edges.append((above + col, bridge))
+                edges.append((bridge, first + col))
+        above = first
 
-    lattice = HeavyHexLattice(rows=rows, cols=cols, sites=sites, edges=edges, name=name)
-    return lattice
+    return HeavyHexLattice(rows=rows, cols=cols, sites=sites, edges=edges, name=name)
 
 
 def _trim_to_count(lattice: HeavyHexLattice, target: int) -> HeavyHexLattice | None:
-    """Remove non-articulation qubits (highest index first) down to ``target``.
+    """Remove qubits (highest index first) down to ``target``, staying connected.
+
+    Each step removes the highest-index qubit whose removal leaves the
+    rest connected.  That is tested with one BFS over adjacency rows
+    from one of the qubit's remaining neighbours, stopping as soon as it
+    has reached the others: every other qubit reaches some neighbour
+    without passing through the removed one, so the rest is connected
+    exactly when its neighbours are.  In a connected graph, a qubit is a
+    non-articulation point exactly when its removal keeps the rest
+    connected, so this is the rule of removing the highest-index
+    non-articulation point each step, without recomputing the
+    articulation points.
 
     Returns ``None`` when the lattice cannot be trimmed to the target while
     staying connected.
     """
-    graph = lattice.graph().copy()
-    while graph.number_of_nodes() > target:
-        articulation = set(nx.articulation_points(graph))
-        candidates = [n for n in sorted(graph.nodes, reverse=True) if n not in articulation]
-        if not candidates:
+    adjacency = adjacency_rows(lattice.num_qubits, lattice.edges)
+    alive = bytearray(b"\x01") * lattice.num_qubits
+    remaining = list(range(lattice.num_qubits))
+    while len(remaining) > target:
+        for position in range(len(remaining) - 1, -1, -1):
+            if _keeps_rest_connected(adjacency, alive, remaining[position]):
+                alive[remaining.pop(position)] = 0
+                break
+        else:
             return None
-        graph.remove_node(candidates[0])
 
-    keep = sorted(graph.nodes)
-    relabel = {old: new for new, old in enumerate(keep)}
+    relabel = [-1] * lattice.num_qubits
+    for new, old in enumerate(remaining):
+        relabel[old] = new
+    # Qubits below the first removed one keep their index and their site.
     sites = [
-        QubitSite(relabel[s.index], s.kind, s.row, s.col)
+        s if relabel[s.index] == s.index else QubitSite(relabel[s.index], s.kind, s.row, s.col)
         for s in lattice.sites
-        if s.index in relabel
+        if alive[s.index]
     ]
     edges = [
         (min(relabel[u], relabel[v]), max(relabel[u], relabel[v]))
         for u, v in lattice.edges
-        if u in relabel and v in relabel
+        if alive[u] and alive[v]
     ]
     return HeavyHexLattice(
         rows=lattice.rows,
@@ -190,20 +208,40 @@ def _trim_to_count(lattice: HeavyHexLattice, target: int) -> HeavyHexLattice | N
     )
 
 
+def _keeps_rest_connected(adjacency: list[list[int]], alive: bytearray, qubit: int) -> bool:
+    """True when the live neighbours of ``qubit`` reach each other without it."""
+    neighbours = [n for n in adjacency[qubit] if alive[n]]
+    if len(neighbours) < 2:
+        return True
+    unreached = set(neighbours[1:])
+    seen = {qubit, neighbours[0]}
+    order = [neighbours[0]]
+    for node in order:  # the queue grows while it is read
+        for n in adjacency[node]:
+            if alive[n] and n not in seen:
+                seen.add(n)
+                unreached.discard(n)
+                if not unreached:
+                    return True
+                order.append(n)
+    return False
+
+
 def _candidate_shapes(target: int) -> Iterable[tuple[int, int, int]]:
     """Yield (excess, rows, cols) candidates able to cover ``target`` qubits."""
     for rows in range(1, 40):
-        for cols in range(2, 80):
-            count = heavy_hex_qubit_count(rows, cols)
-            if count < target:
-                continue
-            # Only the smallest adequate cols can serve this row count: the
-            # qubit count is non-decreasing in cols, so a wider lattice
-            # only trims more.  Past the trim limit this row count is out.
-            excess = count - target
-            if excess <= max(12, target // 3):
-                yield excess, rows, cols
-            break
+        # Only the smallest adequate cols can serve this row count: the
+        # qubit count is non-decreasing in cols (so bisecting finds it),
+        # and a wider lattice only trims more.  Past the trim limit this
+        # row count is out.
+        cols = 2 + bisect_left(
+            range(2, 80), target, key=lambda c: heavy_hex_qubit_count(rows, c)
+        )
+        if cols == 80:
+            continue
+        excess = heavy_hex_qubit_count(rows, cols) - target
+        if excess <= max(12, target // 3):
+            yield excess, rows, cols
 
 
 def heavy_hex_by_qubit_count(

@@ -55,6 +55,7 @@ class RingLattice(LatticeOps):
     edges: list[tuple[int, int]]
     name: str = "ring"
     _graph: nx.Graph | None = field(default=None, repr=False, compare=False)
+    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def relabelled(self, name: str) -> "RingLattice":
         """Return a copy of the lattice under a different name."""

@@ -51,6 +51,7 @@ class SquareLattice(LatticeOps):
     edges: list[tuple[int, int]]
     name: str = "square"
     _graph: nx.Graph | None = field(default=None, repr=False, compare=False)
+    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def relabelled(self, name: str) -> "SquareLattice":
         """Return a copy of the lattice under a different name."""

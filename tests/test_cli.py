@@ -422,6 +422,8 @@ class TestCLIBackends:
         capsys.readouterr()
         engine = json.loads(path.read_text())["engine"]
         assert engine["seconds_by_phase"]["compile.layout"] > 0
+        # Benchmark circuit builds are a phase of their own.
+        assert engine["seconds_by_phase"]["circuit"] > 0
         assert engine["unattributed_seconds"] == pytest.approx(
             engine["wall_seconds"] - sum(engine["seconds_by_phase"].values())
         )
