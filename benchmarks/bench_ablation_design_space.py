@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.reporting import format_table
-from repro.analysis.sweeps import sweep_parameter
 from repro.core.chiplet import ChipletDesign
 from repro.core.collisions import CollisionThresholds
 from repro.core.fabrication import FabricationModel
@@ -41,7 +40,9 @@ def test_ablation_frequency_step(benchmark):
     """
     steps = (0.03, 0.04, 0.05, 0.06, 0.07, 0.08)
     results = benchmark.pedantic(
-        sweep_parameter, args=(steps, _chiplet_yield_for_step), rounds=1, iterations=1
+        lambda: [(step, _chiplet_yield_for_step(step)) for step in steps],
+        rounds=1,
+        iterations=1,
     )
     print("\n[Ablation] 20-qubit chiplet yield vs. ideal detuning step")
     print(format_table(["step (GHz)", "yield"], [[s, f"{y:.3f}"] for s, y in results]))
@@ -77,7 +78,9 @@ def test_ablation_collision_thresholds(benchmark):
     """
     scales = (0.5, 1.0, 1.5, 2.0)
     results = benchmark.pedantic(
-        sweep_parameter, args=(scales, _yield_for_threshold_scale), rounds=1, iterations=1
+        lambda: [(scale, _yield_for_threshold_scale(scale)) for scale in scales],
+        rounds=1,
+        iterations=1,
     )
     print("\n[Ablation] 60-qubit chiplet yield vs. collision-window scale")
     print(format_table(["window scale", "yield"], [[s, f"{y:.3f}"] for s, y in results]))

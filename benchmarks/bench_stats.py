@@ -18,20 +18,22 @@ The headline numbers this records:
 from __future__ import annotations
 
 import json
+import math
+import sys
 import time
 import tracemalloc
 from pathlib import Path
 
+from scipy.special import ndtri
+
 from repro.core.collisions import collision_free_mask
 from repro.core.fabrication import FabricationModel
 from repro.core.frequencies import HeavyHexThreeFrequencyPlan
-from repro.core.yield_model import (
-    materialize_seeded_batch,
-    simulate_yield_adaptive,
-    simulate_yield_streaming,
-)
-from repro.stats import samples_for_half_width
+from repro.core.yield_model import simulate_yield_chunked
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from stats_reference import materialize_seeded_batch  # noqa: E402
 
 RESULT_PATH = Path(__file__).parent / "BENCH_stats.json"
 
@@ -57,6 +59,13 @@ def _allocation(size: int):
     )
 
 
+def _normal_approx_samples(proportion: float, half_width: float) -> int:
+    """``p(1-p) z^2 / h^2`` at 95%: the textbook planning size."""
+    variance = max(proportion * (1.0 - proportion), 1e-12)
+    z = float(ndtri(0.975))
+    return max(1, math.ceil(variance * z * z / (half_width * half_width)))
+
+
 def test_adaptive_reaches_target_with_fewer_samples():
     """Adaptive sampling hits the 0.02 CI target below the fixed budget on
     the tail points, and the JSON artifact records the whole sweep."""
@@ -65,16 +74,16 @@ def test_adaptive_reaches_target_with_fewer_samples():
     for size in SIZES:
         allocation = _allocation(size)
         started = time.perf_counter()
-        fixed = simulate_yield_streaming(
+        fixed = simulate_yield_chunked(
             allocation, fabrication,
             batch_size=FIXED_BATCH, chunk_size=CHUNK_SIZE, seed=SEED,
         )
         fixed_seconds = time.perf_counter() - started
         started = time.perf_counter()
-        adaptive = simulate_yield_adaptive(
+        adaptive = simulate_yield_chunked(
             allocation, fabrication,
-            ci_target=CI_TARGET, max_samples=MAX_SAMPLES,
-            chunk_size=CHUNK_SIZE, seed=SEED,
+            batch_size=MAX_SAMPLES, chunk_size=CHUNK_SIZE, seed=SEED,
+            ci_target=CI_TARGET,
         )
         adaptive_seconds = time.perf_counter() - started
         points.append(
@@ -93,7 +102,7 @@ def test_adaptive_reaches_target_with_fewer_samples():
                     "reached_target": adaptive.ci_half_width <= CI_TARGET,
                     "seconds": round(adaptive_seconds, 4),
                 },
-                "normal_approx_samples_needed": samples_for_half_width(
+                "normal_approx_samples_needed": _normal_approx_samples(
                     fixed.estimate, CI_TARGET
                 ),
             }
@@ -163,7 +172,7 @@ def _peak_memory_comparison() -> dict:
     del batch
 
     tracemalloc.start()
-    streamed = simulate_yield_streaming(
+    streamed = simulate_yield_chunked(
         allocation, fabrication,
         batch_size=MEMORY_BATCH, chunk_size=MEMORY_CHUNK, seed=SEED,
     )

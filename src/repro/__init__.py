@@ -23,7 +23,7 @@ Sub-packages
 ``repro.compiler``
     Layout, routing and decomposition onto restricted connectivity.
 ``repro.simulation``
-    Statevector validation and the ESP fidelity-product figure of merit.
+    The ESP fidelity-product figure of merit.
 ``repro.analysis``
     Experiment drivers regenerating every table and figure of the paper.
 """

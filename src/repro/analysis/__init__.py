@@ -28,7 +28,6 @@ from repro.analysis.figures import (
 )
 from repro.analysis.reporting import format_series, format_table
 from repro.analysis.study import ArchitectureStudy, MCMResult, MonolithicResult, StudyConfig
-from repro.analysis.sweeps import grid_sweep, sweep_parameter
 
 __all__ = [
     "Fig3Result",
@@ -55,6 +54,4 @@ __all__ = [
     "MCMResult",
     "MonolithicResult",
     "StudyConfig",
-    "grid_sweep",
-    "sweep_parameter",
 ]

@@ -171,8 +171,6 @@ def run_topology_yield_comparison(
                     chunk_size=stats.chunk_size,
                     ci_target=stats.ci_target,
                     max_samples=stats.max_samples,
-                    confidence=stats.confidence,
-                    ci_method=stats.method,
                     topology=topology,
                     tuning=tuning,
                 )

@@ -6,8 +6,7 @@
 logical circuit may carry before decomposition.  The compiler passes read
 and write these columns directly; :class:`~repro.circuits.gates.Gate`
 records are built only on demand (:attr:`QuantumCircuit.gates` and
-iteration), for the statevector simulator and other callers that want the
-public record.
+iteration), for callers that want the public record.
 
 Gates are validated where outside input arrives: the builder methods
 (:meth:`~QuantumCircuit.add` and the named emitters) check every gate, and

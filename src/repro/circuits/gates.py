@@ -1,11 +1,10 @@
 """Gate primitives for the lightweight quantum-circuit IR.
 
 The evaluation pipeline only needs gate *accounting* (how many one- and
-two-qubit operations run on which physical couplings), plus enough unitary
-semantics for the small statevector simulator used in the test suite.
-Circuits store gates as columns (:mod:`repro.circuits.circuit`); a
-:class:`Gate` is the public ``(name, qubits, params)`` record built from
-them on demand.  The known gate names and their arities live in
+two-qubit operations run on which physical couplings); the test suite's
+statevector simulator supplies the unitary semantics.  Circuits store
+gates as columns (:mod:`repro.circuits.circuit`); a :class:`Gate` is the
+public ``(name, qubits, params)`` record built from them on demand.  The known gate names and their arities live in
 :data:`GATE_ARITY`, and :func:`check_gate` is the one per-gate check.
 """
 

@@ -72,27 +72,6 @@ class FabricationOutput:
     chiplet_repaired_yield: float | None = field(default=None, compare=False)
 
     @property
-    def monolithic_repaired_devices(self) -> float | None:
-        """Monolithic devices that exist only thanks to repair."""
-        if self.monolithic_repaired_yield is None:
-            return None
-        return self.monolithic_repaired_yield * self.batch_size
-
-    @property
-    def mcm_repaired_devices(self) -> float | None:
-        """Eq. 1 MCM count attributable to repaired chiplets."""
-        if self.chiplet_repaired_yield is None:
-            return None
-        return mcm_output_upper_bound(
-            self.chiplet_repaired_yield,
-            self.batch_size,
-            self.monolithic_qubits,
-            self.chiplet_qubits,
-            self.grid_rows,
-            self.grid_cols,
-        )
-
-    @property
     def gain(self) -> float:
         """Manufacturing-output gain of the MCM route over the monolith."""
         if self.monolithic_devices == 0:

@@ -6,19 +6,18 @@ topology (heavy-hex by default; see
 frequencies from the fabrication model, evaluates the seven Table I
 collision criteria, and reports the fraction of devices with no
 collision — the *collision-free yield*.  Every :class:`YieldResult`
-carries a binomial confidence interval (Wilson by default) alongside the
-point estimate.
+carries a 95% Wilson confidence interval alongside the point estimate.
 
 Key entry points
 ----------------
 :func:`simulate_yield`
     Yield for one topology / one (sigma_f, step) parameter point.
-:func:`simulate_yield_streaming`
-    The same estimate in O(chunk) instead of O(batch) memory, from
-    spawn-seeded chunks (bit-identical to the monolithic batch).
-:func:`simulate_yield_adaptive`
-    Chunked sampling with an adaptive stopping rule: draw chunks until
-    the CI half-width reaches a target or a hard sample cap.
+:func:`simulate_yield_chunked`
+    The same estimate from spawn-seeded chunks in O(chunk) instead of
+    O(batch) memory; with ``ci_target`` set, chunks are drawn only until
+    the CI half-width reaches it (or a hard sample cap).
+:func:`simulate_yield_point`
+    One self-contained (sigma, step, size) point: the engine's task.
 :func:`yield_vs_qubits`
     Yield curve over a range of device sizes (one curve of Fig. 4).
 :func:`detuning_sweep`
@@ -28,8 +27,7 @@ Key entry points
 Every estimator reduces one kernel, :func:`_sample_screen_count`:
 fabricate a batch, screen it against the Table I windows (repairing
 collided devices when asked) and count the survivors.  The monolithic
-estimators run it once; the streaming and adaptive estimators run it per
-chunk in one shared loop.
+estimators run it once; the chunked estimator runs it per chunk.
 
 The sweep entry points accept an ``executor`` hook — any object with a
 ``map_calls(fn, kwargs_list, name=...)`` method, in practice a
@@ -37,9 +35,10 @@ The sweep entry points accept an ``executor`` hook — any object with a
 (sigma, step, size) point.  Each point derives its own seed from the
 master seed by position (``np.random.SeedSequence.spawn``), so parallel
 and sequential runs are bit-identical at the same seed.  Within one
-point, the chunked estimators derive per-chunk seeds the same way (see
-:mod:`repro.stats.streaming`), so a streamed or adaptive run observes
-literally the same samples as materialising the whole batch at once.
+point, the chunked estimator derives per-chunk seeds the same way (see
+:mod:`repro.stats.streaming`), so a chunked run, adaptive or not,
+observes literally the same samples as materialising the whole batch at
+once.
 
 Every entry point also accepts a :class:`repro.tuning.TuningOptions`:
 when set, collided devices are handed to the post-fabrication repair
@@ -77,7 +76,6 @@ from repro.stats import (
     StatsOptions,
     adaptive_estimate,
     binomial_ci,
-    chunk_layout,
     chunk_seed,
 )
 from repro.topology.base import Lattice
@@ -90,9 +88,7 @@ __all__ = [
     "simulate_yield",
     "simulate_yield_point",
     "simulate_yield_with_devices",
-    "simulate_yield_streaming",
-    "simulate_yield_adaptive",
-    "materialize_seeded_batch",
+    "simulate_yield_chunked",
     "yield_vs_qubits",
     "detuning_sweep",
     "DEFAULT_BATCH_SIZE",
@@ -131,10 +127,9 @@ class YieldResult:
         counts on construction when not supplied, so every result —
         whatever path produced it — satisfies
         ``ci_low <= estimate <= ci_high``.
-    confidence:
-        Two-sided confidence level of the interval.
-    ci_method:
-        Interval construction (``"wilson"`` or ``"jeffreys"``).
+    confidence, ci_method:
+        The interval's two-sided level and construction: always 95%
+        Wilson, recorded so serialised results name their interval.
     """
 
     num_qubits: int
@@ -144,8 +139,8 @@ class YieldResult:
     num_collision_free: int
     ci_low: float | None = None
     ci_high: float | None = None
-    confidence: float = DEFAULT_CONFIDENCE
-    ci_method: str = "wilson"
+    confidence: float = field(default=DEFAULT_CONFIDENCE, init=False)
+    ci_method: str = field(default="wilson", init=False)
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
@@ -153,12 +148,7 @@ class YieldResult:
         if not 0 <= self.num_collision_free <= self.batch_size:
             raise ValueError("num_collision_free must lie in [0, batch_size]")
         if self.ci_low is None or self.ci_high is None:
-            interval = binomial_ci(
-                self.num_collision_free,
-                self.batch_size,
-                confidence=self.confidence,
-                method=self.ci_method,
-            )
+            interval = binomial_ci(self.num_collision_free, self.batch_size)
             object.__setattr__(self, "ci_low", interval.low)
             object.__setattr__(self, "ci_high", interval.high)
 
@@ -328,8 +318,6 @@ def _yield_result(
     counts: _Counts,
     allocation: FrequencyAllocation,
     fabrication: FabricationModel,
-    confidence: float,
-    ci_method: str,
     tuning: TuningOptions | None,
 ) -> YieldResult:
     """The result of ``counts``, in repaired form for tuned runs."""
@@ -339,8 +327,6 @@ def _yield_result(
         step_ghz=allocation.spec.step_ghz,
         batch_size=counts.trials,
         num_collision_free=counts.free,
-        confidence=confidence,
-        ci_method=ci_method,
     )
     if tuning is None:
         return YieldResult(**result)
@@ -358,8 +344,6 @@ def simulate_yield(
     batch_size: int = DEFAULT_BATCH_SIZE,
     rng: np.random.Generator | None = None,
     thresholds: CollisionThresholds | None = None,
-    confidence: float = DEFAULT_CONFIDENCE,
-    ci_method: str = "wilson",
     tuning: TuningOptions | None = None,
     draw_seed=None,
 ) -> YieldResult:
@@ -377,8 +361,6 @@ def simulate_yield(
         Source of randomness (a fresh default generator when omitted).
     thresholds:
         Collision windows; defaults to the Table I values.
-    confidence, ci_method:
-        Parameters of the confidence interval attached to the result.
     tuning:
         Optional post-fabrication repair stage; collided devices are
         repaired (continuing ``rng``) before yield is counted, and the
@@ -398,9 +380,7 @@ def simulate_yield(
         thresholds,
         tuning,
     )
-    return _yield_result(
-        counts, allocation, fabrication, confidence, ci_method, tuning
-    )
+    return _yield_result(counts, allocation, fabrication, tuning)
 
 
 def simulate_yield_with_devices(
@@ -430,9 +410,7 @@ def simulate_yield_with_devices(
         thresholds,
         None,
     )
-    result = _yield_result(
-        counts, allocation, fabrication, DEFAULT_CONFIDENCE, "wilson", None
-    )
+    result = _yield_result(counts, allocation, fabrication, None)
     return result, frequencies[survivors]
 
 
@@ -452,24 +430,31 @@ def _chunk_rng(
     return np.random.default_rng(derived), derived
 
 
-def _chunked_yield(
+def simulate_yield_chunked(
     allocation: FrequencyAllocation,
     fabrication: FabricationModel,
-    ci_target: float | None,
-    max_samples: int,
-    chunk_size: int,
-    seed: int | None,
-    thresholds: CollisionThresholds | None,
-    confidence: float,
-    ci_method: str,
-    tuning: TuningOptions | None,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    seed: int | None = None,
+    thresholds: CollisionThresholds | None = None,
+    tuning: TuningOptions | None = None,
+    ci_target: float | None = None,
 ) -> YieldResult:
-    """Run the kernel over spawn-seeded chunks and reduce their counts.
+    """Yield estimate from spawn-seeded chunks, in O(chunk_size) memory.
 
-    Chunks are drawn in order until ``max_samples`` devices were
-    fabricated or, when ``ci_target`` is set, the running CI half-width
-    reaches it (:func:`repro.stats.adaptive_estimate`).  Only one chunk's
-    devices are alive at a time.
+    Fabricate -> screen -> count one chunk at a time: only one
+    ``(chunk_size, num_qubits)`` array is alive at once, and the result
+    is bit-identical to reducing the whole ``batch_size`` batch
+    materialised from the same ``(seed, chunk_size)`` chunks.  With
+    ``tuning`` set, each chunk is repaired before it is counted,
+    continuing the chunk's own generator.
+
+    With ``ci_target`` set, chunks are drawn only until the running CI
+    half-width is at or below it (:func:`repro.stats.adaptive_estimate`),
+    ``batch_size`` being the hard cap: deep-in-the-tail points (yield
+    near 0 or 1) stop after a chunk or two.  Chunk seeds are
+    prefix-stable, so the samples such a run observes are exactly the
+    first ``samples_used`` rows of the full run.
     """
     chunks: list[_Counts] = []
 
@@ -482,117 +467,10 @@ def _chunked_yield(
         return counts.free, counts.trials
 
     adaptive_estimate(
-        draw_chunk,
-        ci_target=ci_target,
-        max_samples=max_samples,
-        chunk_size=chunk_size,
-        confidence=confidence,
-        method=ci_method,
+        draw_chunk, ci_target=ci_target, max_samples=batch_size, chunk_size=chunk_size
     )
     totals = _Counts(*(sum(column) for column in zip(*chunks)))
-    return _yield_result(
-        totals, allocation, fabrication, confidence, ci_method, tuning
-    )
-
-
-def materialize_seeded_batch(
-    allocation: FrequencyAllocation,
-    fabrication: FabricationModel,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    seed: int | None = None,
-) -> np.ndarray:
-    """The *monolithic* reference batch of the chunked sampling scheme.
-
-    Fills every spawn-seeded chunk into one preallocated
-    ``(batch_size, num_qubits)`` array — O(batch) memory (a chunk list +
-    ``np.concatenate`` would briefly hold 2x that), exactly what
-    :func:`simulate_yield_streaming` reduces chunk by chunk.  The parity
-    tests pin the streamed and adaptive estimators to this array bit for
-    bit.  Each chunk goes through the untuned kernel, whose batch is the
-    fabricated one; its counts are discarded.
-    """
-    out = np.empty((batch_size, allocation.num_qubits), dtype=np.float64)
-    start = 0
-    for index, length in enumerate(chunk_layout(batch_size, chunk_size)):
-        rng, derived = _chunk_rng(seed, index)
-        _, frequencies, _ = _sample_screen_count(
-            allocation, fabrication, length, rng, derived, None, None
-        )
-        out[start : start + length] = frequencies
-        start += length
-    return out
-
-
-def simulate_yield_streaming(
-    allocation: FrequencyAllocation,
-    fabrication: FabricationModel,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    seed: int | None = None,
-    thresholds: CollisionThresholds | None = None,
-    confidence: float = DEFAULT_CONFIDENCE,
-    ci_method: str = "wilson",
-    tuning: TuningOptions | None = None,
-) -> YieldResult:
-    """Streaming chunked yield estimate in O(chunk_size) memory.
-
-    Fabricate -> collision-mask -> reduce one chunk at a time: peak
-    memory is one ``(chunk_size, num_qubits)`` array instead of the full
-    ``(batch_size, num_qubits)`` batch, and the result is bit-identical
-    to reducing :func:`materialize_seeded_batch` at the same
-    ``(seed, chunk_size)``.  With ``tuning`` set, each chunk is repaired
-    before reduction, continuing the chunk's own generator.
-    """
-    return _chunked_yield(
-        allocation,
-        fabrication,
-        ci_target=None,
-        max_samples=batch_size,
-        chunk_size=chunk_size,
-        seed=seed,
-        thresholds=thresholds,
-        confidence=confidence,
-        ci_method=ci_method,
-        tuning=tuning,
-    )
-
-
-def simulate_yield_adaptive(
-    allocation: FrequencyAllocation,
-    fabrication: FabricationModel,
-    ci_target: float,
-    max_samples: int = DEFAULT_BATCH_SIZE,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    seed: int | None = None,
-    thresholds: CollisionThresholds | None = None,
-    confidence: float = DEFAULT_CONFIDENCE,
-    ci_method: str = "wilson",
-    tuning: TuningOptions | None = None,
-) -> YieldResult:
-    """Adaptive yield estimate: sample until the CI is tight enough.
-
-    Draws spawn-seeded chunks until the running CI half-width is at or
-    below ``ci_target``, or ``max_samples`` devices have been fabricated
-    — deep-in-the-tail points (yield near 0 or 1) stop after a chunk or
-    two instead of burning the full fixed batch.  Because chunk seeds
-    are prefix-stable, the samples an adaptive run observes are exactly
-    the first ``samples_used`` rows of the fixed-batch run at the same
-    ``(seed, chunk_size)``.  With ``tuning`` set, each drawn chunk is
-    repaired before it reaches the stopping rule.
-    """
-    return _chunked_yield(
-        allocation,
-        fabrication,
-        ci_target=ci_target,
-        max_samples=max_samples,
-        chunk_size=chunk_size,
-        seed=seed,
-        thresholds=thresholds,
-        confidence=confidence,
-        ci_method=ci_method,
-        tuning=tuning,
-    )
+    return _yield_result(totals, allocation, fabrication, tuning)
 
 
 def simulate_yield_point(
@@ -606,8 +484,6 @@ def simulate_yield_point(
     chunk_size: int | None = None,
     ci_target: float | None = None,
     max_samples: int | None = None,
-    confidence: float = DEFAULT_CONFIDENCE,
-    ci_method: str = "wilson",
     topology: str | None = None,
     tuning: TuningOptions | None = None,
 ) -> YieldResult:
@@ -622,9 +498,9 @@ def simulate_yield_point(
 
     * ``ci_target`` set — adaptive chunked sampling, capped at
       ``max_samples`` (``batch_size`` when unset);
-    * ``chunk_size`` set (no target) — streaming chunked sampling of the
-      full ``batch_size`` in O(chunk) memory;
-    * neither — the legacy monolithic single-draw batch.
+    * ``chunk_size`` set (no target) — chunked sampling of the full
+      ``batch_size`` in O(chunk) memory;
+    * neither — one monolithic batch.
 
     ``tuning`` routes every sampler through the post-fabrication repair
     stage.  All statistics, topology and tuning parameters participate
@@ -636,30 +512,18 @@ def simulate_yield_point(
         lattice = arch.lattice(num_qubits)
     allocation = arch.allocate(lattice, spec=arch.spec(step_ghz=step_ghz))
     fabrication = FabricationModel(sigma_ghz=sigma_ghz)
-    if ci_target is not None:
-        return simulate_yield_adaptive(
-            allocation,
-            fabrication,
-            ci_target=ci_target,
-            max_samples=max_samples if max_samples is not None else batch_size,
-            chunk_size=chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE,
-            seed=seed,
-            thresholds=thresholds,
-            confidence=confidence,
-            ci_method=ci_method,
-            tuning=tuning,
-        )
-    if chunk_size is not None:
-        return simulate_yield_streaming(
+    if ci_target is not None or chunk_size is not None:
+        if ci_target is not None and max_samples is not None:
+            batch_size = max_samples
+        return simulate_yield_chunked(
             allocation,
             fabrication,
             batch_size=batch_size,
-            chunk_size=chunk_size,
+            chunk_size=chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE,
             seed=seed,
             thresholds=thresholds,
-            confidence=confidence,
-            ci_method=ci_method,
             tuning=tuning,
+            ci_target=ci_target,
         )
     return simulate_yield(
         allocation,
@@ -667,8 +531,6 @@ def simulate_yield_point(
         batch_size,
         np.random.default_rng(seed),
         thresholds,
-        confidence=confidence,
-        ci_method=ci_method,
         tuning=tuning,
         draw_seed=seed,
     )
@@ -712,8 +574,7 @@ def yield_vs_qubits(
         Optional engine hook (``map_calls``); ``None`` runs in-process.
     stats:
         Optional :class:`repro.stats.StatsOptions` switching every point
-        to chunked streaming / adaptive sampling with CIs at the
-        requested confidence.
+        to chunked (optionally adaptive) sampling.
     topology:
         Registered topology name (heavy-hex when omitted).
     tuning:
@@ -742,8 +603,6 @@ def yield_vs_qubits(
                 chunk_size=stats.chunk_size,
                 ci_target=stats.ci_target,
                 max_samples=stats.max_samples,
-                confidence=stats.confidence,
-                ci_method=stats.method,
                 topology=topology,
                 tuning=tuning,
             )
@@ -820,8 +679,6 @@ def detuning_sweep(
                     chunk_size=stats.chunk_size,
                     ci_target=stats.ci_target,
                     max_samples=stats.max_samples,
-                    confidence=stats.confidence,
-                    ci_method=stats.method,
                     topology=topology,
                     tuning=tuning,
                 )

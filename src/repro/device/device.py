@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.frequencies import FrequencyAllocation
-from repro.device.noise import EmpiricalCXModel, LinkErrorModel
 from repro.device.qubit import PhysicalQubit
 from repro.topology.coupling import CouplingMap
 
@@ -72,53 +70,6 @@ class Device:
         missing = set(self.coupling.edges) - set(self.edge_errors)
         if missing:
             raise ValueError(f"missing error rates for couplings: {sorted(missing)[:5]}")
-
-    # ------------------------------------------------------------------ #
-    # Construction helpers
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_allocation(
-        cls,
-        name: str,
-        allocation: FrequencyAllocation,
-        frequencies_ghz: np.ndarray,
-        cx_model: EmpiricalCXModel,
-        rng: np.random.Generator,
-        link_edges: frozenset[tuple[int, int]] = frozenset(),
-        link_model: LinkErrorModel | None = None,
-        metadata: dict | None = None,
-    ) -> "Device":
-        """Build a device by assigning errors from the empirical models.
-
-        On-chip couplings draw their infidelity from the detuning-matched
-        bin of ``cx_model``; inter-chip links (if any) draw from
-        ``link_model``.
-        """
-        edges = [
-            (int(min(c, t)), int(max(c, t))) for c, t in allocation.directed_edges
-        ]
-        coupling = CouplingMap(
-            num_qubits=allocation.num_qubits, edges=edges, link_edges=link_edges
-        )
-        frequencies = np.asarray(frequencies_ghz, dtype=float)
-        errors: dict[tuple[int, int], float] = {}
-        for edge in coupling.edges:
-            u, v = edge
-            if coupling.is_link(u, v):
-                if link_model is None:
-                    raise ValueError("link_model is required when link edges exist")
-                errors[edge] = float(link_model.sample(rng))
-            else:
-                detuning = abs(frequencies[u] - frequencies[v])
-                errors[edge] = cx_model.sample(detuning, rng)
-        return cls(
-            name=name,
-            coupling=coupling,
-            frequencies_ghz=frequencies,
-            labels=allocation.labels.copy(),
-            edge_errors=errors,
-            metadata=dict(metadata or {}),
-        )
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -212,20 +163,3 @@ class Device:
         ranked = sorted(self.edge_errors.items(), key=lambda item: item[1])
         return ranked[:count]
 
-    def with_scaled_link_errors(self, factor: float) -> "Device":
-        """Return a copy with every link error multiplied by ``factor``.
-
-        Convenience for the Fig. 9 link-improvement scenarios.
-        """
-        errors = {
-            edge: error * factor if self.coupling.is_link(*edge) else error
-            for edge, error in self.edge_errors.items()
-        }
-        return Device(
-            name=self.name,
-            coupling=self.coupling,
-            frequencies_ghz=self.frequencies_ghz.copy(),
-            labels=self.labels.copy(),
-            edge_errors=errors,
-            metadata=dict(self.metadata),
-        )

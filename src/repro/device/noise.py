@@ -88,26 +88,6 @@ class EmpiricalCXModel:
         """Total number of observations behind the model."""
         return int(sum(v.size for v in self.bins.values()))
 
-    def bin_index(self, detuning_ghz: float) -> int:
-        """Bin index a detuning falls into."""
-        return int(abs(detuning_ghz) // self.bin_width_ghz)
-
-    def _bin_samples(self, detuning_ghz: float) -> np.ndarray:
-        index = self.bin_index(detuning_ghz)
-        if index in self.bins:
-            return self.bins[index]
-        # Fall back to the nearest populated bin, then to the global pool.
-        populated = sorted(self.bins)
-        if populated:
-            nearest = min(populated, key=lambda b: abs(b - index))
-            return self.bins[nearest]
-        return self._all_samples()
-
-    def sample(self, detuning_ghz: float, rng: np.random.Generator) -> float:
-        """Draw one infidelity for a coupling with the given detuning."""
-        samples = self._bin_samples(detuning_ghz)
-        return float(rng.choice(samples))
-
     def sample_many(
         self, detunings_ghz: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
@@ -132,10 +112,6 @@ class EmpiricalCXModel:
             samples = self.bins[int(bin_index)]
             output[mask] = rng.choice(samples, size=int(mask.sum()))
         return output.reshape(np.shape(detunings_ghz))
-
-    def mean_for(self, detuning_ghz: float) -> float:
-        """Mean infidelity of the bin matching the detuning."""
-        return float(self._bin_samples(detuning_ghz).mean())
 
     def median(self) -> float:
         """Median infidelity over every observation."""

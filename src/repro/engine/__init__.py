@@ -29,7 +29,7 @@ from repro.engine.phases import collecting, phase
 from repro.engine.registry import ExperimentSpec, Registry, unknown_name
 from repro.engine.runner import EngineStats, ExecutionEngine
 from repro.engine.seeding import spawn_seed_at, spawn_seeds
-from repro.engine.task import Task, TaskGraph
+from repro.engine.task import Task
 
 __all__ = [
     "ExecutionEngine",
@@ -42,7 +42,6 @@ __all__ = [
     "Registry",
     "unknown_name",
     "Task",
-    "TaskGraph",
     "phase",
     "collecting",
     "run_calls",

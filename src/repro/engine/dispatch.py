@@ -20,14 +20,8 @@ def run_calls(
     kwargs_list: Sequence[dict[str, Any]],
     executor=None,
     name: str = "task",
-    cacheable: bool = True,
 ) -> list[Any]:
-    """``[fn(**kw) for kw in kwargs_list]``, through ``executor`` if given.
-
-    Pass ``cacheable=False`` for stochastic calls whose kwargs carry no
-    ``seed`` key — the executor cannot tell them apart from deterministic
-    work, and replaying a cached draw would freeze their randomness.
-    """
+    """``[fn(**kw) for kw in kwargs_list]``, through ``executor`` if given."""
     if executor is None:
         return [fn(**kwargs) for kwargs in kwargs_list]
-    return executor.map_calls(fn, kwargs_list, name=name, cacheable=cacheable)
+    return executor.map_calls(fn, kwargs_list, name=name)

@@ -23,7 +23,7 @@ from typing import Any, Callable, Sequence
 
 from repro.engine.backends import Call, CancelToken, _run_serial, run_pool
 from repro.engine.cache import ResultCache, code_version_token
-from repro.engine.task import Task, TaskGraph
+from repro.engine.task import Task
 from repro.obs import tracing
 from repro.obs.logs import get_logger
 from repro.obs.metrics import REGISTRY
@@ -198,7 +198,7 @@ class ExecutionEngine:
         self.stats = EngineStats(jobs=self.jobs)
 
     # ------------------------------------------------------------------ #
-    # Flat batches
+    # Batches
     # ------------------------------------------------------------------ #
     def map_calls(
         self,
@@ -206,14 +206,13 @@ class ExecutionEngine:
         kwargs_list: Sequence[dict[str, Any]],
         *,
         name: str = "task",
-        cacheable: bool = True,
     ) -> list[Any]:
         """Run ``fn(**kwargs)`` for every kwargs dict, preserving order.
 
         This is the duck-typed ``executor`` hook consumed by the ``core``
         sweep entry points.
         """
-        tasks = [Task(name=name, fn=fn, params=kw, cacheable=cacheable) for kw in kwargs_list]
+        tasks = [Task(name=name, fn=fn, params=kw) for kw in kwargs_list]
         return self.run_tasks(tasks)
 
     def run_tasks(self, tasks: Sequence[Task]) -> list[Any]:
@@ -248,13 +247,7 @@ class ExecutionEngine:
             # non-deterministic (fresh OS entropy) — replaying a cached
             # result would silently freeze its randomness.
             stochastic = "seed" in task.params and task.params["seed"] is None
-            if (
-                self.cache is not None
-                and task.cacheable
-                and not stochastic
-                and not task.inject
-                and _fn_cache_safe(task.fn)
-            ):
+            if self.cache is not None and not stochastic and _fn_cache_safe(task.fn):
                 key = self.cache.key_for(
                     task.name, dict(task.params), code_version_token(task.fn)
                 )
@@ -364,30 +357,3 @@ class ExecutionEngine:
         for name, seconds in phases.items():
             self.stats.seconds_by_phase[name] += seconds
             _MET_PHASE_SECONDS.inc(seconds, phase=name)
-
-    # ------------------------------------------------------------------ #
-    # Graphs
-    # ------------------------------------------------------------------ #
-    def run_graph(self, graph: TaskGraph) -> dict[str, Any]:
-        """Execute a task graph generation by generation.
-
-        Returns a mapping ``task id -> result``.  Tasks inside one
-        generation run in parallel; dependency results are injected into
-        dependants' parameters per their ``inject`` mapping.
-        """
-        results: dict[str, Any] = {}
-        for generation in graph.generations():
-            tasks = []
-            for task_id in generation:
-                task = graph.task(task_id)
-                if task.inject:
-                    params = dict(task.params)
-                    for param, dep_id in task.inject.items():
-                        params[param] = results[dep_id]
-                    task = Task(
-                        name=task.name, fn=task.fn, params=params, cacheable=False
-                    )
-                tasks.append(task)
-            for task_id, result in zip(generation, self.run_tasks(tasks)):
-                results[task_id] = result
-        return results

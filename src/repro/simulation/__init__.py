@@ -1,13 +1,9 @@
-"""Simulation substrate: statevector validation and the ESP fidelity product."""
+"""Simulation substrate: the ESP fidelity product."""
 
 from repro.simulation.esp import FidelityScore, fidelity_product, fidelity_ratio
-from repro.simulation.statevector import Statevector, measurement_probabilities, simulate
 
 __all__ = [
     "FidelityScore",
     "fidelity_product",
     "fidelity_ratio",
-    "Statevector",
-    "measurement_probabilities",
-    "simulate",
 ]

@@ -4,9 +4,9 @@ Every yield estimate the repo publishes is a binomial success fraction;
 this package upgrades those point estimates into interval estimates and
 bounded-memory, bounded-error sampling:
 
-* :mod:`repro.stats.intervals` — Wilson and Jeffreys binomial confidence
-  intervals (the Wald interval collapses exactly where the paper's
-  yield-collapse curves live, at yields near 0 and 1);
+* :mod:`repro.stats.intervals` — the Wilson binomial confidence interval
+  (the Wald interval collapses exactly where the paper's yield-collapse
+  curves live, at yields near 0 and 1);
 * :mod:`repro.stats.streaming` — the chunked sampling contract (spawn-
   seeded, prefix-stable chunk seeds) and the O(1)-state
   :class:`StreamingEstimator` reduction;
@@ -25,15 +25,12 @@ from repro.stats.adaptive import (
     adaptive_estimate,
 )
 from repro.stats.intervals import (
-    CI_METHODS,
     DEFAULT_CONFIDENCE,
     ConfidenceInterval,
     binomial_ci,
-    jeffreys_interval,
     median_interval,
     midpoint_median,
     normal_quantile,
-    samples_for_half_width,
     wilson_interval,
 )
 from repro.stats.streaming import (
@@ -52,13 +49,10 @@ __all__ = [
     "binomial_ci",
     "chunk_layout",
     "chunk_seed",
-    "jeffreys_interval",
     "median_interval",
     "midpoint_median",
     "normal_quantile",
-    "samples_for_half_width",
     "wilson_interval",
-    "CI_METHODS",
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_CONFIDENCE",
     "DEFAULT_MAX_SAMPLES",

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.stats.intervals import DEFAULT_CONFIDENCE
 from repro.stats.streaming import DEFAULT_CHUNK_SIZE, StreamingEstimator, chunk_layout
 
 __all__ = ["AdaptiveOutcome", "StatsOptions", "adaptive_estimate", "DEFAULT_MAX_SAMPLES"]
@@ -57,8 +56,6 @@ def adaptive_estimate(
     ci_target: float | None,
     max_samples: int = DEFAULT_MAX_SAMPLES,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    confidence: float = DEFAULT_CONFIDENCE,
-    method: str = "wilson",
 ) -> AdaptiveOutcome:
     """Draw chunks until the CI half-width reaches ``ci_target``.
 
@@ -80,15 +77,15 @@ def adaptive_estimate(
         Trials per chunk (the last chunk shrinks to land exactly on
         ``max_samples`` — the same ragged layout as
         :func:`repro.stats.streaming.chunk_layout`).
-    confidence, method:
-        Interval parameters of the stopping criterion.
+
+    The stopping criterion is the 95% Wilson interval.
     """
     if ci_target is not None and not ci_target >= 0.0:
         raise ValueError("ci_target must be a non-negative number")
     if max_samples <= 0:
         raise ValueError("max_samples must be positive")
 
-    estimator = StreamingEstimator(confidence=confidence, method=method)
+    estimator = StreamingEstimator()
     layout = chunk_layout(max_samples, chunk_size)
     reached = False
     for index, length in enumerate(layout):
@@ -122,16 +119,11 @@ class StatsOptions:
     max_samples:
         Hard sample cap of adaptive runs (defaults to the sweep's batch
         size when unset).
-    confidence, method:
-        Interval parameters attached to every resulting
-        :class:`~repro.core.yield_model.YieldResult`.
     """
 
     chunk_size: int | None = None
     ci_target: float | None = None
     max_samples: int | None = None
-    confidence: float = DEFAULT_CONFIDENCE
-    method: str = "wilson"
 
     def __post_init__(self) -> None:
         if self.chunk_size is not None and self.chunk_size <= 0:
@@ -146,21 +138,12 @@ class StatsOptions:
                 "max_samples only applies to adaptive runs — set ci_target "
                 "(fixed-size runs are bounded by the sweep's batch size)"
             )
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie strictly inside (0, 1)")
 
     @property
     def is_default(self) -> bool:
-        """True when no knob differs from the defaults (legacy sampling).
-
-        Includes ``confidence`` and ``method``: a caller asking for 99%
-        or Jeffreys intervals must reach the stats-aware code paths even
-        with default chunking.
-        """
+        """True when no knob is set: every point draws one monolithic batch."""
         return (
             self.chunk_size is None
             and self.ci_target is None
             and self.max_samples is None
-            and self.confidence == DEFAULT_CONFIDENCE
-            and self.method == "wilson"
         )

@@ -5,19 +5,10 @@ binomial experiment (``num_collision_free`` out of ``batch_size``
 virtually fabricated devices).  The paper's Fig. 4 / Fig. 8 curves live
 deep in the tails of that distribution — yields indistinguishable from 0
 or 1 — where the textbook Wald interval ``p +/- z * sqrt(p(1-p)/n)``
-degenerates to a width of zero.  The two intervals implemented here do
-not:
-
-:func:`wilson_interval`
-    Inversion of the score test (Wilson 1927).  Closed form, never
-    escapes ``[0, 1]``, always contains the point estimate, and keeps a
-    sensible width at 0 or n successes.  The package default.
-:func:`jeffreys_interval`
-    Equal-tailed credible interval of the Jeffreys ``Beta(1/2, 1/2)``
-    prior posterior, ``Beta(s + 1/2, n - s + 1/2)``.  Slightly tighter
-    in the tails; requires ``scipy`` for the Beta quantile.
-
-Both are exposed through :func:`binomial_ci`, which returns a
+degenerates to a width of zero.  The Wilson score interval
+(:func:`wilson_interval`, Wilson 1927) does not: it is closed form,
+never escapes ``[0, 1]``, always contains the point estimate, and keeps
+a sensible width at 0 or n successes.  :func:`binomial_ci` wraps it in a
 :class:`ConfidenceInterval` value object.
 """
 
@@ -32,18 +23,12 @@ __all__ = [
     "median_interval",
     "midpoint_median",
     "wilson_interval",
-    "jeffreys_interval",
     "normal_quantile",
-    "samples_for_half_width",
     "DEFAULT_CONFIDENCE",
-    "CI_METHODS",
 ]
 
 #: Confidence level used when the caller does not specify one.
 DEFAULT_CONFIDENCE = 0.95
-
-#: The supported interval constructions.
-CI_METHODS = ("wilson", "jeffreys")
 
 
 @dataclass(frozen=True)
@@ -59,7 +44,7 @@ class ConfidenceInterval:
     confidence:
         Nominal two-sided confidence level (e.g. ``0.95``).
     method:
-        Construction used (``"wilson"`` or ``"jeffreys"``).
+        Construction used (``"wilson"`` or ``"median-order"``).
     """
 
     low: float
@@ -78,44 +63,14 @@ class ConfidenceInterval:
 
 
 def normal_quantile(probability: float) -> float:
-    """Standard-normal quantile via the inverse error function.
-
-    Uses :func:`scipy.special.ndtri` when available and falls back to a
-    Newton refinement of the Acklam rational approximation otherwise, so
-    the stats layer keeps working on a numpy-only install.
-    """
+    """Standard-normal quantile (:func:`scipy.special.ndtri`)."""
     if not 0.0 < probability < 1.0:
         raise ValueError("probability must lie strictly inside (0, 1)")
-    try:
-        from scipy.special import ndtri
-    except ImportError:  # pragma: no cover - scipy is a standard dependency
-        return _acklam_quantile(probability)
+    # Imported on first use: scipy.special is not needed to import the
+    # package, only to compute an interval.
+    from scipy.special import ndtri
+
     return float(ndtri(probability))
-
-
-def _acklam_quantile(p: float) -> float:  # pragma: no cover - scipy fallback
-    """Rational approximation of the normal quantile (Acklam, ~1e-9)."""
-    a = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-    b = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    if p > 1.0 - p_low:
-        return -_acklam_quantile(1.0 - p)
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )
 
 
 def _validate(successes: int, trials: int, confidence: float) -> None:
@@ -153,60 +108,17 @@ def wilson_interval(
     return (low, high)
 
 
-def jeffreys_interval(
-    successes: int, trials: int, confidence: float = DEFAULT_CONFIDENCE
-) -> tuple[float, float]:
-    """Jeffreys (equal-tailed ``Beta(s + 1/2, n - s + 1/2)``) interval.
-
-    By the standard convention the lower bound is 0 when no successes
-    were observed and the upper bound is 1 when every trial succeeded,
-    so the interval always contains the point estimate.
-    """
-    _validate(successes, trials, confidence)
-    from scipy.stats import beta
-
-    alpha = 1.0 - confidence
-    low = 0.0
-    high = 1.0
-    if successes > 0:
-        low = float(beta.ppf(alpha / 2.0, successes + 0.5, trials - successes + 0.5))
-    if successes < trials:
-        high = float(
-            beta.ppf(1.0 - alpha / 2.0, successes + 0.5, trials - successes + 0.5)
-        )
-    p_hat = successes / trials
-    return (max(0.0, min(low, p_hat)), min(1.0, max(high, p_hat)))
-
-
 def binomial_ci(
-    successes: int,
-    trials: int,
-    confidence: float = DEFAULT_CONFIDENCE,
-    method: str = "wilson",
+    successes: int, trials: int, confidence: float = DEFAULT_CONFIDENCE
 ) -> ConfidenceInterval:
-    """Confidence interval for ``successes`` out of ``trials``.
-
-    Parameters
-    ----------
-    successes, trials:
-        The binomial observation.
-    confidence:
-        Two-sided confidence level.
-    method:
-        ``"wilson"`` (default) or ``"jeffreys"``.
-    """
-    if method == "wilson":
-        low, high = wilson_interval(successes, trials, confidence)
-    elif method == "jeffreys":
-        low, high = jeffreys_interval(successes, trials, confidence)
-    else:
-        raise ValueError(f"unknown CI method {method!r}; expected one of {CI_METHODS}")
+    """Wilson confidence interval for ``successes`` out of ``trials``."""
+    low, high = wilson_interval(successes, trials, confidence)
     return ConfidenceInterval(
         low=low,
         high=high,
         estimate=successes / trials,
         confidence=confidence,
-        method=method,
+        method="wilson",
     )
 
 
@@ -286,20 +198,3 @@ def median_interval(
         method="median-order",
     )
 
-
-def samples_for_half_width(
-    proportion: float, half_width: float, confidence: float = DEFAULT_CONFIDENCE
-) -> int:
-    """Normal-approximation sample size reaching a CI half-width.
-
-    A planning helper (``n ~ p(1-p) z^2 / h^2``): the adaptive estimator
-    does not trust it — it measures the realised half-width instead — but
-    benchmarks report it as the theoretical point of reference.
-    """
-    if not 0.0 <= proportion <= 1.0:
-        raise ValueError("proportion must be a probability")
-    if half_width <= 0.0:
-        raise ValueError("half_width must be positive")
-    z = normal_quantile(0.5 + confidence / 2.0)
-    variance = max(proportion * (1.0 - proportion), 1e-12)
-    return max(1, math.ceil(variance * z * z / (half_width * half_width)))

@@ -23,11 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.seeding import spawn_seed_at
-from repro.stats.intervals import (
-    DEFAULT_CONFIDENCE,
-    ConfidenceInterval,
-    binomial_ci,
-)
+from repro.stats.intervals import ConfidenceInterval, binomial_ci
 
 __all__ = [
     "StreamingEstimator",
@@ -73,18 +69,14 @@ class StreamingEstimator:
     ``(successes, trials)`` pairs — so it is the O(1)-state reduction at
     the heart of the O(chunk)-memory yield paths.
 
+    The served intervals are 95% Wilson intervals.
+
     Attributes
     ----------
-    confidence:
-        Two-sided confidence level of the served intervals.
-    method:
-        Interval construction (``"wilson"`` or ``"jeffreys"``).
     successes, trials, chunks:
         Running totals.
     """
 
-    confidence: float = DEFAULT_CONFIDENCE
-    method: str = "wilson"
     successes: int = 0
     trials: int = 0
     chunks: int = field(default=0)
@@ -111,9 +103,7 @@ class StreamingEstimator:
         """Confidence interval at the current totals."""
         if self.trials == 0:
             raise ValueError("no chunks accumulated yet")
-        return binomial_ci(
-            self.successes, self.trials, confidence=self.confidence, method=self.method
-        )
+        return binomial_ci(self.successes, self.trials)
 
     def half_width(self) -> float:
         """CI half-width at the current totals (``inf`` with no data)."""

@@ -9,8 +9,7 @@ pipeline stage between fabrication and yield evaluation:
 
 :mod:`repro.tuning.models`
     :class:`TunerModel` — bounded max shift, actuation precision,
-    optional per-qubit tune-count budget; laser-anneal-like and
-    flux-trim-like presets.
+    optional per-qubit tune-count budget.
 :mod:`repro.tuning.graph`
     :class:`CollisionGraph` — maps violated Table I criteria onto the
     qubits/edges involved, with per-qubit incidence so a shift re-checks
@@ -32,8 +31,6 @@ from repro.tuning.models import (
     DEFAULT_MAX_SHIFT_GHZ,
     DEFAULT_TUNER_SIGMA_GHZ,
     TunerModel,
-    flux_trim_tuner,
-    laser_anneal_tuner,
 )
 from repro.tuning.repair import BatchRepairOutcome, TuningOptions, repair_batch
 from repro.tuning.strategies import (
@@ -57,8 +54,6 @@ __all__ = [
     "STRATEGIES",
     "TunerModel",
     "TuningOptions",
-    "flux_trim_tuner",
     "get_strategy",
-    "laser_anneal_tuner",
     "repair_batch",
 ]

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "TunerModel",
-    "laser_anneal_tuner",
-    "flux_trim_tuner",
     "DEFAULT_MAX_SHIFT_GHZ",
     "DEFAULT_TUNER_SIGMA_GHZ",
 ]
@@ -94,28 +92,3 @@ class TunerModel:
             return max(num_qubits, 1) * 16
         return self.max_tunes_per_qubit
 
-
-def laser_anneal_tuner(
-    max_shift_ghz: float = DEFAULT_MAX_SHIFT_GHZ,
-    precision_sigma_ghz: float = DEFAULT_TUNER_SIGMA_GHZ,
-    max_tunes_per_qubit: int | None = 2,
-) -> TunerModel:
-    """A LASIQ-like junction annealer: long reach, few shots per qubit."""
-    return TunerModel(
-        max_shift_ghz=max_shift_ghz,
-        precision_sigma_ghz=precision_sigma_ghz,
-        max_tunes_per_qubit=max_tunes_per_qubit,
-    )
-
-
-def flux_trim_tuner(
-    max_shift_ghz: float = 0.040,
-    precision_sigma_ghz: float = 0.001,
-    max_tunes_per_qubit: int | None = None,
-) -> TunerModel:
-    """A flux-trim-like tuner: short reach, tight precision, re-adjustable."""
-    return TunerModel(
-        max_shift_ghz=max_shift_ghz,
-        precision_sigma_ghz=precision_sigma_ghz,
-        max_tunes_per_qubit=max_tunes_per_qubit,
-    )

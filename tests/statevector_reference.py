@@ -1,10 +1,10 @@
-"""Small dense statevector simulator.
+"""Small dense statevector simulator, a test-suite reference.
 
 The evaluation of the paper never simulates full quantum dynamics (the
 studied systems are far beyond classical simulability); the simulator here
-exists so the test suite can verify functional correctness of the circuit
-IR, the benchmark generators and the compiler (a routed/decomposed circuit
-must implement the same unitary as the logical one, up to qubit relabelling).
+lets the tests verify functional correctness of the circuit IR, the
+benchmark generators and the compiler (a routed/decomposed circuit must
+implement the same unitary as the logical one, up to qubit relabelling).
 
 It supports every gate in :data:`repro.circuits.gates.GATE_ARITY` on up to
 roughly 16 qubits.

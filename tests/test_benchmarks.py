@@ -18,7 +18,7 @@ from repro.circuits.benchmarks import (
     quantum_primacy,
     tfim_hamiltonian,
 )
-from repro.simulation.statevector import simulate
+from statevector_reference import simulate
 
 
 class TestRegistry:

@@ -12,7 +12,7 @@ from repro.compiler.layout import Layout, choose_layout, find_long_path, is_chai
 from repro.compiler.metrics import gate_metrics
 from repro.compiler.routing import route_circuit
 from repro.compiler.transpile import transpile
-from repro.simulation.statevector import simulate
+from statevector_reference import simulate
 from repro.topology.coupling import CouplingMap
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
 

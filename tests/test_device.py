@@ -5,9 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.frequencies import allocation_from_labels
 from repro.device.device import Device
-from repro.device.noise import LinkErrorModel
 from repro.topology.coupling import CouplingMap
 
 
@@ -80,50 +78,3 @@ class TestDeviceQueries:
         assert qubit.label == 2
         assert qubit.frequency_ghz == pytest.approx(5.12)
 
-    def test_scaled_link_errors(self, tiny_device):
-        scaled = tiny_device.with_scaled_link_errors(0.5)
-        assert scaled.error_for(2, 3) == pytest.approx(0.04)
-        assert scaled.error_for(0, 1) == pytest.approx(0.01)
-        # Original untouched.
-        assert tiny_device.error_for(2, 3) == pytest.approx(0.08)
-
-
-class TestFromAllocation:
-    def test_builds_device_with_sampled_errors(self, cx_model, rng):
-        allocation = allocation_from_labels(
-            np.array([0, 2, 1, 2, 0]), [(1, 0), (1, 2), (3, 2), (3, 4)]
-        )
-        frequencies = allocation.ideal_frequencies
-        device = Device.from_allocation(
-            "alloc-device", allocation, frequencies, cx_model, rng
-        )
-        assert device.num_qubits == 5
-        assert device.num_edges == 4
-        assert all(0 < e < 1 for e in device.edge_errors.values())
-
-    def test_link_edges_require_link_model(self, cx_model, rng):
-        allocation = allocation_from_labels(np.array([0, 2]), [(1, 0)])
-        with pytest.raises(ValueError):
-            Device.from_allocation(
-                "bad",
-                allocation,
-                allocation.ideal_frequencies,
-                cx_model,
-                rng,
-                link_edges=frozenset({(0, 1)}),
-            )
-
-    def test_link_edges_use_link_model(self, cx_model, rng):
-        allocation = allocation_from_labels(
-            np.array([0, 2, 1, 0]), [(1, 0), (1, 2), (2, 3)]
-        )
-        device = Device.from_allocation(
-            "linked",
-            allocation,
-            allocation.ideal_frequencies,
-            cx_model,
-            rng,
-            link_edges=frozenset({(2, 3)}),
-            link_model=LinkErrorModel.from_mean_median(),
-        )
-        assert device.num_link_edges == 1

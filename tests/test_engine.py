@@ -25,8 +25,6 @@ from repro.engine import (
     ExperimentSpec,
     Registry,
     ResultCache,
-    Task,
-    TaskGraph,
     spawn_seeds,
     stable_token,
 )
@@ -53,16 +51,8 @@ def _normal_sum(seed: int, count: int = 8) -> float:
     return float(np.random.default_rng(seed).normal(size=count).sum())
 
 
-def _add(a, b=0):
-    return a + b
-
-
 def _boom(x):
     raise RuntimeError(f"task failed on {x}")
-
-
-def _scaled_normal(scale, seed=0):
-    return scale * float(np.random.default_rng(seed).normal())
 
 
 class TestSeeding:
@@ -132,16 +122,6 @@ class TestEngineDeterminism:
         )
         assert results == [101, 102]
 
-    def test_engine_backed_sweep_parameter_uses_runner_param_name(self):
-        """Regression: the engine path must pass the value under the
-        runner's own first parameter name, not a hardcoded keyword."""
-        from repro.analysis.sweeps import sweep_parameter
-
-        engine = ExecutionEngine(jobs=1, use_cache=False)
-        pairs = sweep_parameter((3, 4), _scaled_normal, seed=11, executor=engine)
-        expected = sweep_parameter((3, 4), _scaled_normal, seed=11)
-        assert pairs == expected
-
 
 class TestResultCache:
     def test_hit_after_put(self, tmp_path):
@@ -198,34 +178,6 @@ class TestResultCache:
     def test_code_version_tracks_source(self):
         assert code_version_token(_square) == code_version_token(_square)
         assert code_version_token(_square) != code_version_token(_normal_sum)
-
-
-class TestTaskGraph:
-    def test_generations_respect_dependencies(self):
-        graph = TaskGraph()
-        graph.add("a", Task(name="t", fn=_add, params={"a": 1}))
-        graph.add("b", Task(name="t", fn=_add, params={"a": 2}))
-        graph.add("c", Task(name="t", fn=_add, params={"b": 10}, inject={"a": "a"}))
-        assert graph.generations() == [["a", "b"], ["c"]]
-
-    def test_run_graph_injects_dependency_results(self):
-        graph = TaskGraph()
-        graph.add("a", Task(name="t", fn=_add, params={"a": 1, "b": 2}))
-        graph.add("double", Task(name="t", fn=_add, params={}, inject={"a": "a", "b": "a"}))
-        results = ExecutionEngine(jobs=1, use_cache=False).run_graph(graph)
-        assert results == {"a": 3, "double": 6}
-
-    def test_cycle_detection(self):
-        graph = TaskGraph()
-        graph.add("a", Task(name="t", fn=_add, params={"a": 1}))
-        with pytest.raises(ValueError):
-            graph.add("b", Task(name="t", fn=_add), deps=("missing",))
-
-    def test_duplicate_id_rejected(self):
-        graph = TaskGraph()
-        graph.add("a", Task(name="t", fn=_add, params={"a": 1}))
-        with pytest.raises(ValueError):
-            graph.add("a", Task(name="t", fn=_add, params={"a": 2}))
 
 
 class TestRegistry:

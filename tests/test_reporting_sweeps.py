@@ -1,11 +1,10 @@
-"""Tests for report formatting and sweep helpers."""
+"""Tests for report formatting."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.analysis.reporting import format_series, format_table
-from repro.analysis.sweeps import grid_sweep, sweep_parameter
 
 
 class TestFormatTable:
@@ -30,17 +29,3 @@ class TestFormatTable:
         assert text.splitlines()[0] == "yield"
         assert "10: 0.8" in text
 
-
-class TestSweeps:
-    def test_grid_sweep_covers_cartesian_product(self):
-        records = grid_sweep({"a": [1, 2], "b": [10, 20]}, lambda a, b: a + b)
-        assert len(records) == 4
-        assert {r["result"] for r in records} == {11, 21, 12, 22}
-
-    def test_grid_sweep_preserves_parameters(self):
-        records = grid_sweep({"a": [3]}, lambda a: a * a)
-        assert records[0]["a"] == 3
-        assert records[0]["result"] == 9
-
-    def test_sweep_parameter(self):
-        assert sweep_parameter([1, 2, 3], lambda v: v * 10) == [(1, 10), (2, 20), (3, 30)]

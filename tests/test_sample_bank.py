@@ -18,9 +18,9 @@ Four layers of guarantees:
   runs at any ``--jobs``, tuned or untuned; every committed golden is
   re-checked with the bank *swapped for a zero-capacity one* (the
   ``unbanked`` fixture; the default tier-1 suite covers the real bank).
-* **Shared-draw axes** — ``share_draws`` on the sweep helpers hands
-  combinations the same child seed without disturbing the historical
-  derivation when off.
+* **Shared-draw axes** — ``detuning_sweep(share_draws=True)`` hands
+  every (step, sigma) curve the same child seed without disturbing the
+  historical derivation when off.
 """
 
 from __future__ import annotations
@@ -41,12 +41,8 @@ from repro.core.sample_bank import (
     clear_sample_bank,
     sample_bank_stats,
 )
-from repro.core.yield_model import (
-    detuning_sweep,
-    materialize_seeded_batch,
-    simulate_yield_point,
-)
-from repro.engine.seeding import spawn_seeds
+from repro.core.yield_model import detuning_sweep, simulate_yield_point
+from stats_reference import materialize_seeded_batch
 
 SEEDS = st.integers(min_value=0, max_value=2**63 - 1)
 SIGMAS = st.floats(min_value=1e-6, max_value=16.0, allow_nan=False)
@@ -326,57 +322,9 @@ class TestPipelineParity:
 
 
 # ---------------------------------------------------------------------- #
-# Shared-draw axes on the sweep helpers
+# Shared-draw axes
 # ---------------------------------------------------------------------- #
-def _record_runner(seed=None, **params):
-    return dict(params, seed=seed)
-
-
-def _value_runner(value, seed=None):
-    return {"value": value, "seed": seed}
-
-
 class TestSharedDrawAxes:
-    def test_grid_sweep_shares_seeds_along_declared_dims(self):
-        from repro.analysis.sweeps import grid_sweep
-
-        records = grid_sweep(
-            {"a": [1, 2], "b": [10, 20, 30]},
-            _record_runner,
-            seed=5,
-            share_draws=("b",),
-        )
-        by_a = {}
-        for record in records:
-            by_a.setdefault(record["a"], set()).add(record["result"]["seed"])
-        # One seed per a-value, shared across every b.
-        assert all(len(seeds) == 1 for seeds in by_a.values())
-        assert by_a[1] != by_a[2]
-        assert sorted(s for seeds in by_a.values() for s in seeds) == sorted(
-            spawn_seeds(5, 2)
-        )
-
-    def test_grid_sweep_default_matches_historical_derivation(self):
-        from repro.analysis.sweeps import grid_sweep
-
-        records = grid_sweep({"a": [1, 2], "b": [10, 20]}, _record_runner, seed=5)
-        assert [r["result"]["seed"] for r in records] == spawn_seeds(5, 4)
-
-    def test_grid_sweep_rejects_unknown_share_dim(self):
-        from repro.analysis.sweeps import grid_sweep
-
-        with pytest.raises(ValueError, match="share_draws"):
-            grid_sweep({"a": [1]}, _record_runner, seed=5, share_draws=("nope",))
-
-    def test_sweep_parameter_share_draws_single_seed(self):
-        from repro.analysis.sweeps import sweep_parameter
-
-        pairs = sweep_parameter(
-            [1, 2, 3], _value_runner, seed=9, share_draws=True
-        )
-        seeds = {result["seed"] for _, result in pairs}
-        assert seeds == {spawn_seeds(9, 1)[0]}
-
     def test_detuning_sweep_share_draws_defaults_off(self):
         """The historical derivation is untouched when share_draws is off."""
         baseline = detuning_sweep(**SMALL_SWEEP)

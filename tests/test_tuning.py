@@ -10,16 +10,15 @@ import pytest
 from repro.core.architecture import get_architecture
 from repro.core.assembly import assemble_mcms, fabricate_chiplet_bin
 from repro.core.chiplet import ChipletDesign
-from repro.core.collisions import find_collisions
+from repro.core.collisions import collision_free_mask, find_collisions
 from repro.core.fabrication import FabricationModel
 from repro.core.mcm import MCMDesign
 from repro.core.output_model import fabrication_output_from_results
 from repro.core.yield_model import (
     RepairedYieldResult,
     simulate_yield,
-    simulate_yield_adaptive,
+    simulate_yield_chunked,
     simulate_yield_point,
-    simulate_yield_streaming,
     yield_vs_qubits,
 )
 from repro.engine import ExecutionEngine, ResultCache, stable_token
@@ -30,11 +29,11 @@ from repro.tuning import (
     RepairStrategy,
     TunerModel,
     TuningOptions,
-    flux_trim_tuner,
     get_strategy,
-    laser_anneal_tuner,
     repair_batch,
 )
+
+from stats_reference import materialize_seeded_batch
 
 SIGMA = 0.014
 
@@ -85,14 +84,6 @@ class TestTunerModel:
 
     def test_budget_for_unlimited_cannot_be_exhausted(self):
         assert TunerModel().budget_for(100) > 100
-
-    def test_presets(self):
-        laser = laser_anneal_tuner()
-        flux = flux_trim_tuner()
-        assert laser.max_shift_ghz > flux.max_shift_ghz
-        assert flux.precision_sigma_ghz < laser.precision_sigma_ghz
-        assert laser.max_tunes_per_qubit == 2
-        assert flux.max_tunes_per_qubit is None
 
 
 class TestCollisionGraph:
@@ -279,29 +270,35 @@ class TestYieldModelIntegration:
     def test_streaming_chunks_adaptive_parity(self, allocation):
         fab = FabricationModel(sigma_ghz=SIGMA)
         opts = TuningOptions()
-        streamed = simulate_yield_streaming(
+        streamed = simulate_yield_chunked(
             allocation, fab, batch_size=300, chunk_size=100, seed=9, tuning=opts
         )
+        # Repair leaves the fabricated batch alone: the as-fab survivors
+        # are the reference batch's collision-free rows.
+        batch = materialize_seeded_batch(
+            allocation, fab, batch_size=300, chunk_size=100, seed=9
+        )
+        assert streamed.num_as_fab_free == int(collision_free_mask(allocation, batch).sum())
         # A zero-target adaptive run draws, and repairs, every chunk.
-        replayed = simulate_yield_adaptive(
+        replayed = simulate_yield_chunked(
             allocation,
             fab,
-            ci_target=0.0,
-            max_samples=300,
+            batch_size=300,
             chunk_size=100,
             seed=9,
             tuning=opts,
+            ci_target=0.0,
         )
         assert replayed == streamed
         # The adaptive run's observed samples are a prefix of the stream.
-        adaptive = simulate_yield_adaptive(
+        adaptive = simulate_yield_chunked(
             allocation,
             fab,
-            ci_target=0.5,
-            max_samples=300,
+            batch_size=300,
             chunk_size=100,
             seed=9,
             tuning=opts,
+            ci_target=0.5,
         )
         assert isinstance(adaptive, RepairedYieldResult)
         assert adaptive.samples_used <= 300
@@ -453,18 +450,12 @@ class TestFabricationOutputIntegration:
         output = fabrication_output_from_results(mono, chip, 2, 2)
         assert output.monolithic_repaired_yield == mono.num_repaired / 200
         assert output.chiplet_repaired_yield == chip.num_repaired / 200
-        assert output.monolithic_repaired_devices == pytest.approx(
-            mono.num_repaired
-        )
-        assert output.mcm_repaired_devices is not None
 
     def test_untuned_results_leave_repaired_fields_none(self):
         mono = simulate_yield_point(SIGMA, 0.06, 40, batch_size=200, seed=7)
         chip = simulate_yield_point(SIGMA, 0.06, 10, batch_size=200, seed=8)
         output = fabrication_output_from_results(mono, chip, 2, 2)
         assert output.monolithic_repaired_yield is None
-        assert output.monolithic_repaired_devices is None
-        assert output.mcm_repaired_devices is None
 
 
 class TestTuningOptionsBuild:
