@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import inf
 
-import numpy as np
-
 from repro.analysis.appeval import run_compile_jobs, score_from_row
 from repro.analysis.reporting import format_table
 from repro.analysis.study import ArchitectureStudy
@@ -37,15 +35,6 @@ class Fig10Result:
         return [
             (r["num_qubits"], r["ratio"]) for r in self.rows if r["benchmark"] == benchmark
         ]
-
-    def mcm_advantage_fraction(self, benchmark: str, chiplet_sizes: tuple[int, ...]) -> float:
-        """Fraction of systems (of given chiplet sizes) where the MCM wins."""
-        values = [
-            r["ratio"] >= 1.0
-            for r in self.rows
-            if r["benchmark"] == benchmark and r["chiplet_size"] in chiplet_sizes
-        ]
-        return float(np.mean(values)) if values else float("nan")
 
     def format_table(self) -> str:
         """Render every comparison row."""

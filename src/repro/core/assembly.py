@@ -134,6 +134,29 @@ class ChipletBin:
     chiplets: list[FabricatedChiplet]
     batch_size: int
     num_repaired: int = field(default=0, compare=False)
+    _rows: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        # The stacked rows repeat the chiplets' own arrays: pickles (pool
+        # transfers, the result cache) carry the chiplets alone.
+        return {**self.__dict__, "_rows": None}
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Frequencies ``(dies, qubits)`` and errors ``(dies, edges)`` of a
+        non-empty bin.
+
+        Stacked once per bin, in bin order, and shared by every design
+        assembled from it; :func:`fabricate_chiplet_bin` hands over the
+        sorted arrays it built the chiplets from.
+        """
+        if self._rows is None:
+            self._rows = (
+                np.stack([c.frequencies_ghz for c in self.chiplets]),
+                np.stack([c.errors for c in self.chiplets]),
+            )
+        return self._rows
 
     @property
     def num_collision_free(self) -> int:
@@ -323,6 +346,7 @@ def fabricate_chiplet_bin(
         part_errors.append(_characterise(repaired_rows, repair_rng))
 
     chiplets: list[FabricatedChiplet] = []
+    rows = None
     if parts:
         num_as_fab = as_fab.shape[0]
         all_rows = np.concatenate(parts, axis=0)
@@ -330,6 +354,7 @@ def fabricate_chiplet_bin(
         order = np.argsort(all_errors.mean(axis=1), kind="stable")
         sorted_rows = all_rows[order]
         sorted_errors = all_errors[order]
+        rows = (sorted_rows, sorted_errors)
         for rank, position in enumerate(order.tolist()):
             is_repaired = position >= num_as_fab
             chiplets.append(
@@ -343,16 +368,20 @@ def fabricate_chiplet_bin(
                     else (),
                 )
             )
-    return ChipletBin(
+    chiplet_bin = ChipletBin(
         design=design,
         chiplets=chiplets,
         batch_size=batch_size,
         num_repaired=num_repaired,
     )
+    chiplet_bin._rows = rows
+    return chiplet_bin
 
 
 def _try_placements(
-    chip_frequencies: np.ndarray,
+    frequencies: np.ndarray,
+    members: np.ndarray,
+    members_free: bool,
     design: MCMDesign,
     rng: np.random.Generator,
     max_reshuffles: int,
@@ -360,29 +389,38 @@ def _try_placements(
 ) -> tuple[np.ndarray | None, int]:
     """Search the reshuffles of a block whose in-order placement collided.
 
-    ``chip_frequencies`` holds the block's chiplets, one row each.
-    Returns the first collision-free placement (an array of row indices,
-    in slot order) and the number of reshuffles the search consumed.
+    ``members`` are the block's rows of the bin's ``frequencies`` and
+    ``members_free`` tells whether every one of them passes its own
+    on-chip criteria.  Returns the first collision-free placement (an
+    array of row indices into ``members``, in slot order) and the number
+    of reshuffles the search consumed.
 
-    Every candidate is drawn up front by one ``permuted`` call over a
-    tiled ``arange``, which draws exactly what ``max_reshuffles`` stacked
-    ``rng.permutation`` calls draw, and all of them are screened in a
-    *single* :func:`collision_free_mask` call instead of up to
-    ``max_reshuffles`` batch-of-1 calls.  To keep the caller's random
-    stream bit-identical to the historical draw-one-test-one loop (the
-    same generator later samples link errors), the generator is rewound
-    and replays exactly as many candidates as that loop would have
-    consumed.
+    A permutation of whole chiplets leaves every on-chip verdict as it
+    is, so when a member fails on-chip no candidate can be free and the
+    screen is skipped; otherwise a candidate is free iff it passes the
+    design's cross-chip criteria, and only the columns those read are
+    gathered.  Every candidate is drawn up front by one ``permuted``
+    call over a tiled ``arange``, which draws exactly what
+    ``max_reshuffles`` stacked ``rng.permutation`` calls draw, and all
+    of them are screened in a *single* :func:`collision_free_mask` call
+    instead of up to ``max_reshuffles`` batch-of-1 calls.  To keep the
+    caller's random stream bit-identical to the historical
+    draw-one-test-one loop (the same generator later samples link
+    errors), the generator is rewound and replays exactly as many
+    candidates as that loop would have consumed; a skipped screen
+    consumes all of them, as that loop's time-out did.
     """
     if max_reshuffles <= 0:
         return None, 0
     candidates = np.tile(np.arange(design.num_chips), (max_reshuffles, 1))
+    if not members_free:
+        rng.permuted(candidates, axis=1)
+        return None, max_reshuffles
     state = rng.bit_generator.state
     permutations = rng.permuted(candidates, axis=1)
-    # chip_frequencies[permutations] has shape (reshuffles, chips, qubits);
-    # flattening the chip axis gives each candidate's module frequencies.
-    batch = chip_frequencies[permutations].reshape(max_reshuffles, -1)
-    hits = np.flatnonzero(collision_free_mask(design.allocation, batch, thresholds))
+    cross = design.cross_chip
+    batch = frequencies[members[permutations[:, cross.slots]], cross.qubits]
+    hits = np.flatnonzero(collision_free_mask(cross.allocation, batch, thresholds))
     attempts = int(hits[0]) + 1 if hits.size else max_reshuffles
     if attempts < max_reshuffles:
         rng.bit_generator.state = state
@@ -419,6 +457,15 @@ def assemble_mcms(
     thresholds:
         Collision windows.
 
+    A module is collision-free iff each of its chiplets passes its own
+    on-chip criteria and the placement passes the design's cross-chip
+    criteria (:class:`repro.core.mcm.CrossChipCriteria`): every other
+    criterion of the module is a chiplet criterion on one slot.  So the
+    bin's rows are screened once, on the chiplet plan at these
+    ``thresholds`` (which may be wider than the bin's own, so a
+    known-good die can fail here), and placements only on the cross-chip
+    criteria.
+
     The pool is consumed in ``num_chips``-aligned blocks from the best
     chiplet on, and only a set-aside shifts that alignment.  The in-order
     check draws no randomness, so the in-order placements of every
@@ -441,8 +488,9 @@ def assemble_mcms(
     num_links = len(design.links)
 
     with phase("assemble"):
-        frequencies = np.stack([c.frequencies_ghz for c in chiplets])
-        errors = np.stack([c.errors for c in chiplets])
+        frequencies, errors = chiplet_bin.rows()
+        on_chip = collision_free_mask(design.chiplet.allocation, frequencies, thresholds)
+        cross = design.cross_chip
         start = 0  # first chiplet still in the pool
         while True:
             blocks = (len(chiplets) - start) // num_chips
@@ -450,9 +498,15 @@ def assemble_mcms(
                 blocks = min(blocks, max_mcms - result.num_mcms)
             if blocks <= 0:
                 break
-            in_order = collision_free_mask(
-                design.allocation,
-                frequencies[start : start + blocks * num_chips].reshape(blocks, -1),
+            firsts = start + num_chips * np.arange(blocks)
+            members_free = (
+                on_chip[start : start + blocks * num_chips]
+                .reshape(blocks, num_chips)
+                .all(axis=1)
+            )
+            in_order = members_free & collision_free_mask(
+                cross.allocation,
+                frequencies[firsts[:, np.newaxis] + cross.slots, cross.qubits],
                 thresholds,
             )
             for block in range(blocks):
@@ -460,7 +514,13 @@ def assemble_mcms(
                 members = np.arange(first, first + num_chips)
                 if not in_order[block]:
                     placement, attempts = _try_placements(
-                        frequencies[members], design, rng, max_reshuffles, thresholds
+                        frequencies,
+                        members,
+                        bool(members_free[block]),
+                        design,
+                        rng,
+                        max_reshuffles,
+                        thresholds,
                     )
                     result.reshuffles += attempts
                     if placement is None:

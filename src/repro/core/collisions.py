@@ -47,6 +47,14 @@ __all__ = [
 #: Identifiers of the seven collision criteria.
 COLLISION_TYPES = (1, 2, 3, 4, 5, 6, 7)
 
+#: Width (directed edges) of the mask kernel's first pair-criteria block;
+#: each later block is twice as wide as the one before.
+_FIRST_EDGE_BLOCK = 32
+
+#: Below this many live devices the mask kernel screens every remaining
+#: edge in one block.
+_MIN_BLOCKED_BATCH = 64
+
 
 @dataclass(frozen=True)
 class CollisionThresholds:
@@ -208,14 +216,20 @@ def collision_free_mask(
     Notes
     -----
     The criteria are evaluated in *stages* over a shrinking device
-    subset: the wide criteria (types 1 and 4, which need only the edge
-    endpoint frequencies) screen the whole batch first, the remaining
-    pair criteria check only the survivors, and the shared-control
-    criteria only the survivors of those.  A device is collision-free
-    iff no criterion flags it, so staging cannot change the result —
-    but at the yield phase transition, where most devices die on a pair
-    criterion, the later (and wider, per-triple) stages run on a few
-    percent of the batch and the kernel speeds up severalfold (see
+    subset.  The pair criteria (types 1-4) run over blocks of directed
+    edges: the first block holds 32 edges and each later one twice as
+    many as the one before, and once fewer than 64 devices are alive the
+    remaining edges go in one block (at that size a block costs about
+    as much as a whole pass).  Each block gathers its endpoint
+    frequencies once, screens the cheap, high-kill types 1 and 4, then
+    the narrow windows (types 2 and 3) on that block's survivors, and
+    drops the dead devices before the next block.  The shared-control
+    criteria (types 5-7) check only the devices that pass every pair
+    criterion.  A device is collision-free iff no criterion flags it,
+    and every criterion keeps its operands and order, so staging cannot
+    change the result — but at the yield phase transition most devices
+    die in the first block, and the later blocks and the per-triple
+    stage run on a few percent of the batch (see
     ``benchmarks/bench_engine.py``).
     """
     with phase("mask"):
@@ -240,14 +254,20 @@ def _collision_free_mask_impl(
     alive = np.arange(batch)  # indices of devices with no violation found yet
     sub = freqs
 
+    # Pair criteria (types 1-4) over edge blocks that double in width,
+    # dropping the dead devices after each block and, within a block,
+    # after the cheap high-kill types 1 and 4.
     edges = allocation.directed_edges
-    if edges.shape[0] and alive.size:
-        control = edges[:, 0]
-        target = edges[:, 1]
+    start, width = 0, _FIRST_EDGE_BLOCK
+    while start < edges.shape[0] and alive.size:
+        if alive.size < _MIN_BLOCKED_BATCH:
+            stop = edges.shape[0]
+        else:
+            stop = min(start + width, edges.shape[0])
+        control = edges[start:stop, 0]
+        target = edges[start:stop, 1]
         ai = alpha[control][np.newaxis, :]
         aj = alpha[target][np.newaxis, :]
-
-        # Stage 1: the cheap, high-kill criteria (types 1 and 4).
         fi = sub[:, control]
         fj = sub[:, target]
         quick = (np.abs(fi - fj) < thresholds.type1_ghz) | (fj < fi + ai) | (fi < fj)
@@ -257,8 +277,6 @@ def _collision_free_mask_impl(
             sub = sub[keep]
             fi = fi[keep]
             fj = fj[keep]
-
-        # Stage 2: the narrow pair windows (types 2 and 3) on survivors.
         if alive.size:
             rest = (np.abs(fi + ai / 2.0 - fj) < thresholds.type2_ghz) | (
                 np.abs(fi - (fj + aj)) < thresholds.type3_ghz
@@ -267,8 +285,9 @@ def _collision_free_mask_impl(
             if not keep.all():
                 alive = alive[keep]
                 sub = sub[keep]
+        start, width = stop, 2 * width
 
-    # Stage 3: shared-control criteria (types 5-7) on pair survivors.
+    # Shared-control criteria (types 5-7) on the pair survivors.
     triples = allocation.control_triples
     if triples.shape[0] and alive.size:
         control = triples[:, 0]

@@ -34,6 +34,7 @@ from repro.engine.phases import phase
 from repro.topology.coupling import CouplingMap
 
 __all__ = [
+    "CrossChipCriteria",
     "InterChipLink",
     "MCMDesign",
     "mcm_dimensions_for",
@@ -78,6 +79,31 @@ class InterChipLink:
         return (min(self.global_a, self.global_b), max(self.global_a, self.global_b))
 
 
+@dataclass(frozen=True)
+class CrossChipCriteria:
+    """The collision criteria of an MCM that span two chiplets.
+
+    Every other criterion of the module lies inside one chiplet slot and
+    is exactly the chiplet's own criterion on that slot: labels are
+    tiled and the anharmonicities come from one spec.  So a placement of
+    known-good chiplets can only fail on these.
+
+    Attributes
+    ----------
+    slots, qubits:
+        Chip slot and local qubit index of every module qubit the
+        criteria read, in ascending global order.
+    allocation:
+        The link directed edges and the control triples whose members lie
+        on two chips, re-indexed so that its qubit ``n`` is module qubit
+        ``slots[n] * chiplet.num_qubits + qubits[n]``.
+    """
+
+    slots: np.ndarray
+    qubits: np.ndarray
+    allocation: FrequencyAllocation
+
+
 @dataclass
 class MCMDesign:
     """A ``k x m`` grid of identical chiplets joined by inter-chip links.
@@ -92,6 +118,9 @@ class MCMDesign:
         Inter-chip links added by the builder.
     allocation:
         Ideal frequency plan of the full MCM.
+    cross_chip:
+        The criteria of ``allocation`` that span two chiplets, derived
+        by :meth:`build`.
     """
 
     chiplet: ChipletDesign
@@ -100,6 +129,7 @@ class MCMDesign:
     links: list[InterChipLink]
     allocation: FrequencyAllocation
     name: str = ""
+    cross_chip: CrossChipCriteria | None = field(default=None, repr=False, compare=False)
     _coupling: CouplingMap | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
@@ -131,6 +161,7 @@ class MCMDesign:
                 links=links,
                 allocation=allocation,
                 name=name,
+                cross_chip=_cross_chip_criteria(allocation, chiplet, num_chips),
             )
             check_ideal_plan(allocation, f"MCM design {name}")
             if not design.coupling_map().is_connected():
@@ -199,25 +230,6 @@ class MCMDesign:
             )
         return self._coupling
 
-    def assemble_frequencies(self, per_chip_frequencies: list[np.ndarray]) -> np.ndarray:
-        """Concatenate per-chiplet frequency vectors into an MCM-wide vector.
-
-        Parameters
-        ----------
-        per_chip_frequencies:
-            One array of shape ``(chiplet.num_qubits,)`` per chiplet slot, in
-            row-major slot order.
-        """
-        if len(per_chip_frequencies) != self.num_chips:
-            raise ValueError(
-                f"expected {self.num_chips} frequency vectors, got {len(per_chip_frequencies)}"
-            )
-        qc = self.chiplet.num_qubits
-        for vector in per_chip_frequencies:
-            if np.shape(vector) != (qc,):
-                raise ValueError("per-chiplet frequency vector has the wrong shape")
-        return np.concatenate([np.asarray(v, dtype=float) for v in per_chip_frequencies])
-
 
 def _module_edges(
     chiplet: ChipletDesign, num_chips: int, links: list[InterChipLink]
@@ -230,6 +242,38 @@ def _module_edges(
         edges.extend((u + offset, v + offset) for u, v in on_chip)
     edges.extend(link.edge for link in links)
     return edges
+
+
+def _cross_chip_criteria(
+    allocation: FrequencyAllocation, chiplet: ChipletDesign, num_chips: int
+) -> CrossChipCriteria:
+    """Split off the criteria of ``allocation`` whose members lie on two chips."""
+    qc = chiplet.num_qubits
+    edges = allocation.directed_edges
+    triples = allocation.control_triples
+    edge_chips = edges // qc
+    triple_chips = triples // qc
+    cross_edges = edges[edge_chips[:, 0] != edge_chips[:, 1]]
+    cross_triples = triples[(triple_chips != triple_chips[:, :1]).any(axis=1)]
+    # The rest must be the chiplet's own criteria, once per slot.
+    assert edges.shape[0] - cross_edges.shape[0] == num_chips * chiplet.allocation.num_edges
+    assert (
+        triples.shape[0] - cross_triples.shape[0]
+        == num_chips * chiplet.allocation.control_triples.shape[0]
+    )
+    columns = np.union1d(cross_edges, cross_triples)
+    return CrossChipCriteria(
+        slots=columns // qc,
+        qubits=columns % qc,
+        allocation=FrequencyAllocation(
+            spec=allocation.spec,
+            labels=allocation.labels[columns],
+            ideal_frequencies=allocation.ideal_frequencies[columns],
+            anharmonicities=allocation.anharmonicities[columns],
+            directed_edges=np.searchsorted(columns, cross_edges),
+            control_triples=np.searchsorted(columns, cross_triples),
+        ),
+    )
 
 
 class _LinkBuilder:

@@ -63,11 +63,12 @@ class Device:
             raise ValueError("frequency array does not match the qubit count")
         if self.labels.shape[0] != self.coupling.num_qubits:
             raise ValueError("label array does not match the qubit count")
+        # Re-key only the (u, v) keys with u > v.
         self.edge_errors = {
-            _normalise_edge(edge): float(error)
+            (edge if edge[0] <= edge[1] else (edge[1], edge[0])): float(error)
             for edge, error in self.edge_errors.items()
         }
-        missing = set(self.coupling.edges) - set(self.edge_errors)
+        missing = set(self.coupling.edges).difference(self.edge_errors)
         if missing:
             raise ValueError(f"missing error rates for couplings: {sorted(missing)[:5]}")
 

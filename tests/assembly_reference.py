@@ -61,8 +61,8 @@ def reference_try_placements(
     """In-order screen, then every reshuffle drawn by stacked ``permutation``."""
     num_chips = design.num_chips
     identity = list(range(num_chips))
-    frequencies = design.assemble_frequencies(
-        [subset[i].frequencies_ghz for i in identity]
+    frequencies = np.concatenate(
+        [np.asarray(subset[i].frequencies_ghz, dtype=float) for i in identity]
     )
     if bool(collision_free_mask(design.allocation, frequencies, thresholds)[0]):
         return identity, 0
@@ -75,7 +75,7 @@ def reference_try_placements(
     )
     chip_frequencies = np.stack([c.frequencies_ghz for c in subset])
     # chip_frequencies[permutations] has shape (reshuffles, chips, qubits);
-    # flattening the chip axis reproduces assemble_frequencies row by row.
+    # flattening the chip axis reproduces the in-order concatenation row by row.
     candidate_batch = chip_frequencies[permutations].reshape(max_reshuffles, -1)
     mask = collision_free_mask(design.allocation, candidate_batch, thresholds)
     hits = np.flatnonzero(mask)
@@ -124,7 +124,9 @@ def reference_assemble_mcms(
             continue
 
         ordered = [subset[i] for i in placement]
-        frequencies = design.assemble_frequencies([c.frequencies_ghz for c in ordered])
+        frequencies = np.concatenate(
+            [np.asarray(c.frequencies_ghz, dtype=float) for c in ordered]
+        )
         edge_errors: dict[tuple[int, int], float] = {}
         tuned_qubits: list[int] = []
         for chip_index, chiplet in enumerate(ordered):

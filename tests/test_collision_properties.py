@@ -15,7 +15,10 @@ Profiles: ``dev`` (default, 25 examples/property), ``ci`` (200),
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as npst
 
@@ -38,6 +41,13 @@ from repro.topology.heavy_hex import heavy_hex_by_qubit_count
 # and the lattice search is not free.
 _LATTICE_10 = heavy_hex_by_qubit_count(10)
 _ALLOCATION_10 = HeavyHexThreeFrequencyPlan().allocate(_LATTICE_10)
+
+# Plans with more directed edges (70 and 144) than the mask kernel's
+# first edge block (32), so a batch crosses block boundaries.
+_BLOCKED_PLANS = {
+    size: HeavyHexThreeFrequencyPlan().allocate(heavy_hex_by_qubit_count(size))
+    for size in (65, 127)
+}
 
 # The Table I demonstration device: control Q1 coupled to targets Q0, Q2.
 _TRIPLE_EDGES = [(1, 0), (1, 2)]
@@ -121,6 +131,84 @@ class TestScalarBatchParityProperties:
             ]
         )
         assert np.array_equal(batched, rowwise)
+
+
+def _scaled_thresholds(scale: float) -> CollisionThresholds:
+    base = CollisionThresholds()
+    return CollisionThresholds(
+        *(getattr(base, f.name) * scale for f in dataclasses.fields(base))
+    )
+
+
+def _first_pair_violations(allocation, reports) -> np.ndarray:
+    """Per report, the index of the first directed edge a pair criterion
+    flags (``num_edges`` when none does)."""
+    edge_index = {
+        tuple(edge): index for index, edge in enumerate(allocation.directed_edges.tolist())
+    }
+    return np.array(
+        [
+            min(
+                (edge_index[qubits] for ctype, qubits in report.collisions if ctype <= 4),
+                default=allocation.num_edges,
+            )
+            for report in reports
+        ]
+    )
+
+
+class TestBlockedKernelParity:
+    """The edge-blocked kernel against the scalar report on wide plans.
+
+    Near-ideal devices survive several blocks: 1- and 10-row batches
+    screen every edge at once, 500-row batches cross block boundaries
+    and, once fewer than 64 devices are left, the switch to one block.
+    """
+
+    @given(
+        size=st.sampled_from(sorted(_BLOCKED_PLANS)),
+        rows=st.sampled_from((1, 10, 500)),
+        sigma=st.floats(0.004, 0.03, allow_nan=False),
+        scale=st.floats(0.5, 1.5, allow_nan=False),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_mask_matches_scalar_report(self, size, rows, sigma, scale, seed):
+        allocation = _BLOCKED_PLANS[size]
+        thresholds = _scaled_thresholds(scale)
+        rng = np.random.default_rng(seed)
+        frequencies = allocation.ideal_frequencies + rng.normal(
+            0.0, sigma, size=(rows, allocation.num_qubits)
+        )
+        mask = collision_free_mask(allocation, frequencies, thresholds)
+        expected = [
+            find_collisions(allocation, row, thresholds).is_collision_free
+            for row in frequencies
+        ]
+        assert mask.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "sigma,blocks_at_full_width", [(0.014, True), (0.025, False)]
+    )
+    def test_fixed_batches_cross_blocks_and_the_small_batch_switch(
+        self, sigma, blocks_at_full_width
+    ):
+        """At 0.014 GHz at least 64 of 500 devices outlive the 32- and
+        64-edge blocks; at 0.025 GHz fewer than 64 (but some) outlive the
+        first, so the other 112 edges go in one block."""
+        allocation = _BLOCKED_PLANS[127]
+        thresholds = CollisionThresholds()
+        rng = np.random.default_rng(1)
+        frequencies = allocation.ideal_frequencies + rng.normal(
+            0.0, sigma, size=(500, allocation.num_qubits)
+        )
+        reports = [find_collisions(allocation, row, thresholds) for row in frequencies]
+        first = _first_pair_violations(allocation, reports)
+        if blocks_at_full_width:
+            assert (first >= 96).sum() >= 64
+        else:
+            assert 0 < (first >= 32).sum() < 64
+        mask = collision_free_mask(allocation, frequencies, thresholds)
+        assert mask.tolist() == [report.is_collision_free for report in reports]
 
 
 class TestIdealDeviceProperties:

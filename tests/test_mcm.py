@@ -85,23 +85,6 @@ class TestMCMDesign:
         with pytest.raises(IndexError):
             mcm_2x2_20.chip_offset(4)
 
-    def test_assemble_frequencies_concatenates(self, mcm_2x2_20):
-        import numpy as np
-
-        per_chip = [
-            np.full(mcm_2x2_20.chiplet.num_qubits, 5.0 + i) for i in range(4)
-        ]
-        assembled = mcm_2x2_20.assemble_frequencies(per_chip)
-        assert assembled.shape == (80,)
-        assert assembled[0] == pytest.approx(5.0)
-        assert assembled[-1] == pytest.approx(8.0)
-
-    def test_assemble_frequencies_validates_count(self, mcm_2x2_20):
-        import numpy as np
-
-        with pytest.raises(ValueError):
-            mcm_2x2_20.assemble_frequencies([np.zeros(20)] * 3)
-
     def test_rejects_single_chip_module(self, chiplet_20):
         with pytest.raises(ValueError):
             MCMDesign.build(chiplet_20, 1, 1)
