@@ -125,23 +125,6 @@ class AppSweepResult:
     utilisation: float
     rows: list[AppSweepRow] = field(default_factory=list)
 
-    def rows_for(
-        self,
-        topology: str | None = None,
-        routing: str | None = None,
-        tuned: bool | None = None,
-        benchmark: str | None = None,
-    ) -> list[AppSweepRow]:
-        """Rows matching every provided filter."""
-        return [
-            row
-            for row in self.rows
-            if (topology is None or row.topology == topology)
-            and (routing is None or row.routing == routing)
-            and (tuned is None or row.tuned == tuned)
-            and (benchmark is None or row.benchmark == benchmark)
-        ]
-
     def format_table(self) -> str:
         """Render every configuration row."""
         header = [

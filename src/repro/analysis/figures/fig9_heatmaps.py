@@ -19,14 +19,6 @@ class Fig9Result:
 
     cells: list[dict] = field(default_factory=list)
 
-    def ratios_for_scenario(self, scenario: str) -> dict[tuple[int, int], float]:
-        """Map (chiplet size, grid dimension) -> ratio for one scenario."""
-        return {
-            (c["chiplet_size"], c["grid"][0]): c["ratio"]
-            for c in self.cells
-            if c["scenario"] == scenario
-        }
-
     def fraction_below_one(self, scenario: str) -> float:
         """Fraction of (finite) cells where the MCM wins for one scenario."""
         ratios = [

@@ -95,12 +95,6 @@ class TunedYieldResult:
         """Yield fractions after repair along one topology's curve."""
         return [p.repaired_yield for p in self.curves[topology]]
 
-    def yield_gain(self, topology: str) -> float:
-        """Largest absolute yield recovered by repair along the curve."""
-        return max(
-            p.repaired_yield - p.as_fab_yield for p in self.curves[topology]
-        )
-
     def format_table(self) -> str:
         """Two rows per topology: the as-fab curve and the repaired curve."""
         header = ["topology", "pipeline"] + [str(s) for s in self.sizes]

@@ -410,12 +410,6 @@ class ArchitectureStudy:
         self._monolithic_results: dict[int, MonolithicResult] = {}
 
     # ------------------------------------------------------------------ #
-    # Random streams
-    # ------------------------------------------------------------------ #
-    def _rng(self, *key: int) -> np.random.Generator:
-        return _study_rng(self.config, *key)
-
-    # ------------------------------------------------------------------ #
     # Chiplets
     # ------------------------------------------------------------------ #
     def chiplet_design(self, size: int) -> ChipletDesign:

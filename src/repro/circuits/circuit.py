@@ -295,18 +295,6 @@ class QuantumCircuit:
                 adjacency[c].add(q)
         return adjacency
 
-    def remapped(self, mapping: dict[int, int], num_qubits: int | None = None) -> "QuantumCircuit":
-        """Return a copy with every qubit ``q`` replaced by ``mapping[q]``."""
-        return QuantumCircuit(
-            num_qubits if num_qubits is not None else self.num_qubits,
-            self.name,
-            list(self.names),
-            [mapping[q] for q in self.q0],
-            [mapping[q] if q >= 0 else -1 for q in self.q1],
-            list(self.params),
-            {index: mapping[q] for index, q in self.q2.items()},
-        )
-
     def copy(self) -> "QuantumCircuit":
         """Copy of the circuit (the columns are copied, parameters shared)."""
         return QuantumCircuit(

@@ -100,11 +100,3 @@ class Gate:
     def is_two_qubit(self) -> bool:
         """True for two-qubit gates."""
         return self.num_qubits == 2
-
-    def remapped(self, mapping: dict[int, int]) -> "Gate":
-        """Return a copy acting on ``mapping[q]`` for every qubit ``q``."""
-        return Gate(
-            name=self.name,
-            qubits=tuple(mapping[q] for q in self.qubits),
-            params=self.params,
-        )

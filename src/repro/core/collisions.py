@@ -18,9 +18,13 @@ Type  Condition                                    Threshold    Applies to
 7     ``2 f_i + a = f_j + f_k``                    +/- 0.017    control ``i`` with targets ``j``, ``k``
 ====  ==========================================  ===========  =====================================
 
-The module offers both a scalar API (useful for tests and for explaining a
-single violation) and a batched, fully vectorised evaluator used by the
-Monte-Carlo yield model, where frequencies have shape ``(batch, num_qubits)``.
+Each criterion is written once, as an elementwise function below
+(:data:`PAIR_CRITERIA`, :data:`TRIPLE_CRITERIA`).  The staged mask kernel
+of :func:`collision_free_mask` (the Monte-Carlo screen), the per-device
+report of :func:`find_collisions` and, through :func:`criterion_flags`,
+the repair subsystem's ``CollisionGraph`` all call them; the graph's
+scalar ``local_violations`` re-check is the one other transcription,
+kept for speed (its docstring says why).
 """
 
 from __future__ import annotations
@@ -42,6 +46,9 @@ __all__ = [
     "collision_free_mask",
     "count_collision_free",
     "COLLISION_TYPES",
+    "PAIR_CRITERIA",
+    "TRIPLE_CRITERIA",
+    "criterion_flags",
 ]
 
 #: Identifiers of the seven collision criteria.
@@ -81,8 +88,6 @@ class CollisionReport:
     collisions:
         List of ``(type, qubits)`` tuples, one per violated condition, where
         ``qubits`` identifies the participating qubits (pair or triple).
-    counts_by_type:
-        Number of violations of each criterion type.
     """
 
     collisions: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
@@ -105,10 +110,72 @@ class CollisionReport:
         return counts
 
 
-def _pairwise_arrays(allocation: FrequencyAllocation):
-    edges = allocation.directed_edges
-    triples = allocation.control_triples
-    return edges, triples
+def type1_collision(fi, fj, ai, aj, thresholds: CollisionThresholds):
+    """Type 1, ``f_i = f_j``: nearest neighbours too close to resonance."""
+    return np.abs(fi - fj) < thresholds.type1_ghz
+
+
+def type2_collision(fi, fj, ai, aj, thresholds: CollisionThresholds):
+    """Type 2, ``f_i + a/2 = f_j``: the control's two-photon line on the target."""
+    return np.abs(fi + ai / 2.0 - fj) < thresholds.type2_ghz
+
+
+def type3_collision(fi, fj, ai, aj, thresholds: CollisionThresholds):
+    """Type 3, ``f_i = f_j + a``: one qubit on the other's 1-2 transition."""
+    return (np.abs(fi - (fj + aj)) < thresholds.type3_ghz) | (
+        np.abs(fj - (fi + ai)) < thresholds.type3_ghz
+    )
+
+
+def type4_collision(fi, fj, ai, aj, thresholds: CollisionThresholds):
+    """Type 4: the target outside the control's straddling regime."""
+    return (fj < fi + ai) | (fi < fj)
+
+
+def type5_collision(fi, fj, fk, ai, aj, ak, thresholds: CollisionThresholds):
+    """Type 5, ``f_j = f_k``: degenerate targets of one control."""
+    return np.abs(fj - fk) < thresholds.type5_ghz
+
+
+def type6_collision(fi, fj, fk, ai, aj, ak, thresholds: CollisionThresholds):
+    """Type 6, ``f_j = f_k + a``: a target on its sibling's 1-2 transition."""
+    return (np.abs(fj - (fk + ak)) < thresholds.type6_ghz) | (
+        np.abs(fk - (fj + aj)) < thresholds.type6_ghz
+    )
+
+
+def type7_collision(fi, fj, fk, ai, aj, ak, thresholds: CollisionThresholds):
+    """Type 7, ``2 f_i + a = f_j + f_k``: a control-mediated two-photon line."""
+    return np.abs(2.0 * fi + ai - (fj + fk)) < thresholds.type7_ghz
+
+
+#: Types 1-4 on ``(fi, fj, ai, aj, thresholds)`` of a directed edge.
+PAIR_CRITERIA = (type1_collision, type2_collision, type3_collision, type4_collision)
+
+#: Types 5-7 on ``(fi, fj, fk, ai, aj, ak, thresholds)`` of a control triple.
+TRIPLE_CRITERIA = (type5_collision, type6_collision, type7_collision)
+
+
+def criterion_flags(
+    frequencies: np.ndarray,
+    columns: tuple[np.ndarray, ...],
+    alphas: tuple[np.ndarray, ...],
+    thresholds: CollisionThresholds,
+) -> list[np.ndarray]:
+    """One boolean array per type: types 1-4 when ``columns`` is the
+    ``(control, target)`` pair of ``m`` directed edges, types 5-7 when it
+    is ``(control, target_a, target_b)`` of ``m`` control triples, with
+    ``alphas`` the anharmonicities of those qubits, column for column.
+    Each array has shape ``(m,)`` for one device, ``(batch, m)`` for a
+    ``(batch, num_qubits)`` batch.
+    """
+    criteria = PAIR_CRITERIA if len(columns) == 2 else TRIPLE_CRITERIA
+    if frequencies.ndim == 1:
+        operands = [frequencies[column] for column in columns]
+    else:
+        operands = [frequencies[:, column] for column in columns]
+    operands += (*alphas, thresholds)
+    return [criterion(*operands) for criterion in criteria]
 
 
 def find_collisions(
@@ -117,6 +184,9 @@ def find_collisions(
     thresholds: CollisionThresholds | None = None,
 ) -> CollisionReport:
     """List every collision on a single device.
+
+    Violations are listed edge by edge (in ``directed_edges`` order,
+    types 1-4 within an edge), then triple by triple (types 5-7).
 
     Parameters
     ----------
@@ -133,42 +203,19 @@ def find_collisions(
         raise ValueError(
             f"expected {allocation.num_qubits} frequencies, got shape {freqs.shape}"
         )
-    alpha = allocation.anharmonicities
     report = CollisionReport()
-    edges, triples = _pairwise_arrays(allocation)
-
-    for control, target in edges:
-        fi, fj = freqs[control], freqs[target]
-        ai = alpha[control]
-        aj = alpha[target]
-        if abs(fi - fj) < thresholds.type1_ghz:
-            report.collisions.append((1, (int(control), int(target))))
-        if abs(fi + ai / 2.0 - fj) < thresholds.type2_ghz:
-            report.collisions.append((2, (int(control), int(target))))
-        if (
-            abs(fi - (fj + aj)) < thresholds.type3_ghz
-            or abs(fj - (fi + ai)) < thresholds.type3_ghz
-        ):
-            report.collisions.append((3, (int(control), int(target))))
-        if fj < fi + ai or fi < fj:
-            report.collisions.append((4, (int(control), int(target))))
-
-    for control, t_a, t_b in triples:
-        fj, fk = freqs[t_a], freqs[t_b]
-        fi = freqs[control]
-        ai = alpha[control]
-        aj = alpha[t_a]
-        ak = alpha[t_b]
-        if abs(fj - fk) < thresholds.type5_ghz:
-            report.collisions.append((5, (int(control), int(t_a), int(t_b))))
-        if (
-            abs(fj - (fk + ak)) < thresholds.type6_ghz
-            or abs(fk - (fj + aj)) < thresholds.type6_ghz
-        ):
-            report.collisions.append((6, (int(control), int(t_a), int(t_b))))
-        if abs(2.0 * fi + ai - (fj + fk)) < thresholds.type7_ghz:
-            report.collisions.append((7, (int(control), int(t_a), int(t_b))))
-
+    for members, first_type in (
+        (allocation.directed_edges, 1),
+        (allocation.control_triples, 5),
+    ):
+        columns = tuple(members.T)
+        alphas = tuple(allocation.anharmonicities[column] for column in columns)
+        flags = criterion_flags(freqs, columns, alphas, thresholds)
+        rows, types = np.nonzero(np.stack(flags, axis=1))
+        report.collisions.extend(
+            (first_type + ctype, tuple(qubits))
+            for ctype, qubits in zip(types.tolist(), members[rows].tolist())
+        )
     return report
 
 
@@ -242,9 +289,7 @@ def _collision_free_mask_impl(
     thresholds: CollisionThresholds | None = None,
 ) -> np.ndarray:
     thresholds = thresholds or CollisionThresholds()
-    freqs = np.asarray(frequencies, dtype=float)
-    if freqs.ndim == 1:
-        freqs = freqs[np.newaxis, :]
+    freqs = np.atleast_2d(np.asarray(frequencies, dtype=float))
     if freqs.shape[1] != allocation.num_qubits:
         raise ValueError(
             f"expected {allocation.num_qubits} qubits per device, got {freqs.shape[1]}"
@@ -270,7 +315,9 @@ def _collision_free_mask_impl(
         aj = alpha[target][np.newaxis, :]
         fi = sub[:, control]
         fj = sub[:, target]
-        quick = (np.abs(fi - fj) < thresholds.type1_ghz) | (fj < fi + ai) | (fi < fj)
+        quick = type1_collision(fi, fj, ai, aj, thresholds) | type4_collision(
+            fi, fj, ai, aj, thresholds
+        )
         keep = ~quick.any(axis=1)
         if not keep.all():
             alive = alive[keep]
@@ -278,9 +325,9 @@ def _collision_free_mask_impl(
             fi = fi[keep]
             fj = fj[keep]
         if alive.size:
-            rest = (np.abs(fi + ai / 2.0 - fj) < thresholds.type2_ghz) | (
-                np.abs(fi - (fj + aj)) < thresholds.type3_ghz
-            ) | (np.abs(fj - (fi + ai)) < thresholds.type3_ghz)
+            rest = type2_collision(fi, fj, ai, aj, thresholds) | type3_collision(
+                fi, fj, ai, aj, thresholds
+            )
             keep = ~rest.any(axis=1)
             if not keep.all():
                 alive = alive[keep]
@@ -290,23 +337,13 @@ def _collision_free_mask_impl(
     # Shared-control criteria (types 5-7) on the pair survivors.
     triples = allocation.control_triples
     if triples.shape[0] and alive.size:
-        control = triples[:, 0]
-        t_a = triples[:, 1]
-        t_b = triples[:, 2]
-        fi = sub[:, control]
-        fj = sub[:, t_a]
-        fk = sub[:, t_b]
+        control, t_a, t_b = triples[:, 0], triples[:, 1], triples[:, 2]
         ai = alpha[control][np.newaxis, :]
         aj = alpha[t_a][np.newaxis, :]
         ak = alpha[t_b][np.newaxis, :]
-
-        type5 = np.abs(fj - fk) < thresholds.type5_ghz
-        type6 = (np.abs(fj - (fk + ak)) < thresholds.type6_ghz) | (
-            np.abs(fk - (fj + aj)) < thresholds.type6_ghz
-        )
-        type7 = np.abs(2.0 * fi + ai - (fj + fk)) < thresholds.type7_ghz
-        triple_any = type5 | type6 | type7
-        alive = alive[~triple_any.any(axis=1)]
+        operands = (sub[:, control], sub[:, t_a], sub[:, t_b], ai, aj, ak, thresholds)
+        type5, type6, type7 = [criterion(*operands) for criterion in TRIPLE_CRITERIA]
+        alive = alive[~(type5 | type6 | type7).any(axis=1)]
 
     free = np.zeros(batch, dtype=bool)
     free[alive] = True

@@ -68,12 +68,6 @@ class FabricationModel:
         if self.sigma_ghz < 0:
             raise ValueError("sigma_ghz must be non-negative")
 
-    def sample_device(
-        self, allocation: FrequencyAllocation, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Sample the frequencies of a single fabricated device."""
-        return self.sample_batch(allocation, 1, rng)[0]
-
     def standard_draws(
         self,
         allocation: FrequencyAllocation,
@@ -139,11 +133,3 @@ class FabricationModel:
             frequencies = draws * self.sigma_ghz
             frequencies += allocation.ideal_frequencies
             return frequencies
-
-    def with_laser_tuning(self, tuned_sigma_ghz: float = SIGMA_LASER_TUNED_GHZ) -> "FabricationModel":
-        """Return a model describing the post-laser-tuning precision.
-
-        Laser annealing can only improve precision, so the tuned scatter is
-        capped at the current value.
-        """
-        return FabricationModel(sigma_ghz=min(self.sigma_ghz, tuned_sigma_ghz))

@@ -45,8 +45,3 @@ class PhysicalQubit:
     t1_us: float | None = None
     t2_us: float | None = None
     tuned: bool = False
-
-    @property
-    def frequency_offset_ghz(self) -> float:
-        """Deviation of the actual frequency from its design target."""
-        return self.frequency_ghz - self.ideal_frequency_ghz

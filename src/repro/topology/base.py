@@ -202,10 +202,6 @@ class LatticeOps:
         """True when every qubit can reach every other qubit."""
         return rows_connected(adjacency_rows(len(self.sites), self.edges))
 
-    def dense_qubits(self) -> list[int]:
-        """Indices of the link-capable (non-bridge) qubits."""
-        return [site.index for site in self.sites if not site.is_bridge]
-
     def bridge_qubits(self) -> list[int]:
         """Indices of the bridge qubits (empty for most topologies)."""
         return [site.index for site in self.sites if site.is_bridge]

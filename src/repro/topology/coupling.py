@@ -147,12 +147,6 @@ class CouplingMap:
         """Shortest-path distance (hops) between two qubits."""
         return int(self.distance_matrix()[u, v])
 
-    def diameter(self) -> int:
-        """Graph diameter (largest shortest-path distance)."""
-        matrix = self.distance_matrix()
-        finite = matrix[np.isfinite(matrix)]
-        return int(finite.max()) if finite.size else 0
-
     def shortest_path(self, u: int, v: int) -> list[int]:
         """One shortest path between two qubits, as a list of qubit indices."""
         return nx.shortest_path(self.graph(), u, v)

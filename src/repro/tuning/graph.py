@@ -15,24 +15,27 @@ strategy can
    criteria touching one qubit are too few for numpy's per-call overhead
    to pay off), bit-identical to the vectorised subset evaluation.
 
-The per-criterion formulas are the same as
-:func:`repro.core.collisions.collision_free_mask` — the graph counts one
-violation per (criterion type, edge/triple) pair, exactly like
-:meth:`repro.core.collisions.CollisionReport.num_collisions` — so a
-device the graph scores at zero violations is collision-free under the
-authoritative batched mask.
+The vectorised counts evaluate the criterion functions of
+:mod:`repro.core.collisions` (through ``criterion_flags``), the ones the
+batched mask and ``find_collisions`` call, and count one violation per
+(criterion type, edge/triple) pair like ``CollisionReport.num_collisions``,
+so a device the graph scores at zero violations is collision-free under
+the authoritative batched mask.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.collisions import CollisionThresholds
+from repro.core.collisions import (
+    PAIR_CRITERIA,
+    TRIPLE_CRITERIA,
+    CollisionThresholds,
+    criterion_flags,
+)
 from repro.core.frequencies import FrequencyAllocation
 
 __all__ = ["CollisionGraph"]
-
-_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 class CollisionGraph:
@@ -61,135 +64,70 @@ class CollisionGraph:
 
         edges = allocation.directed_edges
         triples = allocation.control_triples
-        self.edge_control = edges[:, 0] if edges.shape[0] else _EMPTY
-        self.edge_target = edges[:, 1] if edges.shape[0] else _EMPTY
-        self.triple_control = triples[:, 0] if triples.shape[0] else _EMPTY
-        self.triple_a = triples[:, 1] if triples.shape[0] else _EMPTY
-        self.triple_b = triples[:, 2] if triples.shape[0] else _EMPTY
+        self.edge_control, self.edge_target = edges.T
+        self.triple_control, self.triple_a, self.triple_b = triples.T
+        edge_columns = (self.edge_control, self.edge_target)
+        triple_columns = (self.triple_control, self.triple_a, self.triple_b)
+        # (qubit columns, their anharmonicities) of the edges and triples.
+        self._edges = (edge_columns, tuple(self.alpha[c] for c in edge_columns))
+        self._triples = (triple_columns, tuple(self.alpha[c] for c in triple_columns))
+        # The qubit each flag scores, in per_qubit_violations' flag order.
+        self._flag_qubits = np.concatenate(
+            edge_columns * len(PAIR_CRITERIA) + triple_columns * len(TRIPLE_CRITERIA)
+        )
 
-        edge_lists: list[list[int]] = [[] for _ in range(self.num_qubits)]
-        for index in range(edges.shape[0]):
-            edge_lists[int(edges[index, 0])].append(index)
-            edge_lists[int(edges[index, 1])].append(index)
-        triple_lists: list[list[int]] = [[] for _ in range(self.num_qubits)]
-        for index in range(triples.shape[0]):
-            for qubit in triples[index]:
-                triple_lists[int(qubit)].append(index)
-        self._edges_by_qubit = [np.asarray(l, dtype=np.int64) for l in edge_lists]
-        self._triples_by_qubit = [np.asarray(l, dtype=np.int64) for l in triple_lists]
+        incidence = []
+        for members in (edges, triples):
+            lists: list[list[int]] = [[] for _ in range(self.num_qubits)]
+            for index, group in enumerate(members.tolist()):
+                for qubit in group:
+                    lists[qubit].append(index)
+            incidence.append([np.asarray(l, dtype=np.int64) for l in lists])
+        self._edges_by_qubit, self._triples_by_qubit = incidence
         self._neighbors_by_qubit: list[np.ndarray] | None = None
         self._local_terms: list[tuple[tuple, tuple]] | None = None
 
-    # ------------------------------------------------------------------ #
-    # Criterion evaluation (single device, vectorised over constraints)
-    # ------------------------------------------------------------------ #
+    def _flags(self, members: tuple, frequencies: np.ndarray, indices=None) -> list:
+        """``criterion_flags`` of ``members``, or of its subset ``indices``."""
+        columns, alphas = members
+        if indices is not None:
+            columns = tuple(column[indices] for column in columns)
+            alphas = tuple(alpha[indices] for alpha in alphas)
+        return criterion_flags(frequencies, columns, alphas, self.thresholds)
+
     def edge_violations(
         self, frequencies: np.ndarray, edge_indices: np.ndarray | None = None
     ) -> int:
-        """Violated pair criteria (types 1-4) over selected edges.
-
-        ``edge_indices`` restricts the check to a subset (the touched
-        edges of a candidate shift); ``None`` checks every edge.
-        """
-        control = self.edge_control
-        target = self.edge_target
-        if edge_indices is not None:
-            control = control[edge_indices]
-            target = target[edge_indices]
-        if control.shape[0] == 0:
-            return 0
-        th = self.thresholds
-        fi = frequencies[control]
-        fj = frequencies[target]
-        ai = self.alpha[control]
-        aj = self.alpha[target]
-        type1 = np.abs(fi - fj) < th.type1_ghz
-        type2 = np.abs(fi + ai / 2.0 - fj) < th.type2_ghz
-        type3 = (np.abs(fi - (fj + aj)) < th.type3_ghz) | (
-            np.abs(fj - (fi + ai)) < th.type3_ghz
-        )
-        type4 = (fj < fi + ai) | (fi < fj)
-        return int(type1.sum() + type2.sum() + type3.sum() + type4.sum())
+        """Violated pair criteria over selected edges (``None``: all)."""
+        flags = self._flags(self._edges, frequencies, edge_indices)
+        return sum(map(np.count_nonzero, flags))
 
     def triple_violations(
         self, frequencies: np.ndarray, triple_indices: np.ndarray | None = None
     ) -> int:
-        """Violated shared-control criteria (types 5-7) over selected triples."""
-        control = self.triple_control
-        t_a = self.triple_a
-        t_b = self.triple_b
-        if triple_indices is not None:
-            control = control[triple_indices]
-            t_a = t_a[triple_indices]
-            t_b = t_b[triple_indices]
-        if control.shape[0] == 0:
-            return 0
-        th = self.thresholds
-        fi = frequencies[control]
-        fj = frequencies[t_a]
-        fk = frequencies[t_b]
-        ai = self.alpha[control]
-        aj = self.alpha[t_a]
-        ak = self.alpha[t_b]
-        type5 = np.abs(fj - fk) < th.type5_ghz
-        type6 = (np.abs(fj - (fk + ak)) < th.type6_ghz) | (
-            np.abs(fk - (fj + aj)) < th.type6_ghz
-        )
-        type7 = np.abs(2.0 * fi + ai - (fj + fk)) < th.type7_ghz
-        return int(type5.sum() + type6.sum() + type7.sum())
+        """Violated shared-control criteria over selected triples."""
+        flags = self._flags(self._triples, frequencies, triple_indices)
+        return sum(map(np.count_nonzero, flags))
 
     def total_violations(self, frequencies: np.ndarray) -> int:
         """Violated criteria over the whole device (0 == collision-free)."""
         return self.edge_violations(frequencies) + self.triple_violations(frequencies)
 
-    # ------------------------------------------------------------------ #
-    # Criterion evaluation (device-major: whole batch, one pass)
-    # ------------------------------------------------------------------ #
     def batch_total_violations(self, frequencies: np.ndarray) -> np.ndarray:
         """Per-device violated-criteria counts for a ``(batch, num_qubits)``
-        array — every criterion extracted across the batch dimension in one
-        vectorised pass.
+        array, in one vectorised pass over the batch.
 
-        Row ``i`` equals ``total_violations(frequencies[i])`` exactly (the
-        same comparisons summed in a different order over integers), so
-        the batch repair driver can screen every collided device up front
+        Row ``i`` equals ``total_violations(frequencies[i])``, so the
+        batch repair driver screens every collided device up front
         instead of paying one Python-level evaluation per die.
         """
-        freqs = np.asarray(frequencies, dtype=float)
-        if freqs.ndim == 1:
-            freqs = freqs[np.newaxis, :]
-        counts = np.zeros(freqs.shape[0], dtype=np.int64)
-        th = self.thresholds
-        if self.edge_control.shape[0]:
-            fi = freqs[:, self.edge_control]
-            fj = freqs[:, self.edge_target]
-            ai = self.alpha[self.edge_control][np.newaxis, :]
-            aj = self.alpha[self.edge_target][np.newaxis, :]
-            counts += (np.abs(fi - fj) < th.type1_ghz).sum(axis=1)
-            counts += (np.abs(fi + ai / 2.0 - fj) < th.type2_ghz).sum(axis=1)
-            counts += (
-                (np.abs(fi - (fj + aj)) < th.type3_ghz)
-                | (np.abs(fj - (fi + ai)) < th.type3_ghz)
-            ).sum(axis=1)
-            counts += ((fj < fi + ai) | (fi < fj)).sum(axis=1)
-        if self.triple_control.shape[0]:
-            fi = freqs[:, self.triple_control]
-            fj = freqs[:, self.triple_a]
-            fk = freqs[:, self.triple_b]
-            ai = self.alpha[self.triple_control][np.newaxis, :]
-            aj = self.alpha[self.triple_a][np.newaxis, :]
-            ak = self.alpha[self.triple_b][np.newaxis, :]
-            counts += (np.abs(fj - fk) < th.type5_ghz).sum(axis=1)
-            counts += (
-                (np.abs(fj - (fk + ak)) < th.type6_ghz)
-                | (np.abs(fk - (fj + aj)) < th.type6_ghz)
-            ).sum(axis=1)
-            counts += (np.abs(2.0 * fi + ai - (fj + fk)) < th.type7_ghz).sum(axis=1)
-        return counts
+        freqs = np.atleast_2d(np.asarray(frequencies, dtype=float))
+        return sum(
+            flags.sum(axis=1)
+            for members in (self._edges, self._triples)
+            for flags in self._flags(members, freqs)
+        )
 
-    # ------------------------------------------------------------------ #
-    # Locality
-    # ------------------------------------------------------------------ #
     def touched(self, qubit: int) -> tuple[np.ndarray, np.ndarray]:
         """``(edge_indices, triple_indices)`` containing ``qubit``.
 
@@ -208,13 +146,10 @@ class CollisionGraph:
         """
         if self._neighbors_by_qubit is None:
             members: list[set[int]] = [{q} for q in range(self.num_qubits)]
-            for u, v in zip(self.edge_control, self.edge_target):
-                members[int(u)].add(int(v))
-                members[int(v)].add(int(u))
-            for c, a, b in zip(self.triple_control, self.triple_a, self.triple_b):
-                triple = (int(c), int(a), int(b))
-                for q in triple:
-                    members[q].update(triple)
+            for columns, _ in (self._edges, self._triples):
+                for group in zip(*(column.tolist() for column in columns)):
+                    for q in group:
+                        members[q].update(group)
             self._neighbors_by_qubit = [
                 np.fromiter(sorted(s), count=len(s), dtype=np.int64) for s in members
             ]
@@ -230,10 +165,15 @@ class CollisionGraph:
         alpha_c, alpha_a, alpha_b)`` tuple per touched triple, built
         lazily in one pass and cached on the graph.  Frequencies are read
         with ``frequencies.item(i)`` and every criterion is written with
-        the same expression and operand order as the vectorised methods,
-        so on a float64 array both sides do the same IEEE double
-        arithmetic and every comparison agrees bit for bit, NaN
-        included.  This is the repair strategies' per-candidate re-check.
+        the same expression and operand order as the shared criterion
+        functions, so on a float64 array both sides do the same IEEE
+        double arithmetic and every comparison agrees bit for bit, NaN
+        included.  This is the repair strategies' per-candidate re-check,
+        and the one transcription of the criteria besides the shared
+        functions, kept for speed: on a 65-qubit heavy-hex plan (2-core
+        x86 host) it takes 2.0 us a call, against 7.1 us for the shared
+        functions called term by term and 28 us for the numpy subset.
+        ``tests/test_repair_vectorized.py`` pins it to the shared counts.
         """
         if self._local_terms is None:
             self._local_terms = self._build_local_terms()
@@ -266,19 +206,10 @@ class CollisionGraph:
         return count
 
     def _build_local_terms(self) -> list[tuple[tuple, tuple]]:
-        alpha = self.alpha.tolist()
-        edge_terms = [
-            (c, t, alpha[c], alpha[t])
-            for c, t in zip(self.edge_control.tolist(), self.edge_target.tolist())
-        ]
-        triple_terms = [
-            (c, a, b, alpha[c], alpha[a], alpha[b])
-            for c, a, b in zip(
-                self.triple_control.tolist(),
-                self.triple_a.tolist(),
-                self.triple_b.tolist(),
-            )
-        ]
+        edge_terms, triple_terms = (
+            list(zip(*(array.tolist() for array in columns + alphas)))
+            for columns, alphas in (self._edges, self._triples)
+        )
         return [
             (
                 tuple(edge_terms[i] for i in edge_idx.tolist()),
@@ -295,43 +226,15 @@ class CollisionGraph:
         Computed in one vectorised pass: every violated edge scores both
         endpoints, every violated triple all three members.
         """
-        counts = np.zeros(self.num_qubits, dtype=np.int64)
-        th = self.thresholds
-        if self.edge_control.shape[0]:
-            fi = frequencies[self.edge_control]
-            fj = frequencies[self.edge_target]
-            ai = self.alpha[self.edge_control]
-            aj = self.alpha[self.edge_target]
-            per_edge = (
-                (np.abs(fi - fj) < th.type1_ghz).astype(np.int64)
-                + (np.abs(fi + ai / 2.0 - fj) < th.type2_ghz)
-                + (
-                    (np.abs(fi - (fj + aj)) < th.type3_ghz)
-                    | (np.abs(fj - (fi + ai)) < th.type3_ghz)
-                )
-                + ((fj < fi + ai) | (fi < fj))
-            )
-            np.add.at(counts, self.edge_control, per_edge)
-            np.add.at(counts, self.edge_target, per_edge)
-        if self.triple_control.shape[0]:
-            fi = frequencies[self.triple_control]
-            fj = frequencies[self.triple_a]
-            fk = frequencies[self.triple_b]
-            ai = self.alpha[self.triple_control]
-            aj = self.alpha[self.triple_a]
-            ak = self.alpha[self.triple_b]
-            per_triple = (
-                (np.abs(fj - fk) < th.type5_ghz).astype(np.int64)
-                + (
-                    (np.abs(fj - (fk + ak)) < th.type6_ghz)
-                    | (np.abs(fk - (fj + aj)) < th.type6_ghz)
-                )
-                + (np.abs(2.0 * fi + ai - (fj + fk)) < th.type7_ghz)
-            )
-            np.add.at(counts, self.triple_control, per_triple)
-            np.add.at(counts, self.triple_a, per_triple)
-            np.add.at(counts, self.triple_b, per_triple)
-        return counts
+        # Each flag array once per member column, in _flag_qubits' order.
+        weights = [
+            flags
+            for members in (self._edges, self._triples)
+            for flags in self._flags(members, frequencies)
+            for _ in members[0]
+        ]
+        counts = np.bincount(self._flag_qubits, np.concatenate(weights), self.num_qubits)
+        return counts.astype(np.int64)
 
     def violating_qubits(self, frequencies: np.ndarray) -> np.ndarray:
         """Sorted indices of qubits participating in a violated criterion."""

@@ -21,7 +21,6 @@ exactly (no-op strategies consume no randomness at all).
 from __future__ import annotations
 
 import dataclasses
-import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,25 +175,16 @@ def repair_batch(
     # Device-major screening: one vectorised pass hands every strategy
     # its device's violated-criteria count, replacing the per-die
     # Python-level evaluation each repair() call used to open with.
-    # Third-party strategies that predate the keyword still work.
     with phase("repair"):
         initials = graph.batch_total_violations(frequencies[collided])
-        takes_initial = "initial_violations" in inspect.signature(
-            tuning.strategy.repair
-        ).parameters
         for position, index in enumerate(collided):
-            if takes_initial:
-                outcome = tuning.strategy.repair(
-                    graph,
-                    frequencies[index],
-                    tuning.tuner,
-                    rng,
-                    initial_violations=int(initials[position]),
-                )
-            else:
-                outcome = tuning.strategy.repair(
-                    graph, frequencies[index], tuning.tuner, rng
-                )
+            outcome = tuning.strategy.repair(
+                graph,
+                frequencies[index],
+                tuning.tuner,
+                rng,
+                initial_violations=int(initials[position]),
+            )
             if outcome.changed:
                 repaired[index] = outcome.frequencies
                 tuned_qubits += outcome.tuned_qubits

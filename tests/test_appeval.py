@@ -214,9 +214,13 @@ class TestAppSweep:
         result = run_appsweep(
             topologies=("heavy-hex",), benchmarks=("ghz",), batch_size=60, seed=7
         )
-        for row in result.rows_for(routing="basic", tuned=False):
+        baseline = [
+            row for row in result.rows if row.routing == "basic" and not row.tuned
+        ]
+        assert baseline
+        for row in baseline:
             assert row.ratio_vs_baseline == 1.0
-        assert result.rows_for(routing="noise-aware")
+        assert any(row.routing == "noise-aware" for row in result.rows)
 
 
 class TestMedianInterval:

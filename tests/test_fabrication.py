@@ -33,10 +33,6 @@ class TestFabricationModel:
         batch = model.sample_batch(allocation_27, 32, rng)
         assert batch.shape == (32, allocation_27.num_qubits)
 
-    def test_single_device_shape(self, allocation_27, rng):
-        model = FabricationModel(0.014)
-        assert model.sample_device(allocation_27, rng).shape == (allocation_27.num_qubits,)
-
     def test_rejects_non_positive_batch(self, allocation_27, rng):
         with pytest.raises(ValueError):
             FabricationModel(0.014).sample_batch(allocation_27, 0, rng)
@@ -54,12 +50,3 @@ class TestFabricationModel:
         offsets = batch - allocation_27.ideal_frequencies
         assert abs(offsets.mean()) < 0.002
         assert offsets.std() == pytest.approx(sigma, rel=0.05)
-
-    def test_laser_tuning_improves_precision(self):
-        raw = FabricationModel(SIGMA_AS_FABRICATED_GHZ)
-        tuned = raw.with_laser_tuning()
-        assert tuned.sigma_ghz == pytest.approx(SIGMA_LASER_TUNED_GHZ)
-
-    def test_laser_tuning_never_degrades(self):
-        precise = FabricationModel(0.004)
-        assert precise.with_laser_tuning().sigma_ghz == pytest.approx(0.004)

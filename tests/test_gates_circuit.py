@@ -39,10 +39,6 @@ class TestGate:
         assert Gate("cx", (0, 1)).is_two_qubit
         assert not Gate("ccx", (0, 1, 2)).is_two_qubit
 
-    def test_remapped(self):
-        gate = Gate("cx", (0, 1))
-        assert gate.remapped({0: 5, 1: 7}).qubits == (5, 7)
-
 
 class TestQuantumCircuit:
     def test_fluent_builders(self):
@@ -91,14 +87,6 @@ class TestQuantumCircuit:
         graph = circuit.interaction_graph()
         assert graph[1] == {0, 2}
         assert graph[3] == set()
-
-    def test_remapped_circuit(self):
-        circuit = QuantumCircuit(2, name="tiny")
-        circuit.h(0).cx(0, 1)
-        mapped = circuit.remapped({0: 3, 1: 1}, num_qubits=5)
-        assert mapped.num_qubits == 5
-        assert mapped.gates[1].qubits == (3, 1)
-        assert mapped.name == "tiny"
 
     def test_copy_is_independent(self):
         circuit = QuantumCircuit(2)

@@ -15,7 +15,7 @@ from repro.circuits.benchmarks import build_benchmark
 from repro.compiler.transpile import transpile
 from repro.core.assembly import assemble_mcms, fabricate_chiplet_bin
 from repro.core.chiplet import ChipletDesign
-from repro.core.fabrication import FabricationModel
+from repro.core.fabrication import SIGMA_LASER_TUNED_GHZ, FabricationModel
 from repro.core.mcm import MCMDesign
 from repro.core.yield_model import simulate_yield
 from repro.core.frequencies import HeavyHexThreeFrequencyPlan
@@ -46,7 +46,7 @@ class TestYieldStory:
             chiplet.allocation, FabricationModel(0.1323), 600, rng
         ).collision_free_yield
         tuned = simulate_yield(
-            chiplet.allocation, FabricationModel(0.1323).with_laser_tuning(), 600, rng
+            chiplet.allocation, FabricationModel(SIGMA_LASER_TUNED_GHZ), 600, rng
         ).collision_free_yield
         assert tuned > max(raw * 5, 0.3)
 

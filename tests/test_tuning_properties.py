@@ -67,7 +67,7 @@ def test_repaired_device_never_more_collided(case):
     allocation = _ALLOCATIONS[key]
     graph = _GRAPHS[key]
     fab = FabricationModel(sigma_ghz=case["sigma"])
-    freqs = fab.sample_device(allocation, np.random.default_rng(case["seed"]))
+    freqs = fab.sample_batch(allocation, 1, np.random.default_rng(case["seed"]))[0]
     tuner = TunerModel(
         max_shift_ghz=case["max_shift"],
         precision_sigma_ghz=case["precision"],
