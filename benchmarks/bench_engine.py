@@ -45,7 +45,7 @@ from conftest import bench_batch_size, bench_jobs, reset_process_caches
 from repro.analysis.figures.fig4_yield import run_fig4_yield_sweep
 from repro.core.collisions import CollisionThresholds, collision_free_mask
 from repro.core.frequencies import FrequencySpec, HeavyHexThreeFrequencyPlan
-from repro.engine import ExecutionEngine
+from repro.engine.runner import ExecutionEngine
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
 
 RESULT_PATH = Path(__file__).parent / "BENCH_engine.json"

@@ -30,7 +30,7 @@ from pathlib import Path
 from conftest import bench_batch_size
 
 from repro.analysis.figures.fig4_yield import run_fig4_yield_sweep
-from repro.engine import ExecutionEngine
+from repro.engine.runner import ExecutionEngine
 from repro.obs import tracing
 
 RESULT_PATH = Path(__file__).parent / "BENCH_obs.json"

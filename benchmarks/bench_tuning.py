@@ -30,15 +30,11 @@ import numpy as np
 from repro.core.architecture import get_architecture
 from repro.core.fabrication import FabricationModel
 from repro.core.yield_model import yield_vs_qubits
-from repro.engine import ExecutionEngine
-from repro.stats import StatsOptions
-from repro.tuning import (
-    AnnealingRepair,
-    CollisionGraph,
-    GreedyLocalRepair,
-    TuningOptions,
-    repair_batch,
-)
+from repro.engine.runner import ExecutionEngine
+from repro.stats.adaptive import StatsOptions
+from repro.tuning.graph import CollisionGraph
+from repro.tuning.repair import TuningOptions, repair_batch
+from repro.tuning.strategies import AnnealingRepair, GreedyLocalRepair
 
 RESULT_PATH = Path(__file__).parent / "BENCH_tuning.json"
 

@@ -17,7 +17,7 @@ from repro.analysis.study import ArchitectureStudy, StudyConfig
 from repro.compiler.routing import clear_routing_cache
 from repro.core.architecture import clear_architecture_caches
 from repro.core.sample_bank import clear_sample_bank
-from repro.engine import ExecutionEngine
+from repro.engine.runner import ExecutionEngine
 
 
 def bench_batch_size(default: int = 3000) -> int:

@@ -32,7 +32,7 @@ from repro.device.calibration import washington_cx_model
 from repro.device.noise import LinkErrorModel
 from repro.simulation.esp import fidelity_product
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
-from repro.tuning import TuningOptions
+from repro.tuning.repair import TuningOptions
 
 
 def main() -> None:

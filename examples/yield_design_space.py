@@ -15,9 +15,10 @@ Run with:  python examples/yield_design_space.py
 
 from __future__ import annotations
 
-from repro.analysis.figures import run_fig4_yield_sweep, run_sec5c_fabrication_output
+from repro.analysis.figures.fig4_yield import run_fig4_yield_sweep
+from repro.analysis.figures.sec5c_output import run_sec5c_fabrication_output
 from repro.analysis.reporting import format_table
-from repro.engine import ExecutionEngine
+from repro.engine.runner import ExecutionEngine
 
 
 def main() -> None:

@@ -9,8 +9,8 @@ two-qubit gate infidelity, and application-level fidelity.
 Sub-packages
 ------------
 ``repro.topology``
-    Pluggable lattices (heavy-hex, square grid, ring/chain), coupling
-    maps and graph metrics behind the ``Lattice`` protocol.
+    Pluggable lattices (heavy-hex, square grid, ring/chain) behind the
+    ``Lattice`` protocol, and coupling maps.
 ``repro.device``
     Physical-device model, synthetic calibration data, gate-error models.
 ``repro.core``

@@ -110,12 +110,13 @@ from repro.analysis.reporting import cache_traffic, jsonable
 from repro.circuits.benchmarks import BENCHMARK_NAMES
 from repro.compiler.pipeline import ROUTING_STRATEGIES
 from repro.core.architecture import ARCHITECTURES
-from repro.engine import ExecutionEngine, ResultCache
-from repro.obs import configure_logging
+from repro.engine.cache import ResultCache
+from repro.engine.runner import ExecutionEngine
+from repro.obs.logs import configure_logging
 from repro.obs import tracing as obs_tracing
 from repro.obs.export import format_summary, load_trace, summarize, write_trace
 from repro.obs.metrics import REGISTRY
-from repro.tuning import STRATEGIES
+from repro.tuning.strategies import STRATEGIES
 
 __all__ = ["main"]
 
@@ -409,7 +410,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.service import JobManager, RateLimiter, RetryPolicy, ServiceServer
+    from repro.service.failures import RetryPolicy
+    from repro.service.http import ServiceServer
+    from repro.service.manager import JobManager
+    from repro.service.ratelimit import RateLimiter
 
     try:
         configure_logging(level=args.log_level, json_format=args.log_json)

@@ -63,7 +63,7 @@ architecture's application quality — it samples one order statistic of
 the assembled-module population.  :func:`summarise_ensemble` scores a
 top-k device ensemble instead and reports the median log-fidelity with
 a distribution-free order-statistic spread interval
-(:func:`repro.stats.median_interval`).
+(:func:`repro.stats.intervals.median_interval`).
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from repro.engine.dispatch import run_calls
 from repro.engine.phases import phase
 from repro.engine.seeding import spawn_seeds
 from repro.simulation.esp import FidelityScore, fidelity_product, fidelity_ratio
-from repro.stats import ConfidenceInterval, median_interval, midpoint_median
+from repro.stats.intervals import ConfidenceInterval, median_interval, midpoint_median
 
 __all__ = [
     "EnsembleSummary",
@@ -129,7 +129,7 @@ def run_compile_jobs(kwargs_list: Sequence[dict], engine=None) -> list[dict]:
     """Execute a batch of :func:`compile_and_score` tasks, order-preserving.
 
     ``engine=None`` runs in-process (the golden-regression path); an
-    :class:`~repro.engine.ExecutionEngine` fans the batch out over
+    :class:`~repro.engine.runner.ExecutionEngine` fans the batch out over
     worker processes with content-addressed caching.
     """
     return run_calls(compile_and_score, list(kwargs_list), engine, name=TASK_NAME)
@@ -166,7 +166,7 @@ class EnsembleSummary:
         dead coupling).
     spread:
         Order-statistic interval for that median
-        (:func:`repro.stats.median_interval`); ``None`` for an empty
+        (:func:`repro.stats.intervals.median_interval`); ``None`` for an empty
         ensemble.
     num_devices:
         Ensemble size actually scored.

@@ -1,8 +1,8 @@
 """Per-experiment modules regenerating every figure/table of the paper.
 
-One module per figure or table; this package re-exports every driver
-and result type.  Drivers that sweep Monte-Carlo points take an engine
-(:mod:`repro.engine`):
+One module per figure or table; import each driver and result type from
+its module.  Drivers that sweep Monte-Carlo points take an engine
+(:mod:`repro.engine.runner`):
 
 ==========================  =============================================
 Module                      Experiment
@@ -23,67 +23,3 @@ Module                      Experiment
 
 The CLI-facing experiment registry lives in ``repro.analysis.registry``.
 """
-
-from repro.analysis.figures.appsweep import (
-    AppSweepResult,
-    AppSweepRow,
-    run_appsweep,
-)
-from repro.analysis.figures.fig3_trends import Fig3Result, run_fig3_processor_trends
-from repro.analysis.figures.fig4_yield import Fig4Result, run_fig4_yield_sweep
-from repro.analysis.figures.fig6_configurations import run_fig6_configurations
-from repro.analysis.figures.fig7_detuning import Fig7Result, run_fig7_detuning_model
-from repro.analysis.figures.fig8_mcm import Fig8Result, run_fig8_yield_comparison
-from repro.analysis.figures.fig9_heatmaps import Fig9Result, run_fig9_infidelity_heatmap
-from repro.analysis.figures.fig10_apps import Fig10Result, run_fig10_applications
-from repro.analysis.figures.sec5c_output import run_sec5c_fabrication_output
-from repro.analysis.figures.topologies import (
-    TopologyMCMResult,
-    TopologyYieldResult,
-    run_topology_mcm_comparison,
-    run_topology_yield_comparison,
-)
-from repro.analysis.figures.tables import (
-    Table1Result,
-    Table2Result,
-    run_table1_collision_criteria,
-    run_table2_compiled_benchmarks,
-)
-from repro.analysis.figures.tuning import (
-    RepairBudgetResult,
-    TunedYieldResult,
-    run_repair_budget_sweep,
-    run_tuned_yield_comparison,
-)
-
-__all__ = [
-    "AppSweepResult",
-    "AppSweepRow",
-    "run_appsweep",
-    "Fig3Result",
-    "Fig4Result",
-    "Fig7Result",
-    "Fig8Result",
-    "Fig9Result",
-    "Fig10Result",
-    "Table1Result",
-    "Table2Result",
-    "TopologyMCMResult",
-    "TopologyYieldResult",
-    "RepairBudgetResult",
-    "TunedYieldResult",
-    "run_fig3_processor_trends",
-    "run_fig4_yield_sweep",
-    "run_fig6_configurations",
-    "run_fig7_detuning_model",
-    "run_fig8_yield_comparison",
-    "run_fig9_infidelity_heatmap",
-    "run_fig10_applications",
-    "run_sec5c_fabrication_output",
-    "run_table1_collision_criteria",
-    "run_table2_compiled_benchmarks",
-    "run_topology_mcm_comparison",
-    "run_topology_yield_comparison",
-    "run_repair_budget_sweep",
-    "run_tuned_yield_comparison",
-]

@@ -14,7 +14,7 @@ and — from the *same* fabricated dies — from the repaired bin, and
 scores a top-k ensemble of the assembled devices on a benchmark subset
 under every registered routing strategy.  Rows report the ensemble's
 median log10 fidelity with an order-statistic spread interval
-(:func:`repro.stats.median_interval`) and the fidelity ratio against
+(:func:`repro.stats.intervals.median_interval`) and the fidelity ratio against
 the untuned/basic-routing baseline of the same (topology, benchmark).
 
 Seeding is registry-position-stable at every level (topologies, then
@@ -48,7 +48,7 @@ from repro.device.calibration import washington_cx_model
 from repro.device.device import Device
 from repro.engine.dispatch import run_calls
 from repro.engine.seeding import spawn_seed_at, spawn_seeds
-from repro.tuning import TuningOptions
+from repro.tuning.repair import TuningOptions
 
 __all__ = ["AppSweepRow", "AppSweepResult", "build_appsweep_devices", "run_appsweep"]
 
@@ -212,7 +212,7 @@ def run_appsweep(
     seed:
         Master seed; see the module docstring for the derivation tree.
     engine:
-        Optional :class:`repro.engine.ExecutionEngine` both waves fan
+        Optional :class:`repro.engine.runner.ExecutionEngine` both waves fan
         out through.
     tuning:
         Repair options for the tuned axis (default: greedy local repair

@@ -90,7 +90,7 @@ def run_fig10_applications(
         Seed for the randomised benchmark circuits (BV strings, QAOA
         graphs); the device side is seeded by the study's config.
     engine:
-        Optional :class:`repro.engine.ExecutionEngine`; when present the
+        Optional :class:`repro.engine.runner.ExecutionEngine`; when present the
         compile+score tasks fan out over worker processes (bit-identical
         to the in-process loop, cached content-addressed).
     routing:

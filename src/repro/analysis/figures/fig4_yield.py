@@ -1,10 +1,10 @@
 """Fig. 4 — collision-free yield vs. qubits (the flagship parallel sweep).
 
 The grid is ``len(steps) * len(sigmas) * len(sizes)`` independent
-Monte-Carlo points; passing an :class:`repro.engine.ExecutionEngine` fans
+Monte-Carlo points; passing an :class:`repro.engine.runner.ExecutionEngine` fans
 them out over worker processes with bit-identical results to the
 sequential run at the same seed.  Every point carries a binomial
-confidence interval, and a :class:`repro.stats.StatsOptions` switches the
+confidence interval, and a :class:`repro.stats.adaptive.StatsOptions` switches the
 whole grid to chunked streaming / adaptive sampling.
 """
 
@@ -19,8 +19,8 @@ from repro.core.fabrication import (
     SIGMA_SCALING_TARGET_GHZ,
 )
 from repro.core.yield_model import YieldResult, detuning_sweep
-from repro.stats import StatsOptions
-from repro.tuning import TuningOptions
+from repro.stats.adaptive import StatsOptions
+from repro.tuning.repair import TuningOptions
 
 __all__ = ["Fig4Result", "run_fig4_yield_sweep"]
 
@@ -91,7 +91,7 @@ def run_fig4_yield_sweep(
     Parameters
     ----------
     engine:
-        Optional :class:`repro.engine.ExecutionEngine`; the sweep's points
+        Optional :class:`repro.engine.runner.ExecutionEngine`; the sweep's points
         are submitted through it (parallelism + result caching) and the
         output stays bit-identical to the in-process run.
     stats:

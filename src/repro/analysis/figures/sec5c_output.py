@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.core.fabrication import SIGMA_LASER_TUNED_GHZ
 from repro.core.output_model import fabrication_output_from_results
 from repro.core.yield_model import yield_vs_qubits
-from repro.stats import StatsOptions
+from repro.stats.adaptive import StatsOptions
 
 __all__ = ["run_sec5c_fabrication_output"]
 

@@ -48,8 +48,8 @@ from repro.core.yield_model import (
 from repro.device.calibration import washington_cx_model
 from repro.engine.dispatch import run_calls
 from repro.engine.seeding import spawn_seeds
-from repro.stats import StatsOptions
-from repro.tuning import TuningOptions
+from repro.stats.adaptive import StatsOptions
+from repro.tuning.repair import TuningOptions
 
 __all__ = [
     "TopologyYieldResult",

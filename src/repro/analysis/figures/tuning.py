@@ -22,7 +22,7 @@ Both experiments submit one engine task per point with positional child
 seeds (registry-position stable for topologies, grid-position irrelevant
 for the budget sweep since every cell shares the seed), so parallel runs
 are bit-identical to sequential ones and every tuned point's cache key
-embeds its :class:`~repro.tuning.TuningOptions`.
+embeds its :class:`~repro.tuning.repair.TuningOptions`.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from repro.core.yield_model import (
 )
 from repro.engine.dispatch import run_calls
 from repro.engine.seeding import spawn_seeds
-from repro.stats import StatsOptions
-from repro.tuning import TuningOptions
+from repro.stats.adaptive import StatsOptions
+from repro.tuning.repair import TuningOptions
 
 __all__ = [
     "TunedYieldResult",
@@ -129,7 +129,7 @@ def run_tuned_yield_comparison(
     :func:`repro.analysis.figures.topologies._seeds_by_topology`, so a
     filtered run (``--topology square``) reproduces exactly the rows of
     the full comparison.  ``tuning`` defaults to the default greedy
-    tuner (:class:`~repro.tuning.TuningOptions`).
+    tuner (:class:`~repro.tuning.repair.TuningOptions`).
     """
     tuning = tuning if tuning is not None else TuningOptions()
     curve_seeds = _seeds_by_topology(seed)

@@ -7,7 +7,7 @@ Each figure/table driver is registered under its paper name as a runner::
 whose keyword parameters are exactly the options it reads, each with its
 default (``def _fig4(engine, seed=7, batch_size=1000, stats=None,
 topology=None, tuning=None)``).  ``engine`` is an
-:class:`repro.engine.ExecutionEngine` (or ``None`` for plain in-process
+:class:`repro.engine.runner.ExecutionEngine` (or ``None`` for plain in-process
 execution) and ``text`` is the human-readable rendering the CLI prints.
 An explicit ``None`` option means the runner's default, exactly like
 omitting it.
@@ -17,9 +17,9 @@ service accept.  A row's name is the service parameter and, spelled
 with dashes, the ``run`` flag (``batch_size`` keeps its short ``--batch``).
 :func:`parse_runner_options` turns raw values into a runner's keyword
 arguments: ``chunk_size``/``ci_target``/``max_samples`` become the
-runner's ``stats`` (:class:`repro.stats.StatsOptions`) and
+runner's ``stats`` (:class:`repro.stats.adaptive.StatsOptions`) and
 ``tuning``/``max_shift_mhz``/``repair_budget`` its ``tuning``
-(:class:`repro.tuning.TuningOptions`).
+(:class:`repro.tuning.repair.TuningOptions`).
 """
 
 from __future__ import annotations
@@ -29,22 +29,26 @@ import numbers
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.analysis.figures import (
-    run_appsweep,
-    run_fig3_processor_trends,
-    run_repair_budget_sweep,
-    run_topology_mcm_comparison,
-    run_topology_yield_comparison,
-    run_tuned_yield_comparison,
-    run_fig4_yield_sweep,
-    run_fig6_configurations,
-    run_fig7_detuning_model,
-    run_fig8_yield_comparison,
-    run_fig9_infidelity_heatmap,
-    run_fig10_applications,
-    run_sec5c_fabrication_output,
+from repro.analysis.figures.appsweep import run_appsweep
+from repro.analysis.figures.fig10_apps import run_fig10_applications
+from repro.analysis.figures.fig3_trends import run_fig3_processor_trends
+from repro.analysis.figures.fig4_yield import run_fig4_yield_sweep
+from repro.analysis.figures.fig6_configurations import run_fig6_configurations
+from repro.analysis.figures.fig7_detuning import run_fig7_detuning_model
+from repro.analysis.figures.fig8_mcm import run_fig8_yield_comparison
+from repro.analysis.figures.fig9_heatmaps import run_fig9_infidelity_heatmap
+from repro.analysis.figures.sec5c_output import run_sec5c_fabrication_output
+from repro.analysis.figures.tables import (
     run_table1_collision_criteria,
     run_table2_compiled_benchmarks,
+)
+from repro.analysis.figures.topologies import (
+    run_topology_mcm_comparison,
+    run_topology_yield_comparison,
+)
+from repro.analysis.figures.tuning import (
+    run_repair_budget_sweep,
+    run_tuned_yield_comparison,
 )
 from repro.analysis.reporting import format_table
 from repro.analysis.study import ArchitectureStudy, StudyConfig
@@ -52,9 +56,10 @@ from repro.circuits.benchmarks import BENCHMARK_NAMES, BENCHMARKS
 from repro.compiler.pipeline import ROUTING_STRATEGIES
 from repro.core.architecture import ARCHITECTURES
 from repro.core.chiplet import PAPER_CHIPLET_SIZES
-from repro.engine import ExperimentSpec, Registry
-from repro.stats import StatsOptions
-from repro.tuning import STRATEGIES, TuningOptions
+from repro.engine.registry import ExperimentSpec, Registry
+from repro.stats.adaptive import StatsOptions
+from repro.tuning.repair import TuningOptions
+from repro.tuning.strategies import STRATEGIES
 
 __all__ = [
     "EXPERIMENTS",

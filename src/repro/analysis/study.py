@@ -10,7 +10,7 @@ The heavy computations live in module-level functions of picklable
 arguments (:func:`compute_chiplet_bin`, :func:`compute_mcm_result`,
 :func:`compute_monolithic_result`).  Their random streams are keyed on
 ``(config.seed, stage, parameters)`` — never on execution order — so the
-study can fan them out through an :class:`repro.engine.ExecutionEngine`
+study can fan them out through an :class:`repro.engine.runner.ExecutionEngine`
 (see :meth:`ArchitectureStudy.prefetch`) and still produce results
 bit-identical to the lazy sequential path.
 """
@@ -384,7 +384,7 @@ class ArchitectureStudy:
         Empirical CX error model; the Washington-backed synthetic model at
         the config's seed when omitted.
     engine:
-        Optional :class:`repro.engine.ExecutionEngine`.  When present,
+        Optional :class:`repro.engine.runner.ExecutionEngine`.  When present,
         :meth:`prefetch` fans missing bins / assemblies / monolithic runs
         out over worker processes; the lazy accessors below stay available
         and bit-identical either way.

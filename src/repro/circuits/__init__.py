@@ -1,17 +1,1 @@
 """Quantum-circuit substrate: gate IR, circuit container, benchmark suite."""
-
-from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gates import GATE_ARITY, Gate, ONE_QUBIT_GATES, THREE_QUBIT_GATES, TWO_QUBIT_GATES
-from repro.circuits.benchmarks import BENCHMARK_NAMES, BENCHMARKS, build_benchmark
-
-__all__ = [
-    "QuantumCircuit",
-    "Gate",
-    "GATE_ARITY",
-    "ONE_QUBIT_GATES",
-    "TWO_QUBIT_GATES",
-    "THREE_QUBIT_GATES",
-    "BENCHMARKS",
-    "BENCHMARK_NAMES",
-    "build_benchmark",
-]

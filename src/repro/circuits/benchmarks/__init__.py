@@ -10,7 +10,7 @@ simulation.  :func:`build_benchmark` is the convenience entry point.
 
 from __future__ import annotations
 
-from repro.circuits.benchmarks.adder import adder_register_size, cuccaro_adder
+from repro.circuits.benchmarks.adder import cuccaro_adder
 from repro.circuits.benchmarks.bit_code import bit_code
 from repro.circuits.benchmarks.bv import bernstein_vazirani
 from repro.circuits.benchmarks.ghz import ghz
@@ -20,19 +20,7 @@ from repro.circuits.benchmarks.qaoa import qaoa_maxcut
 from repro.circuits.circuit import QuantumCircuit
 from repro.engine.registry import Registry
 
-__all__ = [
-    "BENCHMARKS",
-    "BENCHMARK_NAMES",
-    "build_benchmark",
-    "bernstein_vazirani",
-    "ghz",
-    "qaoa_maxcut",
-    "cuccaro_adder",
-    "adder_register_size",
-    "quantum_primacy",
-    "bit_code",
-    "tfim_hamiltonian",
-]
+__all__ = ["BENCHMARKS", "BENCHMARK_NAMES", "build_benchmark"]
 
 BENCHMARKS: Registry = Registry("benchmark")
 for _name, _builder in (

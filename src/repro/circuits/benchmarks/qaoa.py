@@ -8,8 +8,6 @@ communication-bound.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.circuits.circuit import QuantumCircuit
 
 __all__ = ["qaoa_maxcut"]
@@ -46,6 +44,10 @@ def qaoa_maxcut(
     effective_degree = min(degree, num_qubits - 1)
     if (num_qubits * effective_degree) % 2:
         effective_degree -= 1
+    # The one networkx caller in ``repro``; imported here so that only
+    # processes which build QAOA circuits load it.
+    import networkx as nx
+
     graph = nx.random_regular_graph(effective_degree, num_qubits, seed=seed)
 
     circuit = QuantumCircuit(num_qubits=num_qubits, name="qaoa")

@@ -54,8 +54,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.layout import Layout, clear_layout_cache
@@ -306,6 +304,10 @@ class RoutingWeights:
         edge_v: np.ndarray,
         costs: np.ndarray,
     ):
+        # scipy.sparse is imported where a matrix is first built, so that
+        # processes which never route do not load it.
+        from scipy.sparse import csr_matrix
+
         self.num_qubits = num_qubits
         self._matrix = csr_matrix(
             (
@@ -336,6 +338,8 @@ class RoutingWeights:
             with self._lock:
                 row = self._pred.get(source)
                 if row is None:
+                    from scipy.sparse.csgraph import shortest_path
+
                     _, pred = shortest_path(
                         self._matrix,
                         method="D",

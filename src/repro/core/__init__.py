@@ -5,156 +5,3 @@ Every model in this package is topology-pluggable: lattices come from
 square grid and ring/chain included) and frequency labels from the
 registered :class:`repro.core.frequencies.FrequencyPlan` strategies.
 """
-
-from repro.core.architecture import (
-    ARCHITECTURES,
-    Architecture,
-    DEFAULT_TOPOLOGY,
-    get_architecture,
-)
-from repro.core.assembly import (
-    AssembledMCM,
-    AssemblyResult,
-    BUMPS_PER_LINK_QUBIT,
-    C4_BUMP_SUCCESS_PROBABILITY,
-    ChipletBin,
-    FabricatedChiplet,
-    assemble_mcms,
-    bump_bond_success_probability,
-    fabricate_chiplet_bin,
-    post_assembly_yield,
-)
-from repro.core.chiplet import ChipletDesign, PAPER_CHIPLET_SIZES
-from repro.core.collisions import (
-    COLLISION_TYPES,
-    CollisionReport,
-    CollisionThresholds,
-    collision_free_mask,
-    count_collisions,
-    find_collisions,
-    has_collision,
-)
-from repro.core.configurations import (
-    ConfigurationPoint,
-    configuration_curve,
-    log10_configurations,
-    max_assembled_mcms,
-)
-from repro.core.fabrication import (
-    FabricationModel,
-    SIGMA_AS_FABRICATED_GHZ,
-    SIGMA_LASER_TUNED_GHZ,
-    SIGMA_SCALING_TARGET_GHZ,
-)
-from repro.core.fidelity import (
-    EavgComparison,
-    LinkScenario,
-    average_infidelity,
-    default_link_scenarios,
-    infidelity_ratio,
-)
-from repro.core.frequencies import (
-    DEFAULT_ANHARMONICITY_GHZ,
-    DEFAULT_BASE_FREQUENCY_GHZ,
-    DEFAULT_STEP_GHZ,
-    FrequencyAllocation,
-    FrequencyPlan,
-    FrequencySpec,
-    HeavyHexThreeFrequencyPlan,
-    RingThreeFrequencyPlan,
-    SquareFiveFrequencyPlan,
-    allocation_from_labels,
-    dense_label,
-    heavy_hex_labels,
-)
-from repro.core.mcm import (
-    InterChipLink,
-    MAX_SYSTEM_QUBITS,
-    MCMDesign,
-    mcm_dimensions_for,
-    square_dimensions_for,
-)
-from repro.core.output_model import (
-    FabricationOutput,
-    compare_fabrication_output,
-    mcm_output_upper_bound,
-    monolithic_output,
-)
-from repro.core.yield_model import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_SIZE_GRID,
-    YieldCurve,
-    YieldResult,
-    detuning_sweep,
-    simulate_yield,
-    simulate_yield_with_devices,
-    yield_vs_qubits,
-)
-
-__all__ = [
-    "ARCHITECTURES",
-    "Architecture",
-    "DEFAULT_TOPOLOGY",
-    "get_architecture",
-    "FrequencyPlan",
-    "HeavyHexThreeFrequencyPlan",
-    "RingThreeFrequencyPlan",
-    "SquareFiveFrequencyPlan",
-    "AssembledMCM",
-    "AssemblyResult",
-    "BUMPS_PER_LINK_QUBIT",
-    "C4_BUMP_SUCCESS_PROBABILITY",
-    "ChipletBin",
-    "FabricatedChiplet",
-    "assemble_mcms",
-    "bump_bond_success_probability",
-    "fabricate_chiplet_bin",
-    "post_assembly_yield",
-    "ChipletDesign",
-    "PAPER_CHIPLET_SIZES",
-    "COLLISION_TYPES",
-    "CollisionReport",
-    "CollisionThresholds",
-    "collision_free_mask",
-    "count_collisions",
-    "find_collisions",
-    "has_collision",
-    "ConfigurationPoint",
-    "configuration_curve",
-    "log10_configurations",
-    "max_assembled_mcms",
-    "FabricationModel",
-    "SIGMA_AS_FABRICATED_GHZ",
-    "SIGMA_LASER_TUNED_GHZ",
-    "SIGMA_SCALING_TARGET_GHZ",
-    "EavgComparison",
-    "LinkScenario",
-    "average_infidelity",
-    "default_link_scenarios",
-    "infidelity_ratio",
-    "DEFAULT_ANHARMONICITY_GHZ",
-    "DEFAULT_BASE_FREQUENCY_GHZ",
-    "DEFAULT_STEP_GHZ",
-    "FrequencyAllocation",
-    "FrequencySpec",
-    "allocation_from_labels",
-    "dense_label",
-    "heavy_hex_labels",
-    "InterChipLink",
-    "MAX_SYSTEM_QUBITS",
-    "MCMDesign",
-    "mcm_dimensions_for",
-    "square_dimensions_for",
-    "FabricationOutput",
-    "compare_fabrication_output",
-    "mcm_output_upper_bound",
-    "monolithic_output",
-    "DEFAULT_BATCH_SIZE",
-    "DEFAULT_SIZE_GRID",
-    "YieldCurve",
-    "YieldResult",
-    "detuning_sweep",
-    "simulate_yield",
-    "simulate_yield_with_devices",
-    "yield_vs_qubits",
-]

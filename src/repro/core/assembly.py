@@ -5,7 +5,7 @@ The assembly pipeline is:
 1. *Fabricate* a batch of chiplets (Monte-Carlo frequency sampling), keep
    only the collision-free ones, and characterise each survivor's two-qubit
    gate errors from the empirical detuning-binned model — this is the
-   known-good-die (KGD) step.  When a :class:`repro.tuning.TuningOptions`
+   known-good-die (KGD) step.  When a :class:`repro.tuning.repair.TuningOptions`
    is supplied, collided dies pass through the post-fabrication repair
    stage first, and the dies the tuner recovers join the bin flagged as
    ``repaired`` (counted separately all the way to
@@ -45,7 +45,7 @@ from repro.core.mcm import MCMDesign
 from repro.device.device import Device
 from repro.device.noise import EmpiricalCXModel, LinkErrorModel
 from repro.engine.phases import phase
-from repro.tuning import TuningOptions, repair_batch
+from repro.tuning.repair import TuningOptions, repair_batch
 
 __all__ = [
     "FabricatedChiplet",

@@ -31,7 +31,7 @@ estimators run it once; the chunked estimator runs it per chunk.
 
 The sweep entry points accept an ``executor`` hook — any object with a
 ``map_calls(fn, kwargs_list, name=...)`` method, in practice a
-:class:`repro.engine.ExecutionEngine` — and submit one task per
+:class:`repro.engine.runner.ExecutionEngine` — and submit one task per
 (sigma, step, size) point.  Each point derives its own seed from the
 master seed by position (``np.random.SeedSequence.spawn``), so parallel
 and sequential runs are bit-identical at the same seed.  Within one
@@ -40,7 +40,7 @@ point, the chunked estimator derives per-chunk seeds the same way (see
 observes literally the same samples as materialising the whole batch at
 once.
 
-Every entry point also accepts a :class:`repro.tuning.TuningOptions`:
+Every entry point also accepts a :class:`repro.tuning.repair.TuningOptions`:
 when set, collided devices are handed to the post-fabrication repair
 subsystem (:mod:`repro.tuning`) before yield is counted, and the result
 is a :class:`RepairedYieldResult` that reports the as-fabricated and
@@ -70,16 +70,11 @@ from repro.core.frequencies import FrequencyAllocation
 # deps); core calls nothing beyond these two helpers at runtime.
 from repro.engine.dispatch import run_calls as _run_points
 from repro.engine.seeding import spawn_seeds as _point_seeds
-from repro.stats import (
-    DEFAULT_CHUNK_SIZE,
-    DEFAULT_CONFIDENCE,
-    StatsOptions,
-    adaptive_estimate,
-    binomial_ci,
-    chunk_seed,
-)
+from repro.stats.adaptive import StatsOptions, adaptive_estimate
+from repro.stats.intervals import DEFAULT_CONFIDENCE, binomial_ci
+from repro.stats.streaming import DEFAULT_CHUNK_SIZE, chunk_seed
 from repro.topology.base import Lattice
-from repro.tuning import TuningOptions, repair_batch
+from repro.tuning.repair import TuningOptions, repair_batch
 
 __all__ = [
     "YieldResult",
@@ -450,7 +445,7 @@ def simulate_yield_chunked(
     continuing the chunk's own generator.
 
     With ``ci_target`` set, chunks are drawn only until the running CI
-    half-width is at or below it (:func:`repro.stats.adaptive_estimate`),
+    half-width is at or below it (:func:`repro.stats.adaptive.adaptive_estimate`),
     ``batch_size`` being the hard cap: deep-in-the-tail points (yield
     near 0 or 1) stop after a chunk or two.  Chunk seeds are
     prefix-stable, so the samples such a run observes are exactly the
@@ -573,7 +568,7 @@ def yield_vs_qubits(
     executor:
         Optional engine hook (``map_calls``); ``None`` runs in-process.
     stats:
-        Optional :class:`repro.stats.StatsOptions` switching every point
+        Optional :class:`repro.stats.adaptive.StatsOptions` switching every point
         to chunked (optionally adaptive) sampling.
     topology:
         Registered topology name (heavy-hex when omitted).

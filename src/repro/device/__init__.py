@@ -1,37 +1,1 @@
 """Physical-device substrate: qubits, devices, calibration data, noise models."""
-
-from repro.device.calibration import (
-    CalibrationDataset,
-    CalibrationSnapshot,
-    EdgeCalibration,
-    IBM_PROCESSORS,
-    SyntheticCalibrationGenerator,
-    washington_cx_model,
-)
-from repro.device.device import Device
-from repro.device.noise import (
-    EmpiricalCXModel,
-    LinkErrorModel,
-    LINK_MEAN_INFIDELITY,
-    LINK_MEDIAN_INFIDELITY,
-    ON_CHIP_MEAN_INFIDELITY,
-    ON_CHIP_MEDIAN_INFIDELITY,
-)
-from repro.device.qubit import PhysicalQubit
-
-__all__ = [
-    "CalibrationDataset",
-    "CalibrationSnapshot",
-    "EdgeCalibration",
-    "IBM_PROCESSORS",
-    "SyntheticCalibrationGenerator",
-    "washington_cx_model",
-    "Device",
-    "EmpiricalCXModel",
-    "LinkErrorModel",
-    "LINK_MEAN_INFIDELITY",
-    "LINK_MEDIAN_INFIDELITY",
-    "ON_CHIP_MEAN_INFIDELITY",
-    "ON_CHIP_MEDIAN_INFIDELITY",
-    "PhysicalQubit",
-]

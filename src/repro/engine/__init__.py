@@ -22,29 +22,9 @@ executor duck-typed (anything implementing
 never construct runners or caches themselves.
 """
 
-from repro.engine.backends import CancelToken, ExecutionCancelled
-from repro.engine.cache import ResultCache, stable_token
-from repro.engine.dispatch import run_calls
-from repro.engine.phases import collecting, phase
-from repro.engine.registry import ExperimentSpec, Registry, unknown_name
-from repro.engine.runner import EngineStats, ExecutionEngine
-from repro.engine.seeding import spawn_seed_at, spawn_seeds
-from repro.engine.task import Task
+# The one package-level name: ``perfbench/run.py`` and
+# ``perfbench/workloads.py`` import the engine from here.  The runner
+# imports nothing above ``repro.obs``, so this cannot close a cycle.
+from repro.engine.runner import ExecutionEngine
 
-__all__ = [
-    "ExecutionEngine",
-    "EngineStats",
-    "CancelToken",
-    "ExecutionCancelled",
-    "ResultCache",
-    "stable_token",
-    "ExperimentSpec",
-    "Registry",
-    "unknown_name",
-    "Task",
-    "phase",
-    "collecting",
-    "run_calls",
-    "spawn_seeds",
-    "spawn_seed_at",
-]
+__all__ = ["ExecutionEngine"]

@@ -29,30 +29,3 @@ all of it: **tracing off means zero overhead on hot paths** — without an
 active collector, ``span()`` costs one thread-local attribute read, and
 all 17 golden experiments are bit-identical with tracing on or off.
 """
-
-from repro.obs.logs import configure_logging, get_logger
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    REGISTRY,
-    parse_prometheus,
-)
-from repro.obs.tracing import Tracer, collect_spans, current_span_id, is_tracing, span
-
-__all__ = [
-    "Tracer",
-    "span",
-    "collect_spans",
-    "current_span_id",
-    "is_tracing",
-    "MetricsRegistry",
-    "REGISTRY",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "parse_prometheus",
-    "configure_logging",
-    "get_logger",
-]

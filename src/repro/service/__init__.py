@@ -10,43 +10,3 @@ The package splits into four layers:
 * :mod:`repro.service.http` — the stdlib asyncio HTTP front-end behind
   ``python -m repro serve``.
 """
-
-from repro.service.failures import (
-    FailureClass,
-    FailureClassifier,
-    FailureRule,
-    RetryPolicy,
-    TransientServiceError,
-)
-from repro.service.http import ServiceServer, request
-from repro.service.jobs import Job, JobEvent, JobHandle, JobState
-from repro.service.manager import (
-    JobCancelled,
-    JobFailed,
-    JobManager,
-    QueueFull,
-    UnknownJob,
-)
-from repro.service.ratelimit import RateLimited, RateLimiter, TokenBucket
-
-__all__ = [
-    "FailureClass",
-    "FailureClassifier",
-    "FailureRule",
-    "RetryPolicy",
-    "TransientServiceError",
-    "ServiceServer",
-    "request",
-    "Job",
-    "JobEvent",
-    "JobHandle",
-    "JobState",
-    "JobCancelled",
-    "JobFailed",
-    "JobManager",
-    "QueueFull",
-    "UnknownJob",
-    "RateLimited",
-    "RateLimiter",
-    "TokenBucket",
-]

@@ -17,43 +17,3 @@ Layering: ``repro.stats`` depends only on numpy/scipy and
 :mod:`repro.engine.seeding`; it knows nothing about devices or
 collisions, so any layer (core, analysis, benchmarks) may import it.
 """
-
-from repro.stats.adaptive import (
-    DEFAULT_MAX_SAMPLES,
-    AdaptiveOutcome,
-    StatsOptions,
-    adaptive_estimate,
-)
-from repro.stats.intervals import (
-    DEFAULT_CONFIDENCE,
-    ConfidenceInterval,
-    binomial_ci,
-    median_interval,
-    midpoint_median,
-    normal_quantile,
-    wilson_interval,
-)
-from repro.stats.streaming import (
-    DEFAULT_CHUNK_SIZE,
-    StreamingEstimator,
-    chunk_layout,
-    chunk_seed,
-)
-
-__all__ = [
-    "AdaptiveOutcome",
-    "ConfidenceInterval",
-    "StatsOptions",
-    "StreamingEstimator",
-    "adaptive_estimate",
-    "binomial_ci",
-    "chunk_layout",
-    "chunk_seed",
-    "median_interval",
-    "midpoint_median",
-    "normal_quantile",
-    "wilson_interval",
-    "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_CONFIDENCE",
-    "DEFAULT_MAX_SAMPLES",
-]

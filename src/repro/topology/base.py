@@ -8,7 +8,7 @@ needs only three things:
 
 1. a dataclass whose ``sites``/``edges``/``name`` fields describe the
    lattice and which inherits :class:`LatticeOps` for the derived
-   operations (graph view, degrees, connectivity, boundaries);
+   operations (connectivity, boundaries, fingerprint);
 2. a ``<topology>_by_qubit_count`` factory building a connected lattice
    with an exact qubit count;
 3. a :class:`repro.core.frequencies.FrequencyPlan` assigning collision-
@@ -29,8 +29,6 @@ import hashlib
 import pickle
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
-
-import networkx as nx
 
 __all__ = ["QubitSite", "Lattice", "LatticeOps", "adjacency_rows", "rows_connected"]
 
@@ -117,12 +115,6 @@ class Lattice(Protocol):
 
     def fingerprint(self) -> str: ...
 
-    def graph(self) -> nx.Graph: ...
-
-    def degree(self, index: int) -> int: ...
-
-    def max_degree(self) -> int: ...
-
     def is_connected(self) -> bool: ...
 
     def boundary_left(self) -> list[int]: ...
@@ -138,16 +130,15 @@ class LatticeOps:
     """Shared :class:`Lattice` operations derived from ``sites``/``edges``.
 
     Mixed into each topology dataclass (which declares the ``sites``,
-    ``edges``, ``name``, ``_graph`` and ``_fingerprint`` fields itself,
+    ``edges``, ``name`` and ``_fingerprint`` fields itself,
     keeping its constructor signature explicit).  All methods are pure
     functions of the declared fields, so every topology gets identical
     semantics.
 
     Connectivity is a BFS over adjacency rows built from ``edges``
     (:func:`rows_connected`, shared with
-    :class:`repro.topology.coupling.CouplingMap`); :meth:`graph` remains
-    a cached networkx view for callers that want one, and nothing on the
-    design path builds it.
+    :class:`repro.topology.coupling.CouplingMap`); nothing here builds a
+    networkx graph.
     """
 
     @property
@@ -180,23 +171,6 @@ class LatticeOps:
             ))
             self._fingerprint = hashlib.blake2b(content, digest_size=16).hexdigest()
         return self._fingerprint
-
-    def graph(self) -> nx.Graph:
-        """Return (and cache) the lattice as a :class:`networkx.Graph`."""
-        if self._graph is None:
-            graph = nx.Graph()
-            graph.add_nodes_from(site.index for site in self.sites)
-            graph.add_edges_from(self.edges)
-            self._graph = graph
-        return self._graph
-
-    def degree(self, index: int) -> int:
-        """Degree of a qubit in the coupling graph."""
-        return self.graph().degree[index]
-
-    def max_degree(self) -> int:
-        """Largest qubit degree in the lattice."""
-        return max(dict(self.graph().degree).values())
 
     def is_connected(self) -> bool:
         """True when every qubit can reach every other qubit."""

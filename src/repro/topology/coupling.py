@@ -11,10 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from repro.topology.base import adjacency_rows, rows_connected
 
@@ -40,7 +37,6 @@ class CouplingMap:
     edges: list[tuple[int, int]]
     link_edges: frozenset[tuple[int, int]] = frozenset()
     _distance: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _graph: nx.Graph | None = field(default=None, repr=False, compare=False)
     _neighbors: list[list[int]] | None = field(default=None, repr=False, compare=False)
     _distance_rows: list[list[int]] | None = field(default=None, repr=False, compare=False)
 
@@ -80,15 +76,6 @@ class CouplingMap:
         """Number of couplings."""
         return len(self.edges)
 
-    def graph(self) -> nx.Graph:
-        """Return (and cache) the coupling graph."""
-        if self._graph is None:
-            graph = nx.Graph()
-            graph.add_nodes_from(range(self.num_qubits))
-            graph.add_edges_from(self.edges)
-            self._graph = graph
-        return self._graph
-
     def neighbors(self, qubit: int) -> list[int]:
         """Neighbouring qubits of ``qubit``, in ascending order."""
         return self._rows()[qubit]
@@ -116,6 +103,11 @@ class CouplingMap:
     def distance_matrix(self) -> np.ndarray:
         """All-pairs shortest-path distances (hops), cached."""
         if self._distance is None:
+            # Imported here so that processes which never compile (the
+            # yield and service paths) never load scipy.sparse.
+            from scipy.sparse import csr_matrix
+            from scipy.sparse.csgraph import shortest_path
+
             rows, cols, data = [], [], []
             for u, v in self.edges:
                 rows.extend((u, v))
@@ -146,7 +138,3 @@ class CouplingMap:
     def distance(self, u: int, v: int) -> int:
         """Shortest-path distance (hops) between two qubits."""
         return int(self.distance_matrix()[u, v])
-
-    def shortest_path(self, u: int, v: int) -> list[int]:
-        """One shortest path between two qubits, as a list of qubit indices."""
-        return nx.shortest_path(self.graph(), u, v)

@@ -36,8 +36,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import networkx as nx
-
 from repro.topology.base import LatticeOps, QubitSite, adjacency_rows
 
 __all__ = [
@@ -108,7 +106,6 @@ class HeavyHexLattice(LatticeOps):
     sites: list[QubitSite]
     edges: list[tuple[int, int]]
     name: str = "heavy-hex"
-    _graph: nx.Graph | None = field(default=None, repr=False, compare=False)
     _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def relabelled(self, name: str) -> "HeavyHexLattice":

@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.topology.base import LatticeOps, QubitSite
 
 __all__ = ["RingLattice", "build_ring", "ring_by_qubit_count"]
@@ -54,7 +52,6 @@ class RingLattice(LatticeOps):
     sites: list[QubitSite]
     edges: list[tuple[int, int]]
     name: str = "ring"
-    _graph: nx.Graph | None = field(default=None, repr=False, compare=False)
     _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def relabelled(self, name: str) -> "RingLattice":

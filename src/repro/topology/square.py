@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.topology.base import LatticeOps, QubitSite
 
 __all__ = ["SquareLattice", "build_square", "square_by_qubit_count"]
@@ -50,7 +48,6 @@ class SquareLattice(LatticeOps):
     sites: list[QubitSite]
     edges: list[tuple[int, int]]
     name: str = "square"
-    _graph: nx.Graph | None = field(default=None, repr=False, compare=False)
     _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def relabelled(self, name: str) -> "SquareLattice":

@@ -25,35 +25,3 @@ pipeline stage between fabrication and yield evaluation:
 See the README's "Post-fabrication repair" section for how to add a
 strategy.
 """
-
-from repro.tuning.graph import CollisionGraph
-from repro.tuning.models import (
-    DEFAULT_MAX_SHIFT_GHZ,
-    DEFAULT_TUNER_SIGMA_GHZ,
-    TunerModel,
-)
-from repro.tuning.repair import BatchRepairOutcome, TuningOptions, repair_batch
-from repro.tuning.strategies import (
-    STRATEGIES,
-    AnnealingRepair,
-    GreedyLocalRepair,
-    RepairOutcome,
-    RepairStrategy,
-    get_strategy,
-)
-
-__all__ = [
-    "AnnealingRepair",
-    "BatchRepairOutcome",
-    "CollisionGraph",
-    "DEFAULT_MAX_SHIFT_GHZ",
-    "DEFAULT_TUNER_SIGMA_GHZ",
-    "GreedyLocalRepair",
-    "RepairOutcome",
-    "RepairStrategy",
-    "STRATEGIES",
-    "TunerModel",
-    "TuningOptions",
-    "get_strategy",
-    "repair_batch",
-]

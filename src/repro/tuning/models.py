@@ -17,7 +17,7 @@ specific Table I collisions:
 bounded maximum shift, a Gaussian actuation imprecision, and an optional
 per-qubit tune-count budget — without committing to a mechanism.  The
 repair strategies (:mod:`repro.tuning.strategies`) consume the model;
-the yield pipeline threads it through :class:`repro.tuning.TuningOptions`.
+the yield pipeline threads it through :class:`repro.tuning.repair.TuningOptions`.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ networkx for every graph question: :func:`reference_build_heavy_hex`
 looked dense qubits up in a ``(row, col)`` dict, :func:`reference_trim_to_count`
 removed the highest-index non-articulation qubit found by
 ``nx.articulation_points`` once per step, the ``is_connected`` views
-asked ``nx.is_connected`` of the cached ``graph()``, edges were oriented
+asked ``nx.is_connected`` of a cached networkx ``graph()``, edges were oriented
 one tuple at a time, control triples came from a dict of target lists,
 plan labels from a per-site loop, and the ideal-plan check built a full
 ``find_collisions`` report.  ``repro.topology`` and ``repro.core`` now
@@ -19,6 +19,7 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 
+from graph_helpers import to_networkx
 from repro.core.collisions import find_collisions
 from repro.core.frequencies import FrequencyAllocation, FrequencySpec, dense_label
 from repro.topology.base import QubitSite
@@ -83,7 +84,7 @@ def reference_trim_to_count(lattice: HeavyHexLattice, target: int) -> HeavyHexLa
     Returns ``None`` when the lattice cannot be trimmed to the target while
     staying connected.
     """
-    graph = lattice.graph().copy()
+    graph = to_networkx(lattice).copy()
     while graph.number_of_nodes() > target:
         articulation = set(nx.articulation_points(graph))
         candidates = [n for n in sorted(graph.nodes, reverse=True) if n not in articulation]
@@ -113,13 +114,13 @@ def reference_trim_to_count(lattice: HeavyHexLattice, target: int) -> HeavyHexLa
 
 
 def reference_lattice_is_connected(lattice) -> bool:
-    """``LatticeOps.is_connected`` as it was: networkx on ``graph()``."""
-    return nx.is_connected(lattice.graph())
+    """``LatticeOps.is_connected`` as it was: networkx on the lattice graph."""
+    return nx.is_connected(to_networkx(lattice))
 
 
 def reference_coupling_is_connected(coupling) -> bool:
-    """``CouplingMap.is_connected`` as it was: networkx on ``graph()``."""
-    return nx.is_connected(coupling.graph())
+    """``CouplingMap.is_connected`` as it was: networkx on the coupling graph."""
+    return nx.is_connected(to_networkx(coupling))
 
 
 def reference_orient_edges(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import networkx as nx
 
+from graph_helpers import to_networkx
 from repro.topology.coupling import CouplingMap
 
 
@@ -29,7 +30,7 @@ def reference_find_long_path(
     step_budget: int = 200_000,
 ) -> list[int] | None:
     """Backtracking search for a simple path visiting ``length`` qubits."""
-    graph = coupling.graph()
+    graph = to_networkx(coupling)
     if length <= 0:
         return []
     if length > graph.number_of_nodes():

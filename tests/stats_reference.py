@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.core.fabrication import FabricationModel
 from repro.core.frequencies import FrequencyAllocation
-from repro.stats import chunk_layout, chunk_seed
+from repro.stats.streaming import chunk_layout, chunk_seed
 
 
 def materialize_seeded_batch(

@@ -16,8 +16,9 @@ from repro.analysis.appeval import (
 from repro.analysis.figures.appsweep import run_appsweep
 from repro.analysis.figures.fig10_apps import run_fig10_applications
 from repro.circuits.benchmarks import BENCHMARK_NAMES
-from repro.engine import ExecutionEngine, ResultCache
-from repro.stats import median_interval
+from repro.engine.cache import ResultCache
+from repro.engine.runner import ExecutionEngine
+from repro.stats.intervals import median_interval
 
 
 @pytest.fixture()

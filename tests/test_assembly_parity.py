@@ -31,7 +31,7 @@ from repro.core.fabrication import FabricationModel
 from repro.core.mcm import MCMDesign
 from repro.device.calibration import washington_cx_model
 from repro.device.noise import LinkErrorModel
-from repro.tuning import TuningOptions
+from repro.tuning.repair import TuningOptions
 
 SEEDS = st.integers(min_value=0, max_value=2**63 - 1)
 

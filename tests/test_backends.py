@@ -20,12 +20,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.registry import EXPERIMENTS, parse_runner_options
-from repro.engine import (
-    CancelToken,
-    ExecutionCancelled,
-    ExecutionEngine,
-    spawn_seeds,
-)
+from repro.engine.backends import CancelToken, ExecutionCancelled
+from repro.engine.runner import ExecutionEngine
+from repro.engine.seeding import spawn_seeds
 from repro.engine import backends as backends_module
 
 #: The two execution paths, by the ``jobs`` that selects each.

@@ -5,19 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.circuits.benchmarks import (
-    BENCHMARK_NAMES,
-    BENCHMARKS,
-    adder_register_size,
-    bernstein_vazirani,
-    bit_code,
-    build_benchmark,
-    cuccaro_adder,
-    ghz,
-    qaoa_maxcut,
-    quantum_primacy,
-    tfim_hamiltonian,
-)
+from repro.circuits.benchmarks import BENCHMARK_NAMES, BENCHMARKS, build_benchmark
+from repro.circuits.benchmarks.adder import adder_register_size, cuccaro_adder
+from repro.circuits.benchmarks.bit_code import bit_code
+from repro.circuits.benchmarks.bv import bernstein_vazirani
+from repro.circuits.benchmarks.ghz import ghz
+from repro.circuits.benchmarks.hamiltonian import tfim_hamiltonian
+from repro.circuits.benchmarks.primacy import quantum_primacy
+from repro.circuits.benchmarks.qaoa import qaoa_maxcut
 from statevector_reference import simulate
 
 

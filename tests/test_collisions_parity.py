@@ -25,7 +25,7 @@ from repro.core.collisions import (
     CollisionThresholds,
     find_collisions,
 )
-from repro.tuning import CollisionGraph
+from repro.tuning.graph import CollisionGraph
 
 #: Wider windows than Table I, so collided devices carry every type.
 _WIDE = CollisionThresholds(0.05, 0.02, 0.06, 0.05, 0.05, 0.05)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.circuits.benchmarks import build_benchmark, ghz
+from repro.circuits.benchmarks import build_benchmark
+from repro.circuits.benchmarks.ghz import ghz
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.decompose import decompose_to_cx_basis
 from repro.compiler.layout import Layout, choose_layout, find_long_path, is_chain_circuit

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.circuits.benchmarks import build_benchmark, ghz
+from repro.circuits.benchmarks import build_benchmark
+from repro.circuits.benchmarks.ghz import ghz
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.decompose import decompose_to_cx_basis
 from repro.compiler.layout import LAYOUT_METHODS, Layout, choose_layout

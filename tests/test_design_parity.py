@@ -39,7 +39,7 @@ from repro.core.frequencies import (  # noqa: E402
     allocation_from_labels,
 )
 from repro.core.mcm import MCMDesign, _LinkBuilder, mcm_dimensions_for  # noqa: E402
-from repro.engine import ExecutionEngine  # noqa: E402
+from repro.engine.runner import ExecutionEngine  # noqa: E402
 from repro.topology.base import QubitSite, rows_connected  # noqa: E402
 from repro.topology.coupling import CouplingMap  # noqa: E402
 from repro.topology.heavy_hex import (  # noqa: E402

@@ -20,14 +20,10 @@ from repro.core.collisions import (
 )
 from repro.core.fabrication import FabricationModel
 from repro.core.yield_model import detuning_sweep, simulate_yield_point, yield_vs_qubits
-from repro.engine import (
-    ExecutionEngine,
-    ExperimentSpec,
-    Registry,
-    ResultCache,
-    spawn_seeds,
-    stable_token,
-)
+from repro.engine.cache import ResultCache, stable_token
+from repro.engine.registry import ExperimentSpec, Registry
+from repro.engine.runner import ExecutionEngine
+from repro.engine.seeding import spawn_seeds
 from repro.engine.cache import code_version_token
 from repro.obs.metrics import REGISTRY
 

@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.figures import (
-    run_fig3_processor_trends,
-    run_fig4_yield_sweep,
-    run_fig6_configurations,
-    run_fig7_detuning_model,
-    run_fig8_yield_comparison,
-    run_fig9_infidelity_heatmap,
-    run_fig10_applications,
-    run_sec5c_fabrication_output,
+from repro.analysis.figures.fig10_apps import run_fig10_applications
+from repro.analysis.figures.fig3_trends import run_fig3_processor_trends
+from repro.analysis.figures.fig4_yield import run_fig4_yield_sweep
+from repro.analysis.figures.fig6_configurations import run_fig6_configurations
+from repro.analysis.figures.fig7_detuning import run_fig7_detuning_model
+from repro.analysis.figures.fig8_mcm import run_fig8_yield_comparison
+from repro.analysis.figures.fig9_heatmaps import run_fig9_infidelity_heatmap
+from repro.analysis.figures.sec5c_output import run_sec5c_fabrication_output
+from repro.analysis.figures.tables import (
     run_table1_collision_criteria,
     run_table2_compiled_benchmarks,
 )

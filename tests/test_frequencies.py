@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from graph_helpers import to_networkx
 from repro.core.frequencies import (
     DEFAULT_STEP_GHZ,
     FrequencySpec,
@@ -62,7 +63,7 @@ class TestHeavyHexLabels:
         """Every F2 control's neighbours carry different (F0/F1) labels."""
         lattice = heavy_hex_by_qubit_count(65)
         labels = heavy_hex_labels(lattice)
-        graph = lattice.graph()
+        graph = to_networkx(lattice)
         for qubit in range(lattice.num_qubits):
             if labels[qubit] != 2:
                 continue

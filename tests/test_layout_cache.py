@@ -21,6 +21,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
+from graph_helpers import to_networkx  # noqa: E402
 from layout_reference import (  # noqa: E402
     reference_densest_connected_subgraph,
     reference_find_long_path,
@@ -78,7 +79,7 @@ def reference_layout(circuit, coupling, method, edge_errors=None) -> dict[int, i
         if path is not None:
             return dict(zip(order, path))
     seed = layout_module._noise_seed(edge_errors) if method == "noise" else None
-    graph = coupling.graph()
+    graph = to_networkx(coupling)
     region = reference_densest_connected_subgraph(graph, circuit.num_qubits, seed)
     return dict(zip(order, reference_region_order(graph, region)))
 
@@ -102,7 +103,7 @@ def region_cases(draw):
 
 
 def assert_region_parity(coupling, size, seed):
-    graph = coupling.graph()
+    graph = to_networkx(coupling)
     region = densest_connected_subgraph(coupling, size, seed)
     assert region == reference_densest_connected_subgraph(graph, size, seed)
     if region:

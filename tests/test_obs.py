@@ -20,7 +20,7 @@ import logging
 import pytest
 
 from repro.analysis.registry import EXPERIMENTS, parse_runner_options
-from repro.engine import ExecutionEngine
+from repro.engine.runner import ExecutionEngine
 from repro.obs import tracing
 from repro.obs.export import (
     chrome_events_to_spans,

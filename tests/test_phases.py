@@ -13,7 +13,8 @@ from repro.compiler.transpile import transpile
 from repro.core.architecture import get_architecture
 from repro.core.collisions import count_collision_free
 from repro.core.fabrication import FabricationModel
-from repro.engine import ExecutionEngine, collecting, phase
+from repro.engine.phases import collecting, phase
+from repro.engine.runner import ExecutionEngine
 from repro.topology.coupling import CouplingMap
 
 
@@ -132,7 +133,7 @@ class TestEngineAggregation:
         assert total_phase <= total_family + 1e-6
 
     def test_cache_hits_book_no_phase_time(self, tmp_path):
-        from repro.engine import ResultCache
+        from repro.engine.cache import ResultCache
 
         kwargs = self._mask_kwargs()
         first = ExecutionEngine(jobs=1, cache=ResultCache(tmp_path))

@@ -23,7 +23,9 @@ from hypothesis import given, strategies as st
 from repair_reference import reference_anneal_repair, reference_greedy_repair
 from repro.core.architecture import get_architecture
 from repro.core.fabrication import FabricationModel
-from repro.tuning import AnnealingRepair, CollisionGraph, GreedyLocalRepair, TunerModel
+from repro.tuning.graph import CollisionGraph
+from repro.tuning.models import TunerModel
+from repro.tuning.strategies import AnnealingRepair, GreedyLocalRepair
 
 
 @pytest.fixture(scope="module")

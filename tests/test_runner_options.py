@@ -13,7 +13,7 @@ import inspect
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from repro.analysis.registry import EXPERIMENTS, RUNNER_OPTIONS, parse_runner_options
-from repro.engine import ExecutionEngine
+from repro.engine.runner import ExecutionEngine
 
 #: Names a client might type: valid entries of every name registry,
 #: near misses and junk.

@@ -250,7 +250,7 @@ class TestPipelineParity:
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_cross_jobs_parity_with_bank(self, jobs):
         """Engine runs at any --jobs reproduce the sequential banked sweep."""
-        from repro.engine import ExecutionEngine
+        from repro.engine.runner import ExecutionEngine
 
         sequential = detuning_sweep(**SMALL_SWEEP, share_draws=True)
         engine = ExecutionEngine(jobs=jobs, use_cache=False)
@@ -259,7 +259,7 @@ class TestPipelineParity:
 
     def test_repair_stream_bit_identical_after_bank_hit(self, unbanked):
         """Tuned runs: the repair rng continues identically through a hit."""
-        from repro.tuning import TuningOptions
+        from repro.tuning.repair import TuningOptions
 
         point = dict(
             sigma_ghz=0.05,
@@ -281,7 +281,7 @@ class TestPipelineParity:
     def test_materialize_preallocated_matches_concatenated_chunks(
         self, allocation_27, fabrication
     ):
-        from repro.stats import chunk_layout, chunk_seed
+        from repro.stats.streaming import chunk_layout, chunk_seed
 
         batch, chunk = 130, 50
         materialized = materialize_seeded_batch(

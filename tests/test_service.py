@@ -22,17 +22,11 @@ import time
 
 import pytest
 
-from repro.engine import ExperimentSpec, Registry
-from repro.service import (
-    JobCancelled,
-    JobManager,
-    JobState,
-    QueueFull,
-    RateLimited,
-    RateLimiter,
-    ServiceServer,
-    request,
-)
+from repro.engine.registry import ExperimentSpec, Registry
+from repro.service.http import ServiceServer, request
+from repro.service.jobs import JobState
+from repro.service.manager import JobCancelled, JobManager, QueueFull
+from repro.service.ratelimit import RateLimited, RateLimiter
 
 #: Engine options keeping every test job fast, deterministic and diskless.
 FAST_ENGINE = {"use_cache": False, "jobs": 1}

@@ -18,16 +18,16 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.engine import ExecutionCancelled, ExperimentSpec, Registry
-from repro.service import (
+from repro.engine.backends import ExecutionCancelled
+from repro.engine.registry import ExperimentSpec, Registry
+from repro.service.failures import (
     FailureClass,
     FailureClassifier,
-    JobFailed,
-    JobManager,
-    JobState,
     RetryPolicy,
     TransientServiceError,
 )
+from repro.service.jobs import JobState
+from repro.service.manager import JobFailed, JobManager
 
 FAST_ENGINE = {"use_cache": False, "jobs": 1}
 

@@ -25,17 +25,10 @@ from repro.core.yield_model import (
     simulate_yield_point,
     yield_vs_qubits,
 )
-from repro.engine import spawn_seed_at, spawn_seeds
-from repro.stats import (
-    StatsOptions,
-    StreamingEstimator,
-    adaptive_estimate,
-    binomial_ci,
-    chunk_layout,
-    chunk_seed,
-    normal_quantile,
-    wilson_interval,
-)
+from repro.engine.seeding import spawn_seed_at, spawn_seeds
+from repro.stats.adaptive import StatsOptions, adaptive_estimate
+from repro.stats.intervals import binomial_ci, normal_quantile, wilson_interval
+from repro.stats.streaming import StreamingEstimator, chunk_layout, chunk_seed
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
 from stats_reference import materialize_seeded_batch
 

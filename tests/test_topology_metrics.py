@@ -5,6 +5,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from graph_helpers import to_networkx
 from repro.compiler.layout import densest_connected_subgraph
 from repro.topology.coupling import CouplingMap
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
@@ -23,7 +24,7 @@ class TestDensestConnectedSubgraph:
     def test_subgraph_is_connected(self):
         coupling = CouplingMap.from_lattice(heavy_hex_by_qubit_count(65))
         nodes = densest_connected_subgraph(coupling, 52)
-        assert nx.is_connected(coupling.graph().subgraph(nodes))
+        assert nx.is_connected(to_networkx(coupling).subgraph(nodes))
 
     def test_zero_size(self):
         assert densest_connected_subgraph(path(4), 0) == []
@@ -39,4 +40,4 @@ class TestDensestConnectedSubgraph:
         coupling = path(8)
         nodes = densest_connected_subgraph(coupling, 3, seed=0)
         assert 0 in nodes
-        assert nx.is_connected(coupling.graph().subgraph(nodes))
+        assert nx.is_connected(to_networkx(coupling).subgraph(nodes))

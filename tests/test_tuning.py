@@ -21,16 +21,16 @@ from repro.core.yield_model import (
     simulate_yield_point,
     yield_vs_qubits,
 )
-from repro.engine import ExecutionEngine, ResultCache, stable_token
-from repro.tuning import (
+from repro.engine.cache import ResultCache, stable_token
+from repro.engine.runner import ExecutionEngine
+from repro.tuning.graph import CollisionGraph
+from repro.tuning.models import TunerModel
+from repro.tuning.repair import TuningOptions, repair_batch
+from repro.tuning.strategies import (
     AnnealingRepair,
-    CollisionGraph,
     GreedyLocalRepair,
     RepairStrategy,
-    TunerModel,
-    TuningOptions,
     get_strategy,
-    repair_batch,
 )
 
 from stats_reference import materialize_seeded_batch

@@ -21,14 +21,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.architecture import get_architecture
 from repro.core.fabrication import FabricationModel
-from repro.tuning import (
-    AnnealingRepair,
-    CollisionGraph,
-    GreedyLocalRepair,
-    TunerModel,
-    TuningOptions,
-    repair_batch,
-)
+from repro.tuning.graph import CollisionGraph
+from repro.tuning.models import TunerModel
+from repro.tuning.repair import TuningOptions, repair_batch
+from repro.tuning.strategies import AnnealingRepair, GreedyLocalRepair
 
 #: Small sizes keep each Hypothesis example fast while exercising both
 #: bridge and dense qubits (heavy-hex) or full plan periods (ring/square).

@@ -22,7 +22,7 @@ from repro.core.yield_model import (
     simulate_yield_point,
     simulate_yield_with_devices,
 )
-from repro.tuning import TuningOptions
+from repro.tuning.repair import TuningOptions
 
 SIGMA = 0.02
 STEP = 0.06
