@@ -6,10 +6,10 @@ Two measurements, written to ``benchmarks/BENCH_engine.json``:
   grid — the engine at ``jobs=1`` (every batch in-process) vs. the
   engine on its process pool (``jobs`` = ``REPRO_BENCH_JOBS``, at least
   2).  Bit-identical yields are asserted unconditionally.  The process
-  caches (sample bank, routing cache, architecture memo) are emptied
-  before each timed arm, so neither arm inherits the other's warm
-  state — forked workers would otherwise start with whatever the
-  in-process arm had banked.  Each arm is timed as the median of
+  caches (routing cache, architecture memo) are emptied before each
+  timed arm, so neither arm inherits the other's warm state — forked
+  workers would otherwise start with whatever the in-process arm had
+  memoised.  Each arm is timed as the median of
   three runs, alternating ``jobs=1`` and the pool, so one slow pool
   start-up does not decide the record.  The speedup is recorded with a noise
   band: on a single-core host the pool is pure overhead, so ~1.0x or

@@ -16,7 +16,6 @@ import pytest
 from repro.analysis.study import ArchitectureStudy, StudyConfig
 from repro.compiler.routing import clear_routing_cache
 from repro.core.architecture import clear_architecture_caches
-from repro.core.sample_bank import clear_sample_bank
 from repro.engine.runner import ExecutionEngine
 
 
@@ -38,11 +37,10 @@ def bench_jobs() -> int:
 def reset_process_caches() -> None:
     """Empty the process-wide memo caches before a timed arm.
 
-    The sample bank, the routing cache and the architecture memo would
-    otherwise carry one arm's warm state into the next (and into the
-    workers a pool forks from this process).
+    The routing cache and the architecture memo would otherwise carry
+    one arm's warm state into the next (and into the workers a pool
+    forks from this process).
     """
-    clear_sample_bank()
     clear_routing_cache()
     clear_architecture_caches()
 

@@ -19,9 +19,9 @@ setup(
     package_dir={"": "src"},
     python_requires=">=3.10",
     install_requires=[
-        # Floor = the version CI's oldest-numpy leg pins: the sample bank
-        # relies on Generator.normal == sigma * standard_normal bitwise
-        # and on bit-generator state round-trips, both verified there.
+        # Floor = the version CI's oldest-numpy leg pins: the fabrication
+        # draw reproduces the goldens only while Generator.normal ==
+        # sigma * standard_normal bitwise (state included), verified there.
         "numpy>=1.24",
         "scipy",
         "networkx",

@@ -34,7 +34,7 @@ Subcommands
     one warning on stderr naming them.  ``--dump-json
     PATH`` writes the experiment's full result — every numeric field,
     confidence intervals included — to a machine-readable JSON file,
-    along with engine statistics and the routing-cache, sample-bank and
+    along with engine statistics and the routing-cache, layout-memo and
     result-cache traffic of the run (worker processes included).
     ``--trace PATH`` records a span trace of the run (engine batches,
     per-task and per-phase spans, worker-process spans re-parented under

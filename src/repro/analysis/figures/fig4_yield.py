@@ -84,7 +84,6 @@ def run_fig4_yield_sweep(
     stats: StatsOptions | None = None,
     topology: str | None = None,
     tuning: TuningOptions | None = None,
-    share_draws: bool = False,
 ) -> Fig4Result:
     """Regenerate the Fig. 4 grid of yield-vs-qubits curves.
 
@@ -104,12 +103,6 @@ def run_fig4_yield_sweep(
     tuning:
         Optional post-fabrication repair options; the grid's yields then
         include tuner-recovered dies.
-    share_draws:
-        Declare (step, sigma) as the shared-draw axis: every curve
-        fabricates the same virtual devices per size (common random
-        numbers), and the sample bank reduces the grid to one sampling
-        pass per size.  Defaults to the historical per-curve resampling
-        that the committed goldens pin.
     """
     curves = detuning_sweep(
         steps_ghz=steps_ghz,
@@ -121,7 +114,6 @@ def run_fig4_yield_sweep(
         stats=stats,
         topology=topology,
         tuning=tuning,
-        share_draws=share_draws,
     )
     result = Fig4Result(sizes=sizes)
     for key, curve in curves.items():

@@ -22,9 +22,7 @@ def run_fig6_configurations(
 
     When ``chiplet_yield`` is ``None`` the yield of the 20-qubit chiplet is
     measured by Monte-Carlo at the state-of-the-art precision, mirroring the
-    paper's ~69.4 % figure.  The measurement is a fixed-seed single point,
-    so repeated runs (and any sweep that wraps this figure) reuse banked
-    fabrication draws through :mod:`repro.core.sample_bank` automatically.
+    paper's ~69.4 % figure, as one fixed-seed point.
     """
     if chiplet_yield is None:
         design = ChipletDesign.build(chiplet_qubits)

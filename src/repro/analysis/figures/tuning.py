@@ -235,15 +235,11 @@ def run_repair_budget_sweep(
 
     Every cell runs :func:`simulate_yield_point` at the *same* seed, so
     the fabricated batch is identical across the grid and the repaired
-    column isolates the tuner's contribution.  That same-seed design is
-    also the sweep's shared-draw axis: with the sample bank enabled
-    (:mod:`repro.core.sample_bank`) the whole reach x budget grid
-    fabricates ONCE and every other cell re-scales banked draws, while
-    the per-cell repair streams still continue their own generators
-    bit-identically.  ``tuning`` contributes the strategy and actuation
-    precision; the grid overrides reach and budget cell by cell.  The
-    zero-shift row is the exact untuned baseline (a no-op tuner repairs
-    nothing by contract).
+    column isolates the tuner's contribution; each cell's repair stream
+    continues its own generator.  ``tuning`` contributes the strategy and
+    actuation precision; the grid overrides reach and budget cell by
+    cell.  The zero-shift row is the exact untuned baseline (a no-op
+    tuner repairs nothing by contract).
     """
     base = tuning if tuning is not None else TuningOptions()
     arch = get_architecture(topology)

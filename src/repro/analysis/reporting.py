@@ -6,8 +6,8 @@ keep that output aligned and readable.  :func:`jsonable` is the
 machine-readable counterpart: it flattens any experiment's result object
 (dataclasses, numpy arrays, nested containers) into plain JSON types for
 the CLI's ``--dump-json``.  :func:`cache_traffic` is the routing-cache,
-layout-memo, sample-bank and result-cache block of that dump and of the
-service's per-job snapshots.
+layout-memo and result-cache block of that dump and of the service's
+per-job snapshots.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro.compiler.routing import routing_cache_stats
-from repro.core.sample_bank import sample_bank_stats
 from repro.obs.metrics import REGISTRY
 
 __all__ = ["format_table", "format_series", "jsonable", "cache_traffic"]
@@ -80,16 +79,6 @@ _TRAFFIC = {
         "repro_layout_cache_events_total",
         {"hit": "hits", "miss": "misses", "eviction": "evictions"},
     ),
-    "sample_bank": (
-        "repro_sample_bank_events_total",
-        {
-            "hit": "hits",
-            "miss": "misses",
-            "eviction": "evictions",
-            "bypass": "bypasses",
-            "oversize": "oversize",
-        },
-    ),
     "result_cache": (
         "repro_result_cache_events_total",
         {"hit": "hits", "miss": "misses", "poisoned_unlink": "poisoned_unlinks"},
@@ -98,14 +87,14 @@ _TRAFFIC = {
 
 
 def cache_traffic(marks: dict) -> dict[str, dict[str, Any]]:
-    """Routing-cache, layout-memo, sample-bank and result-cache traffic since ``marks``.
+    """Routing-cache, layout-memo and result-cache traffic since ``marks``.
 
     ``marks`` is a ``REGISTRY.checkpoint()`` taken before the run.  The
     traffic counts come from the metrics registry, which also holds the
     deltas the engine merges home from worker processes, so they are the
-    same at any ``jobs``.  Occupancy (``entries``, ``sources_computed``,
-    ``bytes``) is this process's own.  A caller whose run had result
-    caching off reports its ``result_cache`` block as ``None``.
+    same at any ``jobs``.  Occupancy (``entries``, ``sources_computed``)
+    is this process's own.  A caller whose run had result caching off
+    reports its ``result_cache`` block as ``None``.
     """
     delta = REGISTRY.delta_since(marks) or {"entries": []}
     moved = {
@@ -115,7 +104,6 @@ def cache_traffic(marks: dict) -> dict[str, dict[str, Any]]:
     views = {
         "routing_cache": routing_cache_stats(),
         "layout_cache": {},
-        "sample_bank": sample_bank_stats(),
         "result_cache": {},
     }
     for block, (metric, stats_keys) in _TRAFFIC.items():

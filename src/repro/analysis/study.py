@@ -211,12 +211,7 @@ def _study_rng(config: StudyConfig, *key: int) -> np.random.Generator:
 def compute_chiplet_bin(
     config: StudyConfig, cx_model: EmpiricalCXModel, size: int
 ) -> ChipletBin:
-    """Fabricate and KGD-characterise the chiplet bin for one size.
-
-    The study's rng keys are sigma-independent tuples, so a sigma sweep
-    over :class:`StudyConfig` automatically shares fabrication draws
-    through the sample bank (common random numbers along the sigma axis).
-    """
+    """Fabricate and KGD-characterise the chiplet bin for one size."""
     spec = FrequencySpec(step_ghz=config.step_ghz)
     design = ChipletDesign.build(size, spec=spec, topology=config.topology)
     return fabricate_chiplet_bin(
@@ -225,7 +220,6 @@ def compute_chiplet_bin(
         cx_model,
         batch_size=config.chiplet_batch_size,
         rng=_study_rng(config, 1, size),
-        draw_seed=(config.seed, 1, size),
     )
 
 
@@ -323,11 +317,7 @@ def compute_mcm_results(
 def compute_monolithic_result(
     config: StudyConfig, cx_model: EmpiricalCXModel, num_qubits: int
 ) -> MonolithicResult:
-    """Monte-Carlo yield and E_avg for one monolithic device size.
-
-    Like :func:`compute_chiplet_bin`, the sigma-independent rng key means
-    sigma sweeps over the study reuse banked fabrication draws.
-    """
+    """Monte-Carlo yield and E_avg for one monolithic device size."""
     rng = _study_rng(config, 3, num_qubits)
     arch = get_architecture(config.topology)
     lattice = arch.lattice(num_qubits)
@@ -337,7 +327,6 @@ def compute_monolithic_result(
         FabricationModel(sigma_ghz=config.sigma_ghz),
         batch_size=config.monolithic_batch_size,
         rng=rng,
-        draw_seed=(config.seed, 3, num_qubits),
     )
 
     eavg = float("nan")

@@ -274,15 +274,8 @@ def fabricate_chiplet_bin(
     rng: np.random.Generator,
     thresholds: CollisionThresholds | None = None,
     tuning: TuningOptions | None = None,
-    draw_seed=None,
 ) -> ChipletBin:
     """Fabricate, screen, (optionally) repair and KGD-characterise a batch.
-
-    ``draw_seed`` — the exact seed ``rng`` was freshly constructed from,
-    when known — routes the fabrication draws through the sample bank
-    (:mod:`repro.core.sample_bank`): bins re-fabricated at another sigma
-    but the same seed reuse the base draws, and the characterisation /
-    repair streams continue ``rng`` bit-identically.
 
     With ``tuning`` set, dies that fail collision screening are handed to
     the post-fabrication repair stage; recovered dies join the bin after
@@ -297,9 +290,7 @@ def fabricate_chiplet_bin(
     random stream.  (Child spawning needs a seed-sequence-backed
     generator — anything from ``np.random.default_rng``.)
     """
-    frequencies = fabrication.sample_batch(
-        design.allocation, batch_size, rng, draw_seed=draw_seed
-    )
+    frequencies = fabrication.sample_batch(design.allocation, batch_size, rng)
     mask = collision_free_mask(design.allocation, frequencies, thresholds)
     num_repaired = 0
     repaired_rows = frequencies[:0]

@@ -15,14 +15,11 @@ ideal frequency:
 of sampled devices, optionally applying post-fabrication laser tuning that
 shrinks the effective scatter.
 
-Sampling is split into :meth:`FabricationModel.standard_draws` (the
-sigma-independent standard-normal base draws ``z``) and the affine
-scaling ``ideal + sigma * z`` — bitwise identical to the historical
-``rng.normal(0, sigma, size)`` call (NumPy computes exactly
-``loc + scale * standard_normal``; pinned by the property suite in
-``tests/test_sample_bank.py``).  The split lets callers that fabricate
-the same seeded batch at many sigmas share the base draws through
-:mod:`repro.core.sample_bank` instead of re-sampling per grid cell.
+Sampling draws ``z = rng.standard_normal((batch, num_qubits))`` and
+scales it in place to ``ideal + sigma * z`` — bitwise identical to the
+historical ``ideal + rng.normal(0, sigma, size)`` draw (NumPy computes
+exactly ``loc + scale * standard_normal``; pinned by the property suite
+in ``tests/test_fabrication.py``).
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.frequencies import FrequencyAllocation
-from repro.core.sample_bank import banked_standard_normal
 from repro.engine.phases import phase
 
 __all__ = [
@@ -68,33 +64,11 @@ class FabricationModel:
         if self.sigma_ghz < 0:
             raise ValueError("sigma_ghz must be non-negative")
 
-    def standard_draws(
-        self,
-        allocation: FrequencyAllocation,
-        length: int,
-        rng: np.random.Generator,
-        draw_seed=None,
-    ) -> np.ndarray:
-        """The sigma-independent standard-normal base draws of a batch.
-
-        Returns a ``(length, num_qubits)`` array of N(0, 1) draws; the
-        fabricated frequencies are ``ideal + sigma_ghz * draws``.  With a
-        ``draw_seed`` — the exact seed ``rng`` was freshly constructed
-        from — the draws go through the process-wide sample bank, so
-        sweeps that revisit the same seeded batch at another sigma (or
-        detuning step) reuse them instead of re-sampling.  Banked arrays
-        are read-only; scale them, don't mutate them.
-        """
-        return banked_standard_normal(
-            draw_seed, (length, allocation.num_qubits), rng
-        )
-
     def sample_batch(
         self,
         allocation: FrequencyAllocation,
         batch_size: int,
         rng: np.random.Generator,
-        draw_seed=None,
     ) -> np.ndarray:
         """Sample a batch of fabricated devices.
 
@@ -106,13 +80,6 @@ class FabricationModel:
             Number of devices to fabricate.
         rng:
             Source of randomness.
-        draw_seed:
-            Optional content identity of the base draws: the exact seed
-            (int or tuple) ``rng`` was freshly constructed from, enabling
-            the common-random-number sample bank
-            (:mod:`repro.core.sample_bank`).  Omit for generators with
-            history; the bank verifies the contract and falls back to
-            direct sampling on any mismatch.
 
         Returns
         -------
@@ -123,13 +90,11 @@ class FabricationModel:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         with phase("sample"):
-            draws = self.standard_draws(
-                allocation, batch_size, rng, draw_seed=draw_seed
-            )
-            # z * sigma (fresh array: draws may be a banked, read-only
-            # entry) then an in-place broadcast add of the ideal row —
-            # bitwise equal to ``ideal + sigma * z`` (IEEE multiply and
-            # add are commutative) with one fewer full-size temporary.
-            frequencies = draws * self.sigma_ghz
+            # z * sigma then a broadcast add of the ideal row, both in
+            # place — bitwise equal to ``ideal + sigma * z`` (IEEE
+            # multiply and add are commutative) with no full-size
+            # temporary.
+            frequencies = rng.standard_normal((batch_size, allocation.num_qubits))
+            frequencies *= self.sigma_ghz
             frequencies += allocation.ideal_frequencies
             return frequencies

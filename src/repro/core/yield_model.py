@@ -275,7 +275,6 @@ def _sample_screen_count(
     fabrication: FabricationModel,
     length: int,
     rng: np.random.Generator,
-    draw_seed,
     thresholds: CollisionThresholds | None,
     tuning: TuningOptions | None,
 ) -> tuple[_Counts, np.ndarray, np.ndarray]:
@@ -287,14 +286,13 @@ def _sample_screen_count(
     collided devices are repaired continuing ``rng`` after fabrication
     sampling, so the fabricated frequencies are bit-identical to the
     untuned batch and the repair shots are a pure function of the
-    generator's seed.  ``draw_seed`` is the sample-bank key of ``rng``
-    (see :mod:`repro.core.sample_bank`).
+    generator's seed.
 
     Returns ``(counts, frequencies, survivors)``: the counts record, the
     batch (repaired rows substituted when tuned) and its boolean
     collision-free mask.
     """
-    frequencies = fabrication.sample_batch(allocation, length, rng, draw_seed=draw_seed)
+    frequencies = fabrication.sample_batch(allocation, length, rng)
     if tuning is None:
         survivors = collision_free_mask(allocation, frequencies, thresholds)
         return _Counts(int(survivors.sum()), length), frequencies, survivors
@@ -340,7 +338,6 @@ def simulate_yield(
     rng: np.random.Generator | None = None,
     thresholds: CollisionThresholds | None = None,
     tuning: TuningOptions | None = None,
-    draw_seed=None,
 ) -> YieldResult:
     """Monte-Carlo collision-free yield for one topology.
 
@@ -360,18 +357,12 @@ def simulate_yield(
         Optional post-fabrication repair stage; collided devices are
         repaired (continuing ``rng``) before yield is counted, and the
         result is a :class:`RepairedYieldResult`.
-    draw_seed:
-        Optional sample-bank key: the exact seed ``rng`` was freshly
-        constructed from (see :mod:`repro.core.sample_bank`).  Banked
-        hits restore the post-sampling generator state, so the repair
-        stream continuing ``rng`` stays bit-identical.
     """
     counts, _, _ = _sample_screen_count(
         allocation,
         fabrication,
         batch_size,
         rng or np.random.default_rng(),
-        draw_seed,
         thresholds,
         tuning,
     )
@@ -384,7 +375,6 @@ def simulate_yield_with_devices(
     batch_size: int = DEFAULT_BATCH_SIZE,
     rng: np.random.Generator | None = None,
     thresholds: CollisionThresholds | None = None,
-    draw_seed=None,
 ) -> tuple[YieldResult, np.ndarray]:
     """Like :func:`simulate_yield` but also return the surviving devices.
 
@@ -401,7 +391,6 @@ def simulate_yield_with_devices(
         fabrication,
         batch_size,
         rng or np.random.default_rng(),
-        draw_seed,
         thresholds,
         None,
     )
@@ -412,19 +401,6 @@ def simulate_yield_with_devices(
 # ---------------------------------------------------------------------- #
 # Chunked sampling: the spawn-seeded scheme shared by every estimator
 # ---------------------------------------------------------------------- #
-def _chunk_rng(
-    seed: int | None, chunk_index: int
-) -> tuple[np.random.Generator, int | None]:
-    """Chunk ``chunk_index``'s generator and its sample-bank draw key.
-
-    The chunk's derived seed doubles as the draw key, so every sigma/step
-    revisiting the same ``(seed, chunk_index, num_qubits, length)``
-    identity shares banked base draws.
-    """
-    derived = chunk_seed(seed, chunk_index)
-    return np.random.default_rng(derived), derived
-
-
 def simulate_yield_chunked(
     allocation: FrequencyAllocation,
     fabrication: FabricationModel,
@@ -454,9 +430,9 @@ def simulate_yield_chunked(
     chunks: list[_Counts] = []
 
     def draw_chunk(chunk_index: int, length: int) -> tuple[int, int]:
-        rng, derived = _chunk_rng(seed, chunk_index)
+        rng = np.random.default_rng(chunk_seed(seed, chunk_index))
         counts, _, _ = _sample_screen_count(
-            allocation, fabrication, length, rng, derived, thresholds, tuning
+            allocation, fabrication, length, rng, thresholds, tuning
         )
         chunks.append(counts)
         return counts.free, counts.trials
@@ -527,7 +503,6 @@ def simulate_yield_point(
         np.random.default_rng(seed),
         thresholds,
         tuning=tuning,
-        draw_seed=seed,
     )
 
 
@@ -619,7 +594,6 @@ def detuning_sweep(
     stats: StatsOptions | None = None,
     topology: str | None = None,
     tuning: TuningOptions | None = None,
-    share_draws: bool = False,
 ) -> dict[tuple[float, float], YieldCurve]:
     """The full Fig. 4 grid: one yield curve per (step, sigma) combination.
 
@@ -633,15 +607,6 @@ def detuning_sweep(
     :func:`yield_vs_qubits` call at the curve's *derived* seed, not at the
     master seed.)
 
-    ``share_draws=True`` declares (step, sigma) as the shared-draw axis:
-    every combination reuses ONE derived curve seed, so all curves
-    fabricate the *same* virtual devices per size — the classic
-    common-random-number design (adjacent sweep points compare identical
-    noise instead of resampled noise), and the sample bank turns the
-    whole grid into one sampling pass per size plus cheap affine
-    re-scalings.  The default resamples per combination, preserving the
-    historical seed derivation (and the committed goldens) exactly.
-
     Returns
     -------
     dict
@@ -649,10 +614,7 @@ def detuning_sweep(
     """
     arch = get_architecture(topology)
     combos = [(step, sigma) for step in steps_ghz for sigma in sigmas_ghz]
-    if share_draws:
-        curve_seeds = [_point_seeds(seed, 1)[0]] * len(combos)
-    else:
-        curve_seeds = _point_seeds(seed, len(combos))
+    curve_seeds = _point_seeds(seed, len(combos))
     stats = stats or StatsOptions()
 
     lattices: dict[int, Lattice] = {}

@@ -2,8 +2,8 @@
 
 :class:`ResultCache` is the on-disk content-addressed result cache for
 engine tasks.  :class:`BoundedLRU` is the one in-process memo every
-other cache is built on (routing weights, lattices, frequency
-allocations, sample-bank draws).
+other cache is built on (routing weights, layout placements, lattices,
+frequency allocations).
 
 Results are keyed on ``(task name, parameters, code version)`` — the seed
 is one of the parameters, so the same experiment at a different seed is a
@@ -257,45 +257,27 @@ class ResultCache:
 
 
 #: The :meth:`BoundedLRU.stats` key each counted event is reported under.
-LRU_STAT_KEYS = {
-    "hit": "hits",
-    "miss": "misses",
-    "eviction": "evictions",
-    "oversize": "oversize",
-    "bypass": "bypasses",
-}
+LRU_STAT_KEYS = {"hit": "hits", "miss": "misses", "eviction": "evictions"}
 
 
 class BoundedLRU:
-    """Thread-safe least-recently-used memo with a capacity in cost units.
+    """Thread-safe least-recently-used memo of at most ``capacity`` entries.
 
-    Each entry costs ``cost(value)`` (1 when ``cost`` is None) and the
-    stored total never exceeds ``capacity``: an insert evicts the least
-    recently used entries until it fits, and a value costing more than
-    the whole capacity is returned but never stored (an ``oversize``
-    event).  Values are built outside the lock, so a slow build never
+    An insert into a full memo evicts the least recently used entry.
+    Values are built outside the lock, so a slow build never
     blocks other lookups; if two threads race to build one key, the
     first value stored wins and is what both callers get.
 
-    Every event (``hit``, ``miss``, ``eviction``, ``oversize``, and
-    whatever the owner records through :meth:`count`) is counted in
+    Every event (``hit``, ``miss``, ``eviction``) is counted in
     :meth:`stats` for this process and in the registry counter
     ``metric``, whose worker-process deltas the engine merges home.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        metric: str,
-        help: str = "",
-        cost: Callable[[Any], int] | None = None,
-    ) -> None:
+    def __init__(self, capacity: int, metric: str, help: str = "") -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
-        self._cost = cost
-        self._entries: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
-        self._used = 0
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.Lock()
         self._counts = dict.fromkeys(LRU_STAT_KEYS.values(), 0)
         self._events = REGISTRY.counter(metric, help, labels=("event",))
@@ -305,51 +287,37 @@ class BoundedLRU:
         self._counts[LRU_STAT_KEYS[event]] += 1
         self._events.inc(event=event)
 
-    def count(self, event: str) -> None:
-        """Record an owner-specific event (one of :data:`LRU_STAT_KEYS`)."""
-        with self._lock:
-            self._bump(event)
-
     def get_or_build(self, key: Hashable, build: Callable[[], Any]) -> Any:
         """The value stored under ``key``, built and stored on a miss."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
+            if key in self._entries:
                 self._entries.move_to_end(key)
                 self._bump("hit")
-                return entry[0]
+                return self._entries[key]
             self._bump("miss")
         value = build()
-        cost = 1 if self._cost is None else self._cost(value)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:  # a concurrent build got there first
+            if key in self._entries:  # a concurrent build got there first
                 self._entries.move_to_end(key)
-                return entry[0]
-            if cost > self.capacity:
-                self._bump("oversize")
-                return value
-            self._entries[key] = (value, cost)
-            self._used += cost
-            while self._used > self.capacity:
-                _, (_, evicted) = self._entries.popitem(last=False)
-                self._used -= evicted
+                return self._entries[key]
+            self._entries[key] = value
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
                 self._bump("eviction")
         return value
 
     def values(self) -> list[Any]:
         """The stored values, least recently used first."""
         with self._lock:
-            return [value for value, _ in self._entries.values()]
+            return list(self._entries.values())
 
     def stats(self) -> dict[str, int]:
-        """Event counters plus occupancy: ``entries`` and total ``cost``."""
+        """Event counters plus occupancy (``entries``)."""
         with self._lock:
-            return {**self._counts, "entries": len(self._entries), "cost": self._used}
+            return {**self._counts, "entries": len(self._entries)}
 
     def clear(self) -> None:
         """Drop every entry and zero the counters (the registry keeps its)."""
         with self._lock:
             self._entries.clear()
-            self._used = 0
             self._counts = dict.fromkeys(self._counts, 0)

@@ -44,7 +44,6 @@ from functools import partial
 from typing import Any, AsyncIterator, Callable
 
 from repro.analysis.registry import parse_runner_options
-from repro.core.sample_bank import sample_bank_stats
 from repro.engine.cache import ResultCache, code_version_token
 from repro.engine.runner import ExecutionEngine
 from repro.obs.logs import get_logger
@@ -411,13 +410,13 @@ class JobManager:
     ) -> dict[str, Any]:
         """Per-job engine stats plus the cache traffic the job caused.
 
-        The routing cache, the layout memo, the sample bank and the
-        result cache are shared process-wide (that sharing is the point), so their
+        The routing cache, the layout memo and the result cache are
+        shared process-wide (that sharing is the point), so their
         traffic is read as a delta from the metrics-registry checkpoint
         ``marks`` taken at job start.  Concurrent jobs overlap in those
         deltas — they measure what happened *during* the job, which for
-        capacity questions is the honest number.  Occupancy fields (``entries``,
-        ``sources_computed``, ``bytes``) stay absolute.
+        capacity questions is the honest number.  Occupancy fields
+        (``entries``, ``sources_computed``) stay absolute.
         """
         from repro.analysis.reporting import cache_traffic
 
@@ -668,10 +667,6 @@ class JobManager:
         (see :mod:`repro.engine.phases`) over every job the manager still
         knows about, so ``/stats`` can attribute service time to
         sample/mask/repair/compile/score without walking individual jobs.
-        ``sample_bank`` is the process-wide common-random-number bank
-        (:mod:`repro.core.sample_bank`): lifetime counters plus current
-        occupancy, complementing the per-job deltas each job snapshot
-        carries.
         """
         seconds_by_phase: dict[str, float] = {}
         for job in self._jobs.values():
@@ -686,5 +681,4 @@ class JobManager:
             "queue_used": self._queue.qsize() if self._queue is not None else 0,
             "workers": self.workers,
             "seconds_by_phase": seconds_by_phase,
-            "sample_bank": sample_bank_stats(),
         }

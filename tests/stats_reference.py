@@ -25,15 +25,14 @@ def materialize_seeded_batch(
     """Every chunk of the ``(seed, chunk_size)`` scheme, in one array.
 
     Chunk ``i`` is drawn from a fresh generator on ``chunk_seed(seed, i)``
-    (which doubles as its sample-bank key) and written into a
-    preallocated array, so peak memory is the batch itself.
+    and written into a preallocated array, so peak memory is the batch
+    itself.
     """
     out = np.empty((batch_size, allocation.num_qubits), dtype=np.float64)
     start = 0
     for index, length in enumerate(chunk_layout(batch_size, chunk_size)):
-        derived = chunk_seed(seed, index)
         out[start : start + length] = fabrication.sample_batch(
-            allocation, length, np.random.default_rng(derived), draw_seed=derived
+            allocation, length, np.random.default_rng(chunk_seed(seed, index))
         )
         start += length
     return out

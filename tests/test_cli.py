@@ -356,10 +356,10 @@ class TestCLIBackends:
     ):
         """Cache traffic counted in pool workers reaches the dump.
 
-        Lookups (hits + misses + bypasses) of the routing cache, the
-        sample bank and the result cache are equal at ``--jobs 1`` and
-        ``--jobs 2``; occupancy is per process, so it is not compared.
-        Each run gets a cold result cache of its own.
+        Lookups (hits + misses) of the routing cache and the result cache
+        are equal at ``--jobs 1`` and ``--jobs 2``; occupancy is per
+        process, so it is not compared.  Each run gets a cold result
+        cache of its own.
         """
         import json
 
@@ -376,15 +376,11 @@ class TestCLIBackends:
                 assert main(args) == 0
                 engine = json.loads(path.read_text())["engine"]
                 lookups[run] = {
-                    block: sum(
-                        engine[block].get(key, 0)
-                        for key in ("hits", "misses", "bypasses")
-                    )
-                    for block in ("routing_cache", "sample_bank", "result_cache")
+                    block: engine[block]["hits"] + engine[block]["misses"]
+                    for block in ("routing_cache", "result_cache")
                 }
         capsys.readouterr()
         assert lookups["appsweep-1"]["routing_cache"] > 0
-        assert lookups["fig4-1"]["sample_bank"] > 0
         assert lookups["fig4-1"]["result_cache"] > 0
         for experiment in ("appsweep", "fig4"):
             assert lookups[f"{experiment}-1"] == lookups[f"{experiment}-2"]
@@ -404,9 +400,7 @@ class TestCLIBackends:
         assert engine["jobs"] == 1
         assert engine["workers_used"] == 1
         assert engine["tasks_total"] >= engine["tasks_executed"] > 0
-        assert {"cache_hits", "wall_seconds", "routing_cache", "sample_bank"} <= set(
-            engine
-        )
+        assert {"cache_hits", "wall_seconds", "routing_cache"} <= set(engine)
 
     def test_dump_json_reports_unattributed_seconds(self, tmp_path, capsys):
         """At ``--jobs 1`` the phases run inside the engine's wall, so the

@@ -1,13 +1,11 @@
 """The one bounded-LRU helper behind every in-process cache.
 
-Each check runs against the five live instances — the routing-weights
-cache, the layout placement memo, the lattice and allocation memos, and
-the sample bank's draw store — through their shared
-:class:`repro.engine.cache.BoundedLRU` interface, with synthetic keys
-and values of a known cost.  What each
-cache keys and stores is tested beside its owner
-(``test_routing_cache.py``, ``test_layout_cache.py``,
-``test_architecture_cache.py``, ``test_sample_bank.py``).
+Each check runs against the four live instances — the routing-weights
+cache, the layout placement memo and the lattice and allocation memos —
+through their shared :class:`repro.engine.cache.BoundedLRU` interface,
+with synthetic keys and values.  What each cache keys and stores is
+tested beside its owner (``test_routing_cache.py``,
+``test_layout_cache.py``, ``test_architecture_cache.py``).
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.compiler import layout, routing
-from repro.core import architecture, sample_bank
+from repro.core import architecture
 from repro.engine.cache import LRU_STAT_KEYS
 from repro.obs.metrics import REGISTRY
 
@@ -25,27 +23,11 @@ from repro.obs.metrics import REGISTRY
 def _clear_all() -> None:
     routing.clear_routing_cache()
     architecture.clear_architecture_caches()
-    sample_bank.clear_sample_bank()
 
 
 def _counted(lru, metric: str) -> SimpleNamespace:
-    """A cache costed 1 per entry: it holds ``capacity`` plain objects."""
-    return SimpleNamespace(
-        lru=lru, metric=metric, slots=lru.capacity, unit=1, value=object
-    )
-
-
-def _bank() -> SimpleNamespace:
-    """The bank, costed in bytes: four fake draw arrays fill it."""
-    lru = sample_bank._BANK._lru
-    unit = lru.capacity // 4
-    return SimpleNamespace(
-        lru=lru,
-        metric="repro_sample_bank_events_total",
-        slots=4,
-        unit=unit,
-        value=lambda: (SimpleNamespace(nbytes=unit), None),
-    )
+    """A cache that holds ``capacity`` plain objects."""
+    return SimpleNamespace(lru=lru, metric=metric, slots=lru.capacity, value=object)
 
 
 CACHES = {
@@ -57,7 +39,6 @@ CACHES = {
     "allocation": lambda: _counted(
         architecture._ALLOCATIONS, "repro_architecture_cache_events_total"
     ),
-    "bank": _bank,
 }
 
 
@@ -79,7 +60,7 @@ class TestBoundedCaches:
         stats = cache.lru.stats()
         assert stats["entries"] == cache.slots
         assert stats["evictions"] == 3
-        assert stats["cost"] == cache.slots * cache.unit <= cache.lru.capacity
+        assert len(cache.lru.values()) == cache.slots
 
     def test_eviction_is_least_recently_used(self, cache):
         for index in range(cache.slots):
@@ -104,7 +85,7 @@ class TestBoundedCaches:
         assert cache.lru.get_or_build(key, racing_build) is winner[0]
         stats = cache.lru.stats()
         assert stats["entries"] == 1
-        assert stats["cost"] == cache.unit
+        assert len(cache.lru.values()) == 1
 
     def test_clear_zeroes_counters_and_occupancy(self, cache):
         build(cache, 0)
@@ -122,7 +103,6 @@ class TestBoundedCaches:
         for index in range(cache.slots + 2):
             build(cache, index)
         build(cache, cache.slots + 1)
-        cache.lru.count("bypass")
         after = cache.lru.stats()
         moved = {
             entry["labels"][0]: entry["payload"]
@@ -135,7 +115,7 @@ class TestBoundedCaches:
 
     def test_concurrent_traffic_keeps_counts_and_bound(self, cache):
         """More threads than cores, a short switch interval: no lost
-        update in the counters, and the bound and cost total hold."""
+        update in the counters, and the bound holds."""
         import sys
         import threading
 
@@ -163,5 +143,4 @@ class TestBoundedCaches:
         stats = cache.lru.stats()
         assert stats["hits"] + stats["misses"] == threads * calls
         assert stats["entries"] <= cache.slots
-        assert stats["cost"] == stats["entries"] * cache.unit
         assert len(cache.lru.values()) == stats["entries"]

@@ -5,9 +5,8 @@ Every sampler of :func:`repro.core.yield_model.simulate_yield_point`
 strategies on two topologies at a small size and a fixed seed, and the
 full ``(num_collision_free, batch_size, num_repaired, tuned_qubits,
 total_tunes)`` record is pinned.  The values are the model's outputs, not
-derived expectations: any change to the seed derivation, the sample-bank
-draw keys, the chunk layout or the repair stream shows up here as a
-mismatch.
+derived expectations: any change to the seed derivation, the fabrication
+draw, the chunk layout or the repair stream shows up here as a mismatch.
 """
 
 from __future__ import annotations
@@ -102,7 +101,6 @@ def test_survivor_devices_are_pinned():
         FabricationModel(sigma_ghz=SIGMA),
         BATCH,
         np.random.default_rng(SEED),
-        draw_seed=SEED,
     )
     assert result.num_collision_free == survivors.shape[0] == 35
     assert survivors.shape[1] == NUM_QUBITS
