@@ -1,4 +1,4 @@
-"""B-COMPILER — the pass-pipeline application stack, measured.
+"""B-COMPILER — the compiler's application stack, measured.
 
 Three measurements, written to ``benchmarks/BENCH_compiler.json``:
 
@@ -56,9 +56,9 @@ from repro.compiler.pipeline import (
     MetricsPass,
     RoutePass,
     SwapExpandPass,
+    transpile,
 )
 from repro.compiler.routing import route_circuit, route_circuit_noise_aware
-from repro.compiler.transpile import transpile
 from repro.core.chiplet import ChipletDesign
 from repro.core.mcm import MCMDesign
 from repro.engine.runner import ExecutionEngine

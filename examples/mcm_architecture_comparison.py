@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.analysis.reporting import format_table
 from repro.analysis.study import ArchitectureStudy, StudyConfig
 from repro.circuits.benchmarks import BENCHMARK_NAMES, build_benchmark
-from repro.compiler.transpile import transpile
+from repro.compiler.pipeline import transpile
 from repro.engine.runner import ExecutionEngine
 from repro.simulation.esp import fidelity_product, fidelity_ratio
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.circuits.benchmarks import build_benchmark
-from repro.compiler.transpile import transpile
+from repro.compiler.pipeline import transpile
 from repro.core.assembly import assemble_mcms, fabricate_chiplet_bin, post_assembly_yield
 from repro.core.chiplet import ChipletDesign
 from repro.core.fabrication import FabricationModel

@@ -35,11 +35,11 @@ these tasks never freezes live randomness.
 Cache contract
 --------------
 Tasks are cached content-addressed: the key hashes the benchmark name,
-width, circuit seed, routing/layout strategy names AND the full device
+width, circuit seed, routing strategy name AND the full device
 (frequencies, labels, error map) through the engine's ``stable_token``.
 Re-running an unchanged sweep is all cache hits; any change to the
-device population, the strategies, or any ``repro`` source invalidates
-exactly as the engine's code-version token dictates.
+device population, the routing strategy, or any ``repro`` source
+invalidates exactly as the engine's code-version token dictates.
 
 Routing-cache contract
 ----------------------
@@ -73,7 +73,7 @@ from math import inf, isnan
 from typing import Sequence
 
 from repro.circuits.benchmarks import BENCHMARK_NAMES, build_benchmark
-from repro.compiler.transpile import transpile
+from repro.compiler.pipeline import transpile
 from repro.device.device import Device
 from repro.engine.dispatch import run_calls
 from repro.engine.phases import phase
@@ -100,7 +100,6 @@ def compile_and_score(
     circuit_seed: int | None,
     device: Device,
     routing: str = "basic",
-    layout_method: str = "auto",
 ) -> dict:
     """Compile one benchmark onto one device and score it (engine task unit).
 
@@ -110,9 +109,7 @@ def compile_and_score(
     """
     with phase("circuit"):
         circuit = build_benchmark(benchmark, width, seed=circuit_seed)
-    transpiled = transpile(
-        circuit, device, layout_method=layout_method, routing=routing
-    )
+    transpiled = transpile(circuit, device, routing=routing)
     score = fidelity_product(transpiled.circuit.edge_array(), device)
     return {
         "benchmark": benchmark,

@@ -2,10 +2,10 @@
 
 The first experiment exercising all four prior subsystems at once: the
 pluggable architecture layer supplies the device topologies, the
-post-fabrication repair stage supplies the tuned device axis, the pass
-pipeline supplies the routing-strategy axis, and the execution engine
-runs both waves (device construction, then compile+score) as cached,
-seeded task batches.
+post-fabrication repair stage supplies the tuned device axis, the
+compiler's routing registry supplies the routing-strategy axis, and the
+execution engine runs both waves (device construction, then
+compile+score) as cached, seeded task batches.
 
 For every registered topology the driver fabricates one chiplet batch
 (at the paper's scaling-target precision, so even the collision-prone

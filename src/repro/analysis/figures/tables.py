@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.circuits.benchmarks import BENCHMARK_NAMES, build_benchmark
-from repro.compiler.transpile import transpile
+from repro.compiler.pipeline import transpile
 from repro.core.chiplet import ChipletDesign
 from repro.core.collisions import find_collisions
 from repro.core.frequencies import FrequencySpec, allocation_from_labels

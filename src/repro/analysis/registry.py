@@ -124,7 +124,11 @@ def _names_in(registry: Registry) -> Callable[[str, Any], tuple[str, ...]]:
             raise ValueError(f"{name} must be a list of names, got {value!r}")
         if not value:
             raise ValueError(f"{name} needs at least one name")
-        return tuple(one(name, item) for item in value)
+        names = tuple(one(name, item) for item in value)
+        for index, item in enumerate(names):
+            if item in names[:index]:
+                raise ValueError(f"{name} names {item!r} more than once")
+        return names
 
     return check
 

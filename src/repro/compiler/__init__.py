@@ -1,4 +1,4 @@
-"""Compiler substrate: pass pipeline, decomposition, layout, routing."""
+"""Compiler substrate: the fixed pass sequence, decomposition, layout, routing."""
 
 # The one package-level name: ``perfbench/test_perfbench_harness.py``
 # calls the layout search through this binding.  ``layout`` imports

@@ -2,16 +2,15 @@
 
 The paper compiles benchmarks sized at 80 % of the device, so the layout
 pass has to pick a *connected region* of physical qubits and map virtual
-qubits onto it.  Three strategies are provided:
+qubits onto it.  :func:`choose_layout` picks one of two placements from
+the circuit's shape:
 
-* ``"line"`` — embed the circuit along a long simple path of the coupling
-  graph; ideal for chain-structured circuits (GHZ, TFIM) which then route
-  with zero SWAP overhead.
-* ``"dense"`` — place the circuit on a densely-connected subgraph, ordering
-  virtual qubits by a BFS of their interaction graph so frequently
-  interacting qubits land close together.
-* ``"noise"`` — like ``"dense"`` but seeded at the physical qubit whose
-  incident couplings have the lowest error (requires a device error map).
+* chain circuits (GHZ, 1D TFIM, the repetition code) are embedded along a
+  long simple path of the coupling graph, so they route with zero SWAP
+  overhead;
+* every other circuit is placed on a densely-connected subgraph, with
+  virtual qubits ordered by a BFS of their interaction graph so
+  frequently interacting qubits land close together.
 
 Placement memo
 --------------
@@ -22,15 +21,13 @@ circuit.  Application sweeps compile many circuits of one width onto one
 device, and the placement half, above all a failing path search, is the
 expensive one.  It is therefore memoised process-wide in a
 :class:`repro.engine.cache.BoundedLRU` keyed on content, like the
-routing cache: the coupling's qubit count and an edge digest, the width,
-the branch (``"line"`` or ``"dense"``) and, for the dense branch, the
-start qubit the ``"noise"`` strategy resolved from the error map
-(``None`` for plain ``"dense"``), never the error map itself.  The
-``"line"`` entry holds the path, or, when the search failed, the dense
-placement the branch falls back to, so a failed search is not repeated
-either.  Entries are immutable tuples and every call builds a fresh
-:class:`Layout`, so results are bit-identical to a cold search.  Traffic
-counts into ``repro_layout_cache_events_total{event}``, and
+routing cache: the coupling's qubit count and an edge digest, the width
+and the branch (``"line"`` or ``"dense"``).  The ``"line"`` entry holds
+the path, or, when the search failed, the dense placement the branch
+falls back to, so a failed search is not repeated either.  Entries are
+immutable tuples and every call builds a fresh :class:`Layout`, so
+results are bit-identical to a cold search.  Traffic counts into
+``repro_layout_cache_events_total{event}``, and
 :func:`repro.compiler.routing.clear_routing_cache` empties the memo with
 the routing cache.
 """
@@ -43,14 +40,11 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.engine.cache import BoundedLRU
-from repro.engine.registry import unknown_name
 from repro.topology.coupling import CouplingMap
 
 __all__ = [
     "LAYOUT_CACHE_MAXSIZE",
-    "LAYOUT_METHODS",
     "Layout",
-    "check_layout_method",
     "choose_layout",
     "clear_layout_cache",
     "densest_connected_subgraph",
@@ -58,17 +52,8 @@ __all__ = [
     "is_chain_circuit",
 ]
 
-#: The methods :func:`choose_layout` accepts.
-LAYOUT_METHODS = ("auto", "line", "dense", "noise")
-
 #: Placements kept by the memo (each a tuple of at most a device's qubits).
 LAYOUT_CACHE_MAXSIZE = 256
-
-
-def check_layout_method(method: str) -> None:
-    """Raise the unknown-name ``KeyError`` unless ``method`` is a layout method."""
-    if method not in LAYOUT_METHODS:
-        raise unknown_name("layout method", method, LAYOUT_METHODS)
 
 
 class Layout:
@@ -227,18 +212,16 @@ def find_long_path(
     return None
 
 
-def densest_connected_subgraph(
-    coupling: CouplingMap, size: int, seed: int | None = None
-) -> list[int]:
+def densest_connected_subgraph(coupling: CouplingMap, size: int) -> list[int]:
     """Greedy connected region of ``size`` qubits with many internal couplings.
 
-    Starting from the highest-degree qubit (lowest index on ties) or
-    ``seed``, repeatedly add the frontier qubit with the most neighbours
-    already inside the region, breaking ties by higher degree and then
-    lower index.  When the frontier empties (the region filled its
-    connected component), jump to the highest-degree qubit outside it,
-    lowest index on ties.  Each frontier qubit's in-region neighbour count
-    is kept up to date as the region grows.  Returns the region sorted.
+    Starting from the highest-degree qubit (lowest index on ties),
+    repeatedly add the frontier qubit with the most neighbours already
+    inside the region, breaking ties by higher degree and then lower
+    index.  When the frontier empties (the region filled its connected
+    component), jump to the highest-degree qubit outside it, lowest index
+    on ties.  Each frontier qubit's in-region neighbour count is kept up
+    to date as the region grows.  Returns the region sorted.
 
     Raises :class:`ValueError` when ``size`` exceeds the qubit count.
     """
@@ -249,12 +232,10 @@ def densest_connected_subgraph(
         return []
     rows = [coupling.neighbors(q) for q in range(n)]
     degree = [len(row) for row in rows]
-    if seed is None:
-        seed = max(range(n), key=lambda q: (degree[q], -q))
     chosen = bytearray(n)
     # Frontier qubit -> number of its neighbours inside the region.
     inside: dict[int, int] = {}
-    best = seed
+    best = max(range(n), key=lambda q: (degree[q], -q))
     for added in range(1, size + 1):
         chosen[best] = 1
         inside.pop(best, None)
@@ -294,14 +275,14 @@ def _region_order(coupling: CouplingMap, region: list[int]) -> list[int]:
     return order
 
 
-def _dense_placement(coupling: CouplingMap, width: int, seed: int | None) -> tuple[int, ...]:
-    return tuple(_region_order(coupling, densest_connected_subgraph(coupling, width, seed)))
+def _dense_placement(coupling: CouplingMap, width: int) -> tuple[int, ...]:
+    return tuple(_region_order(coupling, densest_connected_subgraph(coupling, width)))
 
 
 def _line_placement(coupling: CouplingMap, width: int) -> tuple[int, ...]:
     path = find_long_path(coupling, width)
     if path is None:
-        return _dense_placement(coupling, width, None)
+        return _dense_placement(coupling, width)
     return tuple(path)
 
 
@@ -326,20 +307,6 @@ def clear_layout_cache() -> None:
     _CACHE.clear()
 
 
-def _noise_seed(edge_errors: dict[tuple[int, int], float] | None) -> int | None:
-    """The qubit whose incident couplings have the lowest mean error."""
-    if not edge_errors:
-        return None
-    incident: dict[int, list[float]] = {}
-    for (u, v), error in edge_errors.items():
-        incident.setdefault(u, []).append(error)
-        incident.setdefault(v, []).append(error)
-    return min(
-        incident,
-        key=lambda q: sum(incident[q]) / len(incident[q]) - 0.001 * len(incident[q]),
-    )
-
-
 def _interaction_order(circuit: QuantumCircuit) -> list[int]:
     """Every virtual qubit, ordered by a BFS over the interaction graph."""
     adjacency = circuit.interaction_graph()
@@ -360,48 +327,27 @@ def _interaction_order(circuit: QuantumCircuit) -> list[int]:
     return order
 
 
-def choose_layout(
-    circuit: QuantumCircuit,
-    coupling: CouplingMap,
-    method: str = "auto",
-    edge_errors: dict[tuple[int, int], float] | None = None,
-) -> Layout:
+def choose_layout(circuit: QuantumCircuit, coupling: CouplingMap) -> Layout:
     """Pick an initial layout for a circuit on a coupling map.
 
-    The physical placement comes from the process-wide memo (see the
-    module docstring); the circuit's virtual qubits are laid onto it in
-    :func:`_interaction_order`.
-
-    Parameters
-    ----------
-    circuit:
-        Circuit to place (its width must not exceed the device size).
-    coupling:
-        Device connectivity.
-    method:
-        One of :data:`LAYOUT_METHODS` (anything else raises ``KeyError``).
-        ``"auto"`` selects ``"line"`` for chain circuits and ``"dense"``
-        otherwise.
-    edge_errors:
-        Per-coupling error map used by the ``"noise"`` strategy.
+    Chain circuits (:func:`is_chain_circuit`) take the ``"line"`` branch,
+    a long path from :func:`find_long_path` (the dense placement when the
+    search fails); every other circuit takes the ``"dense"`` branch,
+    :func:`densest_connected_subgraph` in BFS order.  The physical
+    placement comes from the process-wide memo (see the module
+    docstring); the circuit's virtual qubits are laid onto it in
+    :func:`_interaction_order`.  Raises :class:`ValueError` when the
+    circuit is wider than the device.
     """
-    check_layout_method(method)
     width = circuit.num_qubits
     if width > coupling.num_qubits:
         raise ValueError(
             f"circuit needs {width} qubits but the device only has {coupling.num_qubits}"
         )
-    if method == "auto":
-        method = "line" if is_chain_circuit(circuit) else "dense"
-
-    device = (coupling.num_qubits, _coupling_digest(coupling), width)
-    if method == "line":
-        placement = _CACHE.get_or_build(
-            (*device, "line"), lambda: _line_placement(coupling, width)
-        )
-    else:
-        seed = _noise_seed(edge_errors) if method == "noise" else None
-        placement = _CACHE.get_or_build(
-            (*device, "dense", seed), lambda: _dense_placement(coupling, width, seed)
-        )
+    branch = "line" if is_chain_circuit(circuit) else "dense"
+    build = _line_placement if branch == "line" else _dense_placement
+    placement = _CACHE.get_or_build(
+        (coupling.num_qubits, _coupling_digest(coupling), width, branch),
+        lambda: build(coupling, width),
+    )
     return Layout(dict(zip(_interaction_order(circuit), placement)))

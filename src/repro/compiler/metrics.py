@@ -36,10 +36,6 @@ class GateMetrics:
     two_qubit_critical_path: int
     depth: int
 
-    def as_row(self) -> tuple[int, int, int]:
-        """The ``1q / 2q / 2q critical`` triple used in Table II."""
-        return (self.num_one_qubit, self.num_two_qubit, self.two_qubit_critical_path)
-
 
 def gate_metrics(circuit: QuantumCircuit) -> GateMetrics:
     """Compute Table II-style metrics for a compiled circuit.

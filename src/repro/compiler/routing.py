@@ -288,8 +288,9 @@ class RoutingWeights:
     pair.  Dijkstra predecessor rows are computed on first query per
     source and memoised — scipy's Dijkstra treats sources independently,
     so a lazily-filled row is bit-identical to the same row of the
-    historical eager all-pairs run (the parity suite pins this).  Endpoint costs for the router's
-    mover tie-break come from a per-edge dict instead of the old dense
+    historical eager all-pairs run (the parity suite pins this).  Endpoint
+    costs for the router's mover tie-break come from a per-edge dict
+    (``_cost``, keyed ``(u, v)`` with ``u < v``) instead of the old dense
     ``(n, n)`` weight matrix, dropping the O(n^2) allocation entirely.
 
     Instances are shared through the module cache and may be queried
@@ -326,10 +327,6 @@ class RoutingWeights:
     def sources_computed(self) -> int:
         """Number of source rows whose Dijkstra tree has been built."""
         return len(self._pred)
-
-    def edge_cost(self, u: int, v: int) -> float:
-        """Routing cost of the coupling between ``u`` and ``v``."""
-        return self._cost[(u, v) if u < v else (v, u)]
 
     def predecessor_row(self, source: int) -> np.ndarray:
         """The Dijkstra predecessor row for one source, computed lazily."""

@@ -60,7 +60,6 @@ class TuningOptions:
         cls,
         strategy: str = "greedy",
         max_shift_ghz: float | None = None,
-        precision_sigma_ghz: float | None = None,
         max_tunes_per_qubit: int | None = None,
     ) -> "TuningOptions":
         """CLI-friendly constructor: strategy by name, tuner knobs by value.
@@ -73,7 +72,6 @@ class TuningOptions:
             name: value
             for name, value in {
                 "max_shift_ghz": max_shift_ghz,
-                "precision_sigma_ghz": precision_sigma_ghz,
                 "max_tunes_per_qubit": max_tunes_per_qubit,
             }.items()
             if value is not None

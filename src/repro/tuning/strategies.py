@@ -147,17 +147,17 @@ class GreedyLocalRepair:
     violated criteria among the qubit's touched constraints strictly
     decrease; rounds repeat while they help, up to ``max_rounds``.
 
-    The candidate screen is staged: every round scores all qubits'
-    touched criteria in one vectorised ``per_qubit_violations`` pass
-    (and, for noiseless tuners, batches every candidate's "after" count
-    through one ``batch_total_violations`` call), falling back to scalar
-    re-checks only for qubits whose criteria an earlier accept in the
-    same round has dirtied; those, and every noisy candidate's "after"
-    count, go through the scalar kernel
-    :meth:`~repro.tuning.graph.CollisionGraph.local_violations`.
-    Accepts, landing points and rng consumption are bit-identical to the
-    historical scalar loop, kept verbatim as the parity oracle in
-    ``tests/repair_reference.py``.
+    The "before" screen is staged: every round scores all qubits'
+    touched criteria in one vectorised ``per_qubit_violations`` pass,
+    falling back to a scalar re-check only for qubits whose criteria an
+    earlier accept in the same round has dirtied; those re-checks and
+    every candidate's "after" count go through the scalar kernel
+    :meth:`~repro.tuning.graph.CollisionGraph.local_violations`.  The
+    device total is tracked as the initial count plus each accept's
+    integer delta, so it is exact and the outcome's ``violations_after``
+    needs no final full-device pass.  Accepts, landing points and rng
+    consumption are bit-identical to the historical scalar loop, kept
+    verbatim as the parity oracle in ``tests/repair_reference.py``.
 
     Attributes
     ----------
@@ -211,28 +211,13 @@ class GreedyLocalRepair:
             per_qubit = graph.per_qubit_violations(repaired)
             order = np.argsort(-per_qubit, kind="stable")
             ranked = order[per_qubit[order] > 0]
-            after_screen = None
-            if sigma <= 0 and ranked.size:
-                # Noiseless actuation: every candidate's landing point is
-                # known up front, so the "after" counts batch into one
-                # device-major pass too.  Row i scores round-start state
-                # with ranked[i] moved to its target; subtracting the
-                # round-start total isolates the touched-criteria delta
-                # (untouched criteria cancel), which is what the scalar
-                # reference measures.
-                candidates = np.repeat(repaired[np.newaxis, :], ranked.size, axis=0)
-                candidates[np.arange(ranked.size), ranked] = targets[ranked]
-                after_screen = (
-                    graph.batch_total_violations(candidates) - total + per_qubit[ranked]
-                )
             improved = False
             dirty = np.zeros(graph.num_qubits, dtype=bool)
-            for position, qubit in enumerate(ranked):
+            for qubit in ranked:
                 qubit = int(qubit)
                 if tunes[qubit] >= budget:
                     continue
-                is_dirty = bool(dirty[qubit])
-                if is_dirty:
+                if dirty[qubit]:
                     before = graph.local_violations(repaired, qubit)
                 else:
                     before = int(per_qubit[qubit])
@@ -243,25 +228,18 @@ class GreedyLocalRepair:
                 # conditioned on the evolving before > 0 check, and the
                 # rng stream is pinned bit-identical by the parity suite.
                 noise = rng.normal(0.0, sigma) if sigma > 0 else 0.0
-                if after_screen is not None and not is_dirty:
-                    after = int(after_screen[position])
-                    accepted = after < before
-                    if accepted:
-                        repaired[qubit] = targets[qubit]
-                else:
-                    previous = repaired[qubit]
-                    repaired[qubit] = targets[qubit] + noise
-                    after = graph.local_violations(repaired, qubit)
-                    accepted = after < before
-                    if not accepted:
-                        repaired[qubit] = previous
-                if accepted:
+                previous = repaired[qubit]
+                repaired[qubit] = targets[qubit] + noise
+                after = graph.local_violations(repaired, qubit)
+                if after < before:
                     tunes[qubit] += 1
                     total += after - before
                     improved = True
                     dirty[graph.constraint_neighbors(qubit)] = True
                     if total == 0:
                         break
+                else:
+                    repaired[qubit] = previous
             if total == 0 or not improved:
                 break
 
@@ -270,7 +248,7 @@ class GreedyLocalRepair:
         return RepairOutcome(
             frequencies=repaired,
             violations_before=initial,
-            violations_after=graph.total_violations(repaired),
+            violations_after=total,
             tuned_qubits=int((tunes > 0).sum()),
             total_tunes=int(tunes.sum()),
             tuned_qubit_indices=tuple(np.flatnonzero(tunes > 0).tolist()),

@@ -238,8 +238,8 @@ def reference_route_circuit_noise_aware(
         p_b = working.physical(virtual_b)
         path = _weighted_path(weights.predecessor_row(p_a), p_a, p_b)
         while len(path) > 2:
-            cost_a = weights.edge_cost(path[0], path[1])
-            cost_b = weights.edge_cost(path[-1], path[-2])
+            cost_a = weights._cost[min(path[0], path[1]), max(path[0], path[1])]
+            cost_b = weights._cost[min(path[-1], path[-2]), max(path[-1], path[-2])]
             if (cost_a, path[0]) <= (cost_b, path[-1]):
                 mover, step = path[0], path[1]
                 path = path[1:]
@@ -310,21 +310,16 @@ def reference_gate_metrics(circuit: GateCircuit) -> GateMetrics:
 def reference_transpile(
     circuit: QuantumCircuit,
     target: Device | CouplingMap,
-    layout_method: str = "auto",
     routing: str = "basic",
 ) -> ReferenceCompile:
     """Decompose, lay out (shipped ``choose_layout``), route, expand and
     measure with the historical passes."""
     device = target if isinstance(target, Device) else None
     coupling = target.coupling if device is not None else target
-    edge_errors = device.edge_errors if device is not None else None
     logical = reference_decompose_to_cx_basis(GateCircuit.of(circuit))
     # The shipped layout pass reads the shipped circuit container.
     layout = choose_layout(
-        QuantumCircuit(logical.num_qubits).extend(logical.gates),
-        coupling,
-        method=layout_method,
-        edge_errors=edge_errors,
+        QuantumCircuit(logical.num_qubits).extend(logical.gates), coupling
     )
     if routing == "basic":
         routed = reference_route_circuit(logical, coupling, layout)

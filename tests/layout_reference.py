@@ -64,17 +64,14 @@ def reference_find_long_path(
     return None
 
 
-def reference_densest_connected_subgraph(
-    graph: nx.Graph, size: int, seed: int | None = None
-) -> list[int]:
+def reference_densest_connected_subgraph(graph: nx.Graph, size: int) -> list[int]:
     """Greedy connected subgraph of ``size`` nodes with many internal edges."""
     if size > graph.number_of_nodes():
         raise ValueError("requested subgraph is larger than the graph")
     if size <= 0:
         return []
 
-    if seed is None:
-        seed = max(graph.nodes, key=lambda n: (graph.degree[n], -n))
+    seed = max(graph.nodes, key=lambda n: (graph.degree[n], -n))
     chosen = {seed}
     frontier = set(graph.neighbors(seed))
     while len(chosen) < size:

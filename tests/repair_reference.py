@@ -1,7 +1,8 @@
 """The historical scalar repair loops, kept verbatim as parity references.
 
-``GreedyLocalRepair.repair`` screens candidates in batched device-major
-passes, and both shipped strategies re-check a candidate's touched
+``GreedyLocalRepair.repair`` screens its "before" counts in one
+vectorised pass per round and tracks the device total instead of
+recounting it, and both shipped strategies re-check a candidate's touched
 criteria through ``CollisionGraph.local_violations``, a scalar kernel
 over plain Python numbers.  The bodies below are the loops those
 replaced, with ``self`` renamed ``strategy``.  They keep the numpy

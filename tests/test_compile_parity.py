@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.benchmarks import BENCHMARK_NAMES, build_benchmark
-from repro.compiler.transpile import transpile
+from repro.compiler.pipeline import transpile
 from repro.core.chiplet import ChipletDesign
 from repro.core.mcm import MCMDesign
 from repro.device.device import Device

@@ -12,7 +12,7 @@ from repro.compiler.decompose import decompose_to_cx_basis
 from repro.compiler.layout import Layout, choose_layout, find_long_path, is_chain_circuit
 from repro.compiler.metrics import gate_metrics
 from repro.compiler.routing import route_circuit
-from repro.compiler.transpile import transpile
+from repro.compiler.pipeline import transpile
 from statevector_reference import simulate
 from repro.topology.coupling import CouplingMap
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
@@ -95,28 +95,19 @@ class TestLayout:
             assert coupling.has_edge(a, b)
 
     def test_choose_layout_chain_uses_path(self, line5):
-        layout = choose_layout(ghz(5), line5, method="line")
+        layout = choose_layout(ghz(5), line5)
         physical = [layout.physical(v) for v in range(5)]
         assert sorted(physical) == list(range(5))
 
     def test_choose_layout_dense_connected(self):
         coupling = CouplingMap.from_lattice(heavy_hex_by_qubit_count(40))
         circuit = build_benchmark("qaoa", 20, seed=1)
-        layout = choose_layout(circuit, coupling, method="dense")
+        layout = choose_layout(circuit, coupling)
         assert len({layout.physical(v) for v in range(20)}) == 20
 
     def test_choose_layout_rejects_oversized_circuit(self, line5):
         with pytest.raises(ValueError):
             choose_layout(ghz(6), line5)
-
-    def test_noise_aware_layout_uses_error_map(self):
-        coupling = CouplingMap.from_lattice(heavy_hex_by_qubit_count(27))
-        errors = {edge: 0.05 for edge in coupling.edges}
-        best_edge = coupling.edges[10]
-        errors[best_edge] = 0.001
-        circuit = build_benchmark("qaoa", 8, seed=1)
-        layout = choose_layout(circuit, coupling, method="noise", edge_errors=errors)
-        assert len({layout.physical(v) for v in range(8)}) == 8
 
 
 class TestRouting:
@@ -206,11 +197,7 @@ class TestTranspile:
         metrics = gate_metrics(transpiled.circuit)
         assert metrics.num_two_qubit == transpiled.metrics.num_two_qubit
         assert metrics.two_qubit_critical_path <= metrics.num_two_qubit
-        assert metrics.as_row() == (
-            metrics.num_one_qubit,
-            metrics.num_two_qubit,
-            metrics.two_qubit_critical_path,
-        )
+        assert metrics == transpiled.metrics
 
     def test_transpile_onto_device_uses_error_map(self, small_study):
         mcm = small_study.mcm_result(20, (2, 2))

@@ -1,4 +1,4 @@
-"""Tests for the pass-pipeline compiler and the noise-aware router."""
+"""Tests for the fixed compile pass sequence and the noise-aware router."""
 
 from __future__ import annotations
 
@@ -8,30 +8,27 @@ from repro.circuits.benchmarks import build_benchmark
 from repro.circuits.benchmarks.ghz import ghz
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.decompose import decompose_to_cx_basis
-from repro.compiler.layout import LAYOUT_METHODS, Layout, choose_layout
+from repro.compiler.layout import Layout, choose_layout
 from repro.compiler.pipeline import (
     CompileContext,
     DecomposePass,
     LayoutPass,
     MetricsPass,
-    Pass,
-    PassPipeline,
     ROUTING_STRATEGIES,
     RoutePass,
     SwapExpandPass,
-    default_pipeline,
+    transpile,
 )
 from repro.compiler.routing import route_circuit, route_circuit_noise_aware
-from repro.compiler.transpile import transpile
 from repro.topology.coupling import CouplingMap
 from repro.topology.heavy_hex import heavy_hex_by_qubit_count
 
 from compile_reference import reference_transpile
 
 
-def legacy_transpile(circuit, target, layout_method="auto"):
+def legacy_transpile(circuit, target):
     """The seed-state transpile sequence (``compile_reference``)."""
-    reference = reference_transpile(circuit, target, layout_method=layout_method)
+    reference = reference_transpile(circuit, target)
     return (
         reference.circuit,
         reference.routed,
@@ -42,27 +39,15 @@ def legacy_transpile(circuit, target, layout_method="auto"):
 
 class TestRegistries:
     def test_registered_strategies(self):
-        assert LAYOUT_METHODS == ("auto", "line", "dense", "noise")
         assert ROUTING_STRATEGIES.names() == ["basic", "noise-aware"]
 
     def test_unknown_strategy_gets_suggestion(self):
         with pytest.raises(KeyError, match="did you mean 'noise-aware'"):
             ROUTING_STRATEGIES.get("noise_aware")
-        with pytest.raises(KeyError, match="did you mean 'dense'"):
-            default_pipeline(layout_method="dens")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
             ROUTING_STRATEGIES.register("basic", lambda: None)
-
-    def test_choose_layout_rejects_unknown_method(self):
-        coupling = CouplingMap(num_qubits=3, edges=[(0, 1), (1, 2)])
-        with pytest.raises(
-            KeyError,
-            match=r"unknown layout method 'densest'; did you mean 'dense'\? "
-            r"\(known: auto, line, dense, noise\)",
-        ):
-            choose_layout(ghz(3), coupling, method="densest")
 
     def test_membership_and_len(self):
         assert "basic" in ROUTING_STRATEGIES
@@ -72,41 +57,14 @@ class TestRegistries:
 
 class TestPassProtocol:
     def test_builtin_passes_satisfy_protocol(self):
-        for stage in (
-            DecomposePass(), LayoutPass(), RoutePass(), SwapExpandPass(), MetricsPass()
-        ):
-            assert isinstance(stage, Pass)
-
-    def test_pipeline_rejects_non_passes(self):
-        with pytest.raises(TypeError, match="Pass protocol"):
-            PassPipeline([DecomposePass(), object()])
-
-    def test_custom_pass_runs_in_sequence(self):
-        class CountingPass:
-            name = "count"
-
-            def run(self, context):
-                context.properties["two_qubit"] = context.circuit.num_two_qubit_gates
-
-        coupling = CouplingMap.from_lattice(heavy_hex_by_qubit_count(27))
-        pipeline = default_pipeline(extra_passes=[CountingPass()])
-        assert pipeline.pass_names() == [
-            "decompose", "layout", "route", "swap-expand", "metrics", "count",
+        # Each pass names its phase and defines ``run(self, context)`` in
+        # its own class dict, which is where timing wrappers patch it.
+        passes = (DecomposePass, LayoutPass, RoutePass, SwapExpandPass, MetricsPass)
+        assert [stage.name for stage in passes] == [
+            "decompose", "layout", "route", "swap-expand", "metrics",
         ]
-        context = pipeline.run_context(build_benchmark("qaoa", 12, seed=3), coupling)
-        assert context.properties["two_qubit"] == context.metrics.num_two_qubit
-
-    def test_route_before_layout_raises(self):
-        coupling = CouplingMap.from_lattice(heavy_hex_by_qubit_count(27))
-        pipeline = PassPipeline([DecomposePass(), RoutePass()])
-        with pytest.raises(ValueError, match="layout"):
-            pipeline.run_context(ghz(5), coupling)
-
-    def test_partial_pipeline_rejected_by_run(self):
-        coupling = CouplingMap.from_lattice(heavy_hex_by_qubit_count(27))
-        pipeline = PassPipeline([DecomposePass()])
-        with pytest.raises(ValueError, match="run_context"):
-            pipeline.run(ghz(5), coupling)
+        for stage in passes:
+            assert callable(vars(stage)["run"])
 
 
 class TestDefaultPipelineEquivalence:
@@ -132,16 +90,20 @@ class TestDefaultPipelineEquivalence:
         assert transpiled.circuit.gates == physical.gates
         assert transpiled.two_qubit_edges == edges
 
-    def test_unknown_routing_rejected_before_compiling(self):
+    def test_unknown_routing_rejected_before_compiling(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("compiled before the routing name was checked")
+
+        monkeypatch.setattr(DecomposePass, "run", fail)
+        coupling = CouplingMap(num_qubits=3, edges=[(0, 1), (1, 2)])
         with pytest.raises(KeyError, match="unknown routing"):
-            default_pipeline(routing="lookahead")
-        with pytest.raises(KeyError, match="unknown layout"):
-            default_pipeline(layout_method="densest")
+            transpile(ghz(3), coupling, routing="lookahead")
 
     def test_context_for_bare_coupling_has_no_errors(self):
         coupling = CouplingMap(num_qubits=3, edges=[(0, 1), (1, 2)])
         context = CompileContext.for_target(ghz(3), coupling)
-        assert context.edge_errors is None
+        assert context.device is None
+        assert context.coupling is coupling
 
 
 class TestNoiseAwareRouting:
@@ -184,7 +146,7 @@ class TestNoiseAwareRouting:
         errors = {edge: 0.01 + 0.001 * i for i, edge in enumerate(coupling.edges)}
         circuit = build_benchmark("qaoa", 16, seed=4)
         logical = decompose_to_cx_basis(circuit)
-        layout = choose_layout(logical, coupling, method="dense")
+        layout = choose_layout(logical, coupling)
         routed = route_circuit_noise_aware(logical, coupling, layout, errors)
         edge_set = set(coupling.edges)
         for u, v in routed.two_qubit_edges:
@@ -217,7 +179,7 @@ class TestNoiseAwareRouting:
         # identically to the raw-mapping path.
         device = small_study.mcm_result(20, (2, 2)).best_device
         circuit = decompose_to_cx_basis(build_benchmark("qaoa", 40, seed=2))
-        layout = choose_layout(circuit, device.coupling, method="dense")
+        layout = choose_layout(circuit, device.coupling)
         via_device = route_circuit_noise_aware(circuit, device.coupling, layout, device)
         via_dict = route_circuit_noise_aware(
             circuit, device.coupling, layout, dict(device.edge_errors)

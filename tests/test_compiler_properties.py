@@ -5,12 +5,12 @@ Four invariant families over random circuits, layouts and topologies:
 * every routed two-qubit gate lies on a coupling edge (both routing
   strategies);
 * layouts are injective (virtual -> physical is a bijection onto its
-  image) for every layout strategy;
+  image) on both layout branches, chain and non-chain circuits alike;
 * decomposition preserves gate counts in the CX basis (the expansion
   arithmetic of ccx/swap/rzz/cz is exact) and is idempotent;
-* the default :class:`PassPipeline` reproduces the legacy transpile
-  sequence gate-for-gate on random benchmark circuits across all three
-  registered topologies.
+* :func:`~repro.compiler.pipeline.transpile` reproduces the legacy
+  transpile sequence gate-for-gate on random benchmark circuits across
+  all three registered topologies.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ from __future__ import annotations
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from repro.circuits.benchmarks import BENCHMARK_NAMES, build_benchmark
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.decompose import decompose_to_cx_basis
-from repro.compiler.layout import LAYOUT_METHODS, choose_layout
-from repro.compiler.pipeline import ROUTING_STRATEGIES
-from repro.compiler.transpile import transpile
+from repro.compiler.layout import choose_layout, is_chain_circuit
+from repro.compiler.pipeline import ROUTING_STRATEGIES, transpile
 from repro.core.architecture import ARCHITECTURES, get_architecture
 from repro.topology.coupling import CouplingMap
 
@@ -52,6 +51,17 @@ def benchmark_circuits(draw):
     width = draw(st.integers(min_value=4, max_value=14))
     seed = draw(st.integers(min_value=0, max_value=2**20))
     return build_benchmark(name, width, seed=seed)
+
+
+@st.composite
+def chain_circuits(draw):
+    """A CX chain over a random permutation of the qubits (the line branch)."""
+    width = draw(st.integers(min_value=2, max_value=14))
+    order = draw(st.permutations(range(width)))
+    circuit = QuantumCircuit(width)
+    for a, b in zip(order, order[1:]):
+        circuit.cx(a, b)
+    return circuit
 
 
 @st.composite
@@ -102,15 +112,15 @@ def test_routed_two_qubit_gates_lie_on_coupling_edges(circuit, topology, routing
 
 
 @given(
-    circuit=benchmark_circuits(),
+    circuit=st.one_of(chain_circuits(), benchmark_circuits()),
     topology=st.sampled_from(tuple(ARCHITECTURES.names())),
-    method=st.sampled_from(LAYOUT_METHODS),
 )
 @settings(deadline=None)
-def test_layouts_are_injective(circuit, topology, method):
+def test_layouts_are_injective(circuit, topology):
     coupling = coupling_for(topology)
     logical = decompose_to_cx_basis(circuit)
-    layout = choose_layout(logical, coupling, method=method)
+    event("chain" if is_chain_circuit(logical) else "non-chain")
+    layout = choose_layout(logical, coupling)
     mapping = layout.mapping()
     physicals = list(mapping.values())
     assert len(set(physicals)) == len(physicals)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.benchmarks import build_benchmark
-from repro.compiler.transpile import transpile
+from repro.compiler.pipeline import transpile
 from repro.core.assembly import assemble_mcms, fabricate_chiplet_bin
 from repro.core.chiplet import ChipletDesign
 from repro.core.fabrication import SIGMA_LASER_TUNED_GHZ, FabricationModel

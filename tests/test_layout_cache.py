@@ -2,8 +2,8 @@
 
 The memo contract (``repro.compiler.layout`` module docstring): a
 layout's physical placement is memoised on the coupling's content, the
-width, the branch and the resolved noise seed; a warm lookup gives the
-same layout as a cold search, a failed path search is not repeated, and
+width and the branch; a warm lookup gives the same layout as a cold
+search, a failed path search is not repeated, and
 ``clear_routing_cache()`` empties the memo.  The dense region and its
 BFS order are built on ``CouplingMap.neighbors`` rows and must equal the
 networkx versions kept in ``layout_reference.py``.  The LRU bound and
@@ -71,16 +71,15 @@ def star(leaves: int) -> CouplingMap:
     return CouplingMap(num_qubits=leaves + 1, edges=[(0, q) for q in range(1, leaves + 1)])
 
 
-def reference_layout(circuit, coupling, method, edge_errors=None) -> dict[int, int]:
+def reference_layout(circuit, coupling, branch) -> dict[int, int]:
     """``choose_layout``'s mapping, rebuilt from the reference searches."""
     order = _interaction_order(circuit)
-    if method == "line":
+    if branch == "line":
         path = reference_find_long_path(coupling, circuit.num_qubits)
         if path is not None:
             return dict(zip(order, path))
-    seed = layout_module._noise_seed(edge_errors) if method == "noise" else None
     graph = to_networkx(coupling)
-    region = reference_densest_connected_subgraph(graph, circuit.num_qubits, seed)
+    region = reference_densest_connected_subgraph(graph, circuit.num_qubits)
     return dict(zip(order, reference_region_order(graph, region)))
 
 
@@ -89,7 +88,7 @@ def reference_layout(circuit, coupling, method, edge_errors=None) -> dict[int, i
 
 @st.composite
 def region_cases(draw):
-    """A random graph (connected or not), a size 0..n and maybe a seed."""
+    """A random graph (connected or not) and a size 0..n."""
     n = draw(st.integers(1, 40))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = set(draw(st.lists(st.sampled_from(pairs), max_size=3 * n))) if pairs else set()
@@ -97,15 +96,13 @@ def region_cases(draw):
         # A random spanning tree makes the graph connected.
         edges |= {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     coupling = CouplingMap(num_qubits=n, edges=sorted(edges))
-    size = draw(st.integers(0, n))
-    seed = draw(st.one_of(st.none(), st.integers(0, n - 1)))
-    return coupling, size, seed
+    return coupling, draw(st.integers(0, n))
 
 
-def assert_region_parity(coupling, size, seed):
+def assert_region_parity(coupling, size):
     graph = to_networkx(coupling)
-    region = densest_connected_subgraph(coupling, size, seed)
-    assert region == reference_densest_connected_subgraph(graph, size, seed)
+    region = densest_connected_subgraph(coupling, size)
+    assert region == reference_densest_connected_subgraph(graph, size)
     if region:
         assert _region_order(coupling, region) == reference_region_order(graph, region)
 
@@ -124,13 +121,12 @@ def test_region_and_order_match_on_seeded_random_graphs():
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density
         ]
         coupling = CouplingMap(num_qubits=n, edges=edges)
-        seed = rng.choice([None, rng.randrange(n)])
-        assert_region_parity(coupling, rng.randint(0, n), seed)
+        assert_region_parity(coupling, rng.randint(0, n))
 
 
 @pytest.mark.parametrize("size", [1, 20, 52, 65])
 def test_region_and_order_match_on_heavy_hex(size):
-    assert_region_parity(heavy_hex(65), size, None)
+    assert_region_parity(heavy_hex(65), size)
 
 
 def test_region_rejects_oversized_request():
@@ -141,37 +137,25 @@ def test_region_rejects_oversized_request():
 # -- the memo ---------------------------------------------------------------- #
 
 
-def noise_errors(coupling: CouplingMap, best_edge: int) -> dict:
-    errors = {edge: 0.05 for edge in coupling.edges}
-    errors[coupling.edges[best_edge]] = 0.001
-    return errors
-
-
+#: Case -> (circuit, coupling, the branch ``choose_layout`` takes).
 CASES = {
-    "line": (lambda: ghz(20), lambda: heavy_hex(27), "line", None),
-    "line-failed": (lambda: ghz(5), lambda: star(6), "auto", None),
-    "dense": (lambda: build_benchmark("qaoa", 20, seed=1), lambda: heavy_hex(27), "dense", None),
-    "noise": (
-        lambda: build_benchmark("qaoa", 8, seed=1),
-        lambda: heavy_hex(27),
-        "noise",
-        noise_errors(heavy_hex(27), 10),
-    ),
+    "line": (lambda: ghz(20), lambda: heavy_hex(27), "line"),
+    "line-failed": (lambda: ghz(5), lambda: star(6), "line"),
+    "dense": (lambda: build_benchmark("qaoa", 20, seed=1), lambda: heavy_hex(27), "dense"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_warm_layout_equals_cold_layout_and_reference(case):
-    make_circuit, make_coupling, method, errors = CASES[case]
+    make_circuit, make_coupling, branch = CASES[case]
     circuit, coupling = make_circuit(), make_coupling()
-    cold = choose_layout(circuit, coupling, method, errors).mapping()
+    cold = choose_layout(circuit, coupling).mapping()
     assert memo_stats()["misses"] == 1
     # A fresh but equal coupling map reads the same entry.
-    warm = choose_layout(circuit, make_coupling(), method, errors).mapping()
+    warm = choose_layout(circuit, make_coupling()).mapping()
     assert memo_stats()["hits"] == 1
     assert warm == cold
-    expected_method = "line" if method == "auto" else method
-    assert cold == reference_layout(circuit, coupling, expected_method, errors)
+    assert cold == reference_layout(circuit, coupling, branch)
 
 
 def test_failed_search_is_memoised(monkeypatch):
@@ -185,69 +169,46 @@ def test_failed_search_is_memoised(monkeypatch):
 
     monkeypatch.setattr(layout_module, "find_long_path", counted)
     coupling = star(6)
-    first = choose_layout(ghz(5), coupling, "line").mapping()
-    second = choose_layout(ghz(5), coupling, "line").mapping()
+    first = choose_layout(ghz(5), coupling).mapping()
+    second = choose_layout(ghz(5), coupling).mapping()
     assert searches == [None]
     assert first == second == reference_layout(ghz(5), coupling, "dense")
     stats = memo_stats()
     assert (stats["misses"], stats["hits"], stats["entries"]) == (1, 1, 1)
 
 
-def test_key_separates_width_branch_and_noise_seed():
+def test_key_separates_width_and_branch():
     coupling = heavy_hex(27)
-    circuit = build_benchmark("qaoa", 8, seed=1)
-    choose_layout(circuit, coupling, "dense")
-    choose_layout(build_benchmark("qaoa", 9, seed=1), coupling, "dense")
-    choose_layout(ghz(8), coupling, "line")
+    choose_layout(build_benchmark("qaoa", 8, seed=1), coupling)
+    choose_layout(build_benchmark("qaoa", 9, seed=1), coupling)
+    choose_layout(ghz(8), coupling)
     assert memo_stats()["entries"] == 3
-
-    by_seed = {}
-    for best_edge in (0, 10, 20):
-        errors = noise_errors(coupling, best_edge)
-        seed = layout_module._noise_seed(errors)
-        by_seed[seed] = choose_layout(circuit, coupling, "noise", errors).mapping()
-        assert by_seed[seed] == reference_layout(circuit, coupling, "noise", errors)
-    assert len(by_seed) == 3
-    assert memo_stats()["entries"] == 6
-    # A different error map that resolves to the same seed reads the same entry.
-    errors = noise_errors(coupling, 10)
-    errors[coupling.edges[-1]] = 0.04
-    assert layout_module._noise_seed(errors) == layout_module._noise_seed(
-        noise_errors(coupling, 10)
-    )
-    misses = memo_stats()["misses"]
-    choose_layout(circuit, coupling, "noise", errors)
-    assert memo_stats()["misses"] == misses
-
-
-def test_noise_without_errors_shares_the_dense_entry():
-    coupling = heavy_hex(27)
-    circuit = build_benchmark("qaoa", 8, seed=1)
-    dense = choose_layout(circuit, coupling, "dense").mapping()
-    assert choose_layout(circuit, coupling, "noise").mapping() == dense
-    assert memo_stats()["entries"] == 1
+    # Another circuit of a seen width and branch reads the same entry.
+    choose_layout(build_benchmark("qaoa", 8, seed=2), coupling)
+    stats = memo_stats()
+    assert (stats["entries"], stats["hits"]) == (3, 1)
 
 
 def test_mutating_a_layout_cannot_corrupt_the_memo():
     coupling = heavy_hex(27)
     circuit = build_benchmark("qaoa", 20, seed=1)
-    layout = choose_layout(circuit, coupling, "dense")
+    layout = choose_layout(circuit, coupling)
     expected = layout.mapping()
     layout.swap_physical(layout.physical(0), layout.physical(1))
     layout.mapping()[0] = -1
     assert layout.mapping() != expected
-    assert choose_layout(circuit, coupling, "dense").mapping() == expected
+    assert choose_layout(circuit, coupling).mapping() == expected
     assert memo_stats()["hits"] == 1
 
 
 def test_clear_routing_cache_empties_the_memo():
     coupling = heavy_hex(27)
-    choose_layout(ghz(10), coupling, "line")
+    choose_layout(ghz(10), coupling)
     assert memo_stats()["entries"] == 1
     clear_routing_cache()
     stats = memo_stats()
     assert (stats["entries"], stats["hits"], stats["misses"]) == (0, 0, 0)
-    choose_layout(ghz(10), coupling, "line")
+    choose_layout(ghz(10), coupling)
     assert memo_stats()["misses"] == 1
 
 

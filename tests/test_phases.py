@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.benchmarks import build_benchmark
-from repro.compiler.transpile import transpile
+from repro.compiler.pipeline import transpile
 from repro.core.architecture import get_architecture
 from repro.core.collisions import count_collision_free
 from repro.core.fabrication import FabricationModel

@@ -1,9 +1,10 @@
 """Repair strategies vs the verbatim scalar reference loops.
 
-``GreedyLocalRepair.repair`` batches its candidate screening and both
-shipped strategies re-check candidates through the scalar
-``CollisionGraph.local_violations`` kernel; ``repair_reference.py`` holds
-the historical loops, which keep the numpy subset re-check.  The contract
+``GreedyLocalRepair.repair`` batches its "before" screen, tracks the
+device total instead of recounting it, and both shipped strategies
+re-check candidates through the scalar ``CollisionGraph.local_violations``
+kernel; ``repair_reference.py`` holds the historical loops, which keep
+the numpy subset re-check and the final full-device count.  The contract
 is bit-identity: same accepts, same landing points, same rng consumption
 — checked here on random collided batches by comparing outcomes *and*
 the generators' final bit-level state.  The kernel itself is pinned to
@@ -56,6 +57,7 @@ def assert_same_outcome(fast, ref):
 
 TUNERS = [
     pytest.param(TunerModel(), id="default-noisy"),
+    # Sigma 0 draws no actuation noise: the scalar path with no rng use.
     pytest.param(TunerModel(precision_sigma_ghz=0.0), id="noiseless-batch-path"),
     pytest.param(TunerModel(max_tunes_per_qubit=1), id="budget-1"),
     pytest.param(

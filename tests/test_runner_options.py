@@ -8,8 +8,10 @@ params, well-formed or not.
 
 from __future__ import annotations
 
+import asyncio
 import inspect
 
+import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from repro.analysis.registry import EXPERIMENTS, RUNNER_OPTIONS, parse_runner_options
@@ -88,3 +90,49 @@ def test_accepted_sec5c_params_run(params, batch_size):
     engine = ExecutionEngine(jobs=1, use_cache=False)
     result, text = spec.runner(engine, **kwargs)
     assert result.gain >= 0 and text
+
+
+# A benchmark named twice would compile and print each of its rows twice
+# and give the job a coalescing key of its own.
+def test_duplicate_benchmark_refused_by_the_table():
+    spec = EXPERIMENTS.get("appsweep")
+    for value in ("qaoa,qaoa", ["qaoa", "bv", "qaoa"], " qaoa , qaoa "):
+        with pytest.raises(ValueError, match="benchmarks names 'qaoa' more than once"):
+            parse_runner_options(spec, {"benchmarks": value})
+    kwargs, _ = parse_runner_options(spec, {"benchmarks": "qaoa,bv"})
+    assert kwargs["benchmarks"] == ("qaoa", "bv")
+
+
+def test_duplicate_benchmark_exits_2_from_the_cli(capsys, tmp_path, monkeypatch):
+    from repro.__main__ import main
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    argv = ["run", "appsweep", "--benchmarks", "qaoa,qaoa", "--topology", "heavy-hex",
+            "--routing", "basic", "--jobs", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "benchmarks names 'qaoa' more than once"
+
+
+def test_duplicate_benchmark_gets_http_400_from_the_service():
+    from repro.service.http import ServiceServer, request
+    from repro.service.manager import JobManager
+
+    async def scenario():
+        async with JobManager(engine_options={"use_cache": False, "jobs": 1}) as manager:
+            server = ServiceServer(manager, port=0)
+            await server.start()
+            try:
+                status, _, body = await request(
+                    server.host, server.port, "POST", "/jobs",
+                    {"experiment": "appsweep", "params": {"benchmarks": ["qaoa", "qaoa"]}},
+                )
+                return status, body, manager.stats()["jobs_known"]
+            finally:
+                await server.stop()
+
+    status, body, jobs_known = asyncio.run(scenario())
+    assert status == 400
+    assert body["error"] == "benchmarks names 'qaoa' more than once"
+    assert jobs_known == 0

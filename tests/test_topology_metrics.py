@@ -35,9 +35,3 @@ class TestDensestConnectedSubgraph:
     def test_rejects_oversized_request(self):
         with pytest.raises(ValueError):
             densest_connected_subgraph(path(3), 5)
-
-    def test_respects_seed(self):
-        coupling = path(8)
-        nodes = densest_connected_subgraph(coupling, 3, seed=0)
-        assert 0 in nodes
-        assert nx.is_connected(to_networkx(coupling).subgraph(nodes))
